@@ -8,6 +8,13 @@ reroutes the weight of discarded blocks into a dump state; decoding re-appends
 the multiplicity factors.  Because both sides share the same implied factors,
 trace distances between full-form states are exact block-by-block sums.
 
+A block that is diagonal in its basis (ascending m for qubits, tableau order
+for qudits) is stored as the 1-D real vector of its diagonal; only blocks that
+are not diagonal (rotated qubit states, random or user-supplied blocks) are 2-D
+Hermitian matrices.  Diagonal product states, the uniform dump and everything
+encoded from them stay vectors, so their trace distances are plain sums of
+absolute values.
+
 BlockStates are immutable after construction; channels return new values, so
 independent (N, spectrum, epsilon) points can be evaluated in parallel.
 """
@@ -28,7 +35,6 @@ from .schur_core import (
     enumerate_diagrams,
     irrep_dim,
     multiplicity_dim,
-    qubit_multiplicity,
     schur_polynomial,
     semistandard_tableaux,
     tableau_content,
@@ -41,6 +47,9 @@ UNDERFLOW = 1e-300
 
 
 class Block(NamedTuple):
+    """Weight and normalized block: a 1-D array is the diagonal of a diagonal
+    block, a 2-D array is a full Hermitian matrix."""
+
     weight: float
     matrix: np.ndarray
 
@@ -83,11 +92,13 @@ def validate_block_state(state: BlockState, tol: float = WEIGHT_SUM_TOL) -> None
             raise ContractViolationError(f"negative weight {w} on {lam}")
         if w == 0.0 and not np.any(mat):
             continue  # underflowed block, stored as an explicit zero
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        if mat.ndim == 2 and np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ContractViolationError(f"block {lam} not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > tol:
-            raise ContractViolationError(f"block {lam} trace {np.trace(mat)!r}")
-        if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
+        trace = np.trace(mat).real if mat.ndim == 2 else mat.sum()
+        if abs(trace - 1.0) > tol:
+            raise ContractViolationError(f"block {lam} trace {trace!r}")
+        eigs = np.linalg.eigvalsh(mat) if mat.ndim == 2 else mat
+        if eigs.min() < -PSD_TOL:
             raise ContractViolationError(f"block {lam} not PSD")
 
 
@@ -106,18 +117,21 @@ def qubit_weight(n: int, p: float, two_j: int) -> float:
         raise ParameterError(f"need 1/2 <= p <= 1, got {p}")
     if two_j < 0 or two_j > n or (n - two_j) % 2:
         raise ParameterError(f"invalid 2j={two_j} for N={n}")
-    mult = qubit_multiplicity(n, two_j)
     if p == 1.0:
         return 1.0 if two_j == n else 0.0
+    # log m_j = log C(N, k) + log((N - 2k + 1) / (N - k + 1)), k = N/2 - j
+    k = (n - two_j) // 2
+    log_mult = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                + math.log((two_j + 1) / (n - k + 1)))
     if p == 0.5:
-        return (two_j + 1) * mult * math.exp(-n * math.log(2.0))
+        return math.exp(math.log(two_j + 1) + log_mult - n * math.log(2.0))
     log_p = math.log(p)
     log_q = math.log1p(-p)
     delta = log_p - log_q  # > 0
     top = ((n + two_j) // 2) * log_p + ((n - two_j) // 2) * log_q
     # sum of the geometric series with ratio exp(-delta), largest term first
     log_series = math.log(-math.expm1(-(two_j + 1) * delta)) - math.log(-math.expm1(-delta))
-    log_w = math.log(mult) + top + log_series
+    log_w = log_mult + top + log_series
     if log_w < math.log(UNDERFLOW):
         return 0.0
     return math.exp(log_w)
@@ -185,7 +199,8 @@ def multiplicity_float(diagram: YoungDiagram) -> float:
 
 def _qubit_block_matrix(n: int, p: float, two_j: int,
                         orientation: BlochVector | None) -> np.ndarray:
-    """Normalized spin-j block of the N-fold qubit state, ascending-m basis."""
+    """Normalized spin-j block of the N-fold qubit state, ascending-m basis:
+    its diagonal, or the full matrix when the state is rotated."""
     dim = two_j + 1
     if p == 0.5:
         diag = np.full(dim, 1.0 / dim)
@@ -194,16 +209,15 @@ def _qubit_block_matrix(n: int, p: float, two_j: int,
         # entry for m, relative to the top entry at m = +j
         rel = np.array([ratio ** ((two_j - (-two_j + 2 * i)) // 2) for i in range(dim)])
         diag = rel / rel.sum()
-    mat = np.diag(diag).astype(complex)
-    if orientation is not None and (orientation.theta or orientation.phi):
-        rot = wigner_d_matrix(WignerRotation(orientation.phi, orientation.theta, 0.0, two_j))
-        mat = rot @ mat @ rot.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-    return mat
+    if orientation is None or not (orientation.theta or orientation.phi):
+        return diag
+    rot = wigner_d_matrix(WignerRotation(orientation.phi, orientation.theta, 0.0, two_j))
+    mat = (rot * diag) @ rot.conj().T
+    return (mat + mat.conj().T) / 2.0
 
 
 def _qudit_block_matrix(lam: YoungDiagram, spectrum: Spectrum) -> np.ndarray:
-    """Diagonal block for a diagonal qudit state, in canonical tableau order.
+    """Diagonal of the block for a diagonal qudit state, in canonical tableau order.
 
     Diagonal entries are the content monomials p^{content(T)} over the
     semistandard tableaux of the shape, normalized via a stable softmax so
@@ -227,10 +241,9 @@ def _qudit_block_matrix(lam: YoungDiagram, spectrum: Spectrum) -> np.ndarray:
     assert arr.size == dim, "tableau count must equal the irrep dimension"
     peak = arr.max()
     if peak == -math.inf:
-        return np.zeros((dim, dim), dtype=complex)
+        return np.zeros(dim)
     rel = np.exp(arr - peak)
-    diag = rel / rel.sum()
-    return np.diag(diag).astype(complex)
+    return rel / rel.sum()
 
 
 def product_state(spectrum: Spectrum, n: int,
@@ -255,14 +268,12 @@ def product_state(spectrum: Spectrum, n: int,
     else:
         for lam in enumerate_diagrams(n, d):
             if lam.num_rows > spectrum.rank:
-                dim = irrep_dim(lam, d)
-                blocks[lam] = Block(0.0, np.zeros((dim, dim), dtype=complex))
+                blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, d)))
                 continue
             s_val = schur_polynomial(lam, spectrum)
             w = s_val * multiplicity_float(lam)
             if w < UNDERFLOW:
-                dim = irrep_dim(lam, d)
-                blocks[lam] = Block(0.0, np.zeros((dim, dim), dtype=complex))
+                blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, d)))
             else:
                 blocks[lam] = Block(w, _qudit_block_matrix(lam, spectrum))
     return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=False)
@@ -294,10 +305,8 @@ def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram]) -> BlockState:
         raise ParameterError("keep set must not be empty")
     dims = {lam: irrep_dim(lam, d) for lam in kept}
     d_enc = sum(dims.values())
-    blocks = {
-        lam: Block(dims[lam] / d_enc, np.eye(dims[lam], dtype=complex) / dims[lam])
-        for lam in kept
-    }
+    blocks = {lam: Block(dims[lam] / d_enc, np.full(dims[lam], 1.0 / dims[lam]))
+              for lam in kept}
     return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=True)
 
 
@@ -325,18 +334,16 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram],
         w_dump = tail * dump_blk.weight if dump_blk is not None else 0.0
         w_out = w_in + w_dump
         if w_out == 0.0:
-            dim = irrep_dim(lam, state.d)
-            blocks[lam] = Block(0.0, np.zeros((dim, dim), dtype=complex))
+            blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, state.d)))
             continue
         if w_dump == 0.0:
             blocks[lam] = Block(w_in, mat_in)  # untouched block passes through exactly
             continue
-        ref = mat_in if mat_in is not None else dump_blk.matrix
-        acc = np.zeros_like(ref, dtype=complex)
-        if w_in > 0.0 and mat_in is not None:
-            acc = acc + w_in * mat_in
-        if w_dump > 0.0:
-            acc = acc + w_dump * dump_blk.matrix
+        if w_in > 0.0:
+            mat_in, mat_dump = _promoted(mat_in, dump_blk.matrix)
+            acc = w_in * mat_in + w_dump * mat_dump
+        else:
+            acc = w_dump * dump_blk.matrix
         blocks[lam] = Block(w_out, acc / w_out)
     return BlockState(n=state.n, d=state.d, blocks=blocks, multiplicity_free=True)
 
@@ -353,56 +360,18 @@ def decode(encoded: BlockState) -> BlockState:
 # Trace distance
 # ---------------------------------------------------------------------------
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-13,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by the cyclic Jacobi method.
-
-    Deterministic and self-contained; adequate for the block sizes here
-    (up to a few hundred).  Stops when the off-diagonal Frobenius norm
-    falls below tol relative to the matrix norm, hard-capped at max_sweeps.
-    """
-    a = np.array(matrix, dtype=complex)
-    size = a.shape[0]
-    if size == 0:
-        return np.zeros(0)
-    if size == 1:
-        return np.array([a[0, 0].real])
-    scale = max(np.linalg.norm(a), 1e-30)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, np.linalg.norm(a) ** 2 - np.linalg.norm(np.diag(a)) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                # small root of t^2 - 2 tau t - 1 = 0 zeroes the pivot
-                if abs(tau) > 1e12:
-                    t = -0.5 / tau
-                elif tau >= 0:
-                    t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-    return np.real(np.diag(a))
+def _promoted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two blocks in a common form: a diagonal meeting a full matrix becomes one."""
+    if a.ndim == b.ndim:
+        return a, b
+    return (np.diag(a) if a.ndim == 1 else a), (np.diag(b) if b.ndim == 1 else b)
 
 
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(jacobi_eigenvalues(matrix))))
+    """Sum of absolute eigenvalues of a Hermitian block (or of a diagonal)."""
+    if matrix.ndim == 1:
+        return float(np.abs(matrix).sum())
+    return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
 
 
 def trace_distance(a: BlockState, b: BlockState) -> float:
@@ -425,7 +394,8 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
         if blk_b is None:
             total += blk_a.weight
             continue
-        diff = blk_a.weight * blk_a.matrix - blk_b.weight * blk_b.matrix
+        mat_a, mat_b = _promoted(blk_a.matrix, blk_b.matrix)
+        diff = blk_a.weight * mat_a - blk_b.weight * mat_b
         if not np.any(diff):
             continue
         total += trace_norm(diff)

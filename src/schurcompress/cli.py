@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .blocksim import (
     BlochVector,
+    block_weights,
     exact_protocol_error,
     product_state,
 )
@@ -64,6 +65,14 @@ def fmt(x) -> str:
     return str(x)
 
 
+def parse_value(text: str, cast, what: str):
+    """cast(text), with a malformed value reported as a usage error."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ParameterError(f"bad {what}: {text!r}") from None
+
+
 def parse_spectrum(text: str) -> Spectrum:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -101,7 +110,7 @@ def opt(args, config: dict[str, str], key: str, cast, default=None):
         if cast is bool:
             val = raw.lower() in ("1", "true", "yes")
         else:
-            val = cast(raw)
+            val = parse_value(raw, cast, f"config value for {key}")
     if val is None:
         val = default
     return val
@@ -188,8 +197,6 @@ def cmd_qdist(args, config) -> int:
     if n is None or spectrum_text is None:
         raise ParameterError("qdist requires --n and --spectrum")
     spectrum = parse_spectrum(spectrum_text)
-    from .blocksim import block_weights
-
     weights = block_weights(n, spectrum)
     ordered = sorted(weights.items(), key=lambda kv: kv[0], reverse=True)
     rows = []
@@ -232,7 +239,7 @@ def cmd_plan(args, config) -> int:
     spectrum = parse_spectrum(spectrum_text)
     plan = _build_plan(n, spectrum, epsilon, zero_error)
     # the circuit model covers the qubit protocol only
-    resources = circuit_resource_estimate(n, epsilon) if n >= 2 and spectrum.d == 2 else None
+    resources = circuit_resource_estimate(n) if n >= 2 and spectrum.d == 2 else None
 
     extras: dict[str, float] = {}
     if not zero_error and epsilon is not None and spectrum.d == 2:
@@ -328,12 +335,13 @@ def _parse_n_values(args, config) -> list[int]:
     n_range = opt(args, config, "n-range", str)
     n_list = opt(args, config, "n-list", str)
     if n_list:
-        vals = [int(tok) for tok in n_list.split(",") if tok.strip()]
+        vals = [parse_value(tok, int, "--n-list entry")
+                for tok in n_list.split(",") if tok.strip()]
     elif n_range:
         parts = n_range.split(":")
         if len(parts) != 3:
             raise ParameterError(f"--n-range wants a:b:step, got {n_range!r}")
-        a, b, step = (int(x) for x in parts)
+        a, b, step = (parse_value(x, int, "--n-range bound") for x in parts)
         if step <= 0:
             raise ParameterError("--n-range step must be positive")
         vals = list(range(a, b + 1, step))
@@ -358,7 +366,8 @@ def cmd_sweep(args, config) -> int:
     if zero_error or budget_exponent is not None:
         epsilons: list[float | None] = [None]
     elif epsilon_list:
-        epsilons = [float(tok) for tok in epsilon_list.split(",") if tok.strip()]
+        epsilons = [parse_value(tok, float, "--epsilon-list entry")
+                    for tok in epsilon_list.split(",") if tok.strip()]
         if not epsilons:
             raise ParameterError("empty --epsilon-list")
     else:
@@ -438,8 +447,6 @@ def cmd_oracle_check(args, config) -> int:
         checks.append(("protocol error", abs(exact - dense_err)))
     else:
         oracle_weights = character_projection_weights(spectrum, n)
-        from .blocksim import block_weights
-
         ours = block_weights(n, spectrum)
         weight_diff = max(abs(oracle_weights[lam] - ours[lam]) for lam in oracle_weights)
         checks.append(("weights (character projection)", weight_diff))

@@ -161,6 +161,11 @@ def dense_weights(dense: np.ndarray, n: int) -> dict[int, float]:
     return {lam.two_j: blk.weight for lam, blk in state.blocks.items()}
 
 
+def _block_spectrum(mat: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a block given as a Hermitian matrix or a diagonal."""
+    return np.sort(mat) if mat.ndim == 1 else np.linalg.eigvalsh(mat)
+
+
 def jacobi_check_spectrum(block_state: BlockState, oracle_state: BlockState) -> float:
     """Worst mismatch between per-block eigenvalue spectra of two states.
 
@@ -174,8 +179,8 @@ def jacobi_check_spectrum(block_state: BlockState, oracle_state: BlockState) -> 
         if other is None:
             worst = max(worst, blk.weight)
             continue
-        mine = np.sort(np.linalg.eigvalsh(blk.matrix)) if blk.weight > 0 else None
-        theirs = np.sort(np.linalg.eigvalsh(other.matrix)) if other.weight > 0 else None
+        mine = _block_spectrum(blk.matrix) if blk.weight > 0 else None
+        theirs = _block_spectrum(other.matrix) if other.weight > 0 else None
         if mine is None or theirs is None:
             worst = max(worst, abs(blk.weight - other.weight))
             continue
@@ -219,8 +224,9 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
     for lam, blk in dump_state.blocks.items():
         if blk.weight == 0.0:
             continue
+        mat = np.diag(blk.matrix) if blk.matrix.ndim == 1 else blk.matrix
         for v in basis[lam.two_j]:
-            out += tail * blk.weight * (v @ blk.matrix @ v.conj().T) / len(basis[lam.two_j])
+            out += tail * blk.weight * (v @ mat @ v.conj().T) / len(basis[lam.two_j])
     diff = dense - out
     eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     return 0.5 * float(np.sum(np.abs(eigs)))

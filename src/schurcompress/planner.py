@@ -121,6 +121,8 @@ def qubit_approx_plan(n: int, p: float, epsilon: float,
     half_width overrides the default width, for the partially-known-spectrum
     regime where the strip must be broadened by hand.
     """
+    if n < 1:
+        raise ParameterError(f"need N >= 1, got {n}")
     if not 0.5 < p <= 1.0:
         raise NotApplicableError(
             f"strip construction needs p > 1/2 (got p={p}); at p = 1/2 the ensemble is trivial")
@@ -146,6 +148,8 @@ def total_variation_radius(n: int, d: int, epsilon: float) -> float:
 
     Chosen so the concentration bound evaluated at this radius equals eps.
     """
+    if n < 1:
+        raise ParameterError(f"need N >= 1, got {n}")
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError(f"need 0 < epsilon <= 1, got {epsilon}")
     return math.sqrt((d * (d + 1) / 2.0 * math.log(n + 1) + math.log(1.0 / epsilon))
@@ -379,7 +383,7 @@ class ResourceEstimate:
         }
 
 
-def circuit_resource_estimate(n: int, epsilon: float | None = None) -> ResourceEstimate:
+def circuit_resource_estimate(n: int) -> ResourceEstimate:
     """Register widths and operation-count orders of the qubit circuits.
 
     The block-label register indexes N/2+1 spin values, the representation

@@ -12,7 +12,6 @@ from schurcompress.blocksim import (
     decode,
     encode,
     exact_protocol_error,
-    jacobi_eigenvalues,
     product_state,
     qubit_weight,
     qubit_weight_binomial,
@@ -73,6 +72,11 @@ def test_qubit_weight_rejects_bad_args():
         qubit_weight(4, 0.75, 3)  # parity
 
 
+def test_qubit_weights_normalized_at_large_n_maximally_mixed():
+    # the multiplicity alone overflows a float here; its log does not
+    assert abs(sum(qubit_weights(1100, 0.5).values()) - 1.0) < 1e-10
+
+
 def test_qubit_weights_normalized_up_to_200():
     for p in (0.5, 0.6, 0.75, 0.9, 1.0):
         for n in (1, 2, 7, 50, 131, 200):
@@ -121,7 +125,7 @@ def test_product_state_rotated_is_valid():
     for lam, blk in state.blocks.items():
         assert blk.weight == diag.blocks[lam].weight  # weights ignore orientation
         mine = np.sort(np.linalg.eigvalsh(blk.matrix))
-        theirs = np.sort(np.linalg.eigvalsh(diag.blocks[lam].matrix))
+        theirs = np.sort(diag.blocks[lam].matrix)
         assert np.allclose(mine, theirs, atol=1e-12)
 
 
@@ -130,6 +134,21 @@ def test_product_state_qudit_diagonal():
     validate_block_state(state)
     total = sum(blk.weight for blk in state.blocks.values())
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sp, n", [(spectrum_of(0.75, 0.25), 7), (Spectrum((0.5, 0.5)), 6),
+                                   (Spectrum((1.0, 0.0)), 5), (spectrum_of(0.5, 0.3, 0.2), 5),
+                                   (Spectrum((0.6, 0.4, 0.0)), 4)])
+def test_diagonal_states_keep_vector_blocks(sp, n):
+    def assert_vectors(state):
+        for blk in state.blocks.values():
+            assert blk.matrix.ndim == 1 and blk.matrix.dtype == np.float64
+
+    state = product_state(sp, n)
+    keep = sorted(state.blocks, reverse=True)[:2]
+    encoded = encode(state, keep)
+    for each in (state, uniform_dump(n, sp.d, keep), encoded, decode(encoded)):
+        assert_vectors(each)
 
 
 def test_product_state_qudit_rejects_rotation():
@@ -256,19 +275,22 @@ def test_trace_distance_is_a_metric_on_random_states():
         assert 0.0 <= dxy <= 1.0 + 1e-12
 
 
-def test_jacobi_agrees_with_lapack():
-    rng = np.random.default_rng(17)
-    for size in (2, 3, 8, 21, 64):
-        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        h = (g + g.conj().T) / 2
-        mine = np.sort(jacobi_eigenvalues(h))
-        ref = np.sort(np.linalg.eigvalsh(h))
-        assert np.max(np.abs(mine - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
-
-
 def test_trace_norm_hermitian():
     h = np.diag([0.5, -0.25, 0.25]).astype(complex)
     assert trace_norm(h) == pytest.approx(1.0, abs=1e-13)
+    assert trace_norm(np.diag(h).real) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_trace_distance_of_diagonal_states_needs_no_eigensolver(monkeypatch):
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called on diagonal blocks")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolver)
+    for sp, n in ((spectrum_of(0.75, 0.25), 12), (spectrum_of(0.5, 0.3, 0.2), 6)):
+        grid = sorted(enumerate_diagrams(n, sp.d), reverse=True)
+        report = exact_protocol_error(n, sp, grid[:3])
+        assert report.exact_error == pytest.approx(report.tail_mass, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,13 @@ def test_qdist_rejects_bad_spectrum(capsys):
     assert "sums to" in err
 
 
+def test_qdist_rejects_non_finite_spectrum_exit_2(capsys):
+    code, out, err = run_cli(capsys, "qdist", "--n", "3", "--spectrum", "0.5,0.3,nan")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_plan_approx_headline(capsys):
     code, out, _ = run_cli(capsys, "plan", "--n", "20", "--spectrum", "0.6,0.4",
                            "--epsilon", "0.01", "--format", "json")
@@ -151,6 +158,14 @@ def test_simulate_rotated(capsys):
                            "--epsilon", "0.3", "--theta", "1.0", "--phi", "0.5",
                            "--format", "json")
     assert code == 0
+
+
+def test_simulate_rotated_large_spin(capsys):
+    # spin blocks up to 2j = 120, where the factorial Wigner formula overflowed
+    code, out, _ = run_cli(capsys, "simulate", "--n", "120", "--spectrum", "0.75,0.25",
+                           "--epsilon", "0.01", "--theta", "1.0")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "PASS"
 
 
 def test_simulate_qudit_rotation_unsupported(capsys):
@@ -245,3 +260,21 @@ def test_float_output_precision(capsys):
     assert code == 0
     top = out.strip().splitlines()[1].split(",")[1]
     assert len(top.replace(".", "").replace("-", "").lstrip("0")) <= 10
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--n-list", "4,x", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1"], None),
+    (["sweep", "--n-list", "4", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1,abc"], None),
+    (["plan", "--zero-error"], "n=abc\nspectrum=0.75,0.25\n"),
+    (["plan", "--n", "0", "--spectrum", "0.75,0.25", "--epsilon", "0.01"], None),
+    (["plan", "--n", "0", "--spectrum", "0.5,0.3,0.2", "--epsilon", "0.1"], None),
+])
+def test_malformed_values_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -123,6 +123,20 @@ def test_block_and_dense_weights_agree():
         assert jacobi_check_spectrum(ours, oracle_state) < 1e-10
 
 
+def test_symmetric_block_matches_oracle_entrywise():
+    # the symmetric block has multiplicity 1, so its matrix is basis-free:
+    # this pins the rotation convention, not just the spectrum
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        p = rng.uniform(0.55, 0.95)
+        orient = BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        sp = spectrum_of(p, 1 - p)
+        sym = YoungDiagram((n, 0))
+        ours = product_state(sp, n, orient).blocks[sym].matrix
+        theirs = extract_blocks(dense_product_state(sp, n, orient), n).blocks[sym].matrix
+        assert np.max(np.abs(ours - theirs)) < 1e-12, n
+
+
 def test_dense_protocol_error_full_keep_is_zero():
     sp = spectrum_of(0.8, 0.2)
     err = dense_protocol_error(4, sp, enumerate_diagrams(4, 2))

@@ -304,7 +304,7 @@ def test_mixed_prep_simulation_3sigma():
 # ---------------------------------------------------------------------------
 
 def test_circuit_resources_n20():
-    res = circuit_resource_estimate(20, 0.01)
+    res = circuit_resource_estimate(20)
     assert res.index_register_qubits == 4       # ceil(log2 11)
     assert res.representation_register_qubits == 5  # ceil(log2 21)
     assert res.multiplicity_register_qubits == 16   # ceil(log2 48450)

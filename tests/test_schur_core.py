@@ -121,6 +121,12 @@ def test_spectrum_validation_and_degeneracy():
     assert Spectrum((0.25, 0.25, 0.25, 0.25)).degeneracy_m == 6
 
 
+@pytest.mark.parametrize("probs", [(0.5, 0.3, math.nan), (math.nan, 0.5), (math.inf, 0.0)])
+def test_spectrum_rejects_non_finite(probs):
+    with pytest.raises(ParameterError):
+        Spectrum(probs)
+
+
 # ---------------------------------------------------------------------------
 # Dimensions
 # ---------------------------------------------------------------------------
@@ -337,5 +343,12 @@ def test_wigner_unitarity_random_angles():
 
 
 def test_wigner_small_d_is_real_orthogonal():
-    d = wigner_small_d(6, 0.9)
-    assert np.allclose(d @ d.T, np.eye(7), atol=1e-12)
+    for two_j in (6, 100, 256):
+        d = wigner_small_d(two_j, 0.9)
+        assert np.max(np.abs(d @ d.T - np.eye(two_j + 1))) < 1e-12
+
+
+def test_wigner_small_d_spin_half_convention():
+    # d(beta) = exp(-i beta J_y): <-1/2| d |+1/2> = sin(beta/2), ascending m
+    c, s = math.cos(0.45), math.sin(0.45)
+    assert np.allclose(wigner_small_d(1, 0.9), [[c, s], [-s, c]], rtol=0, atol=1e-15)

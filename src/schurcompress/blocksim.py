@@ -8,10 +8,10 @@ reroutes the weight of discarded blocks into a dump state; decoding re-appends
 the multiplicity factors.  Because both sides share the same implied factors,
 trace distances between full-form states are exact block-by-block sums.
 
-A block that is diagonal in its basis (ascending m for qubits, tableau order
-for qudits) is stored as the 1-D real vector of its diagonal; only blocks that
-are not diagonal (rotated qubit states, random or user-supplied blocks) are 2-D
-Hermitian matrices.  Diagonal product states, the uniform dump and everything
+A block that is diagonal in its basis (Gelfand-Tsetlin order, which is
+ascending m for qubits) is stored as the 1-D real vector of its diagonal; only
+blocks that are not diagonal (rotated qubit states, random or user-supplied
+blocks) are 2-D Hermitian matrices.  Diagonal product states, the uniform dump and everything
 encoded from them stay vectors, so their trace distances are plain sums of
 absolute values.
 
@@ -33,11 +33,10 @@ from .schur_core import (
     YoungDiagram,
     WignerRotation,
     enumerate_diagrams,
+    gelfand_tsetlin_contents,
     irrep_dim,
     multiplicity_dim,
     schur_polynomial,
-    semistandard_tableaux,
-    tableau_content,
     wigner_d_matrix,
 )
 
@@ -197,53 +196,28 @@ def multiplicity_float(diagram: YoungDiagram) -> float:
 # Product-state construction
 # ---------------------------------------------------------------------------
 
-def _qubit_block_matrix(n: int, p: float, two_j: int,
-                        orientation: BlochVector | None) -> np.ndarray:
-    """Normalized spin-j block of the N-fold qubit state, ascending-m basis:
-    its diagonal, or the full matrix when the state is rotated."""
-    dim = two_j + 1
-    if p == 0.5:
-        diag = np.full(dim, 1.0 / dim)
-    else:
-        ratio = (1.0 - p) / p  # <= 1
-        # entry for m, relative to the top entry at m = +j
-        rel = np.array([ratio ** ((two_j - (-two_j + 2 * i)) // 2) for i in range(dim)])
-        diag = rel / rel.sum()
-    if orientation is None or not (orientation.theta or orientation.phi):
-        return diag
-    rot = wigner_d_matrix(WignerRotation(orientation.phi, orientation.theta, 0.0, two_j))
-    mat = (rot * diag) @ rot.conj().T
-    return (mat + mat.conj().T) / 2.0
-
-
-def _qudit_block_matrix(lam: YoungDiagram, spectrum: Spectrum) -> np.ndarray:
-    """Diagonal of the block for a diagonal qudit state, in canonical tableau order.
+def _block_diagonal(lam: YoungDiagram, spectrum: Spectrum) -> np.ndarray:
+    """Normalized diagonal of the block for a diagonal state, Gelfand-Tsetlin order.
 
     Diagonal entries are the content monomials p^{content(T)} over the
     semistandard tableaux of the shape, normalized via a stable softmax so
-    that deep tails do not lose the normalization.
+    that deep tails do not lose the normalization.  A letter of probability 0
+    that a tableau does not use contributes a factor 1; one it uses, 0.
     """
-    d = spectrum.d
-    logs = []
-    for tab in semistandard_tableaux(lam, d):
-        acc = 0.0
-        for v, count in enumerate(tableau_content(tab, d)):
-            if count == 0:
-                continue
-            pv = spectrum.probs[v]
-            if pv == 0.0:
-                acc = -math.inf
-                break
-            acc += count * math.log(pv)
-        logs.append(acc)
-    arr = np.array(logs)
-    dim = irrep_dim(lam, d)
-    assert arr.size == dim, "tableau count must equal the irrep dimension"
-    peak = arr.max()
-    if peak == -math.inf:
-        return np.zeros(dim)
-    rel = np.exp(arr - peak)
+    contents = gelfand_tsetlin_contents(lam, spectrum.d)
+    rank = spectrum.rank  # the zero eigenvalues come last
+    logs = contents[:, :rank] @ np.log(spectrum.probs[:rank])
+    if rank < spectrum.d:
+        logs[contents[:, rank:].any(axis=1)] = -np.inf
+    rel = np.exp(logs - logs.max())
     return rel / rel.sum()
+
+
+def _rotated(diag: np.ndarray, orientation: BlochVector) -> np.ndarray:
+    """The spin block with the given diagonal, turned to the given orientation."""
+    rot = wigner_d_matrix(WignerRotation(orientation.phi, orientation.theta, 0.0, diag.size - 1))
+    mat = (rot * diag) @ rot.conj().T
+    return (mat + mat.conj().T) / 2.0
 
 
 def product_state(spectrum: Spectrum, n: int,
@@ -257,25 +231,16 @@ def product_state(spectrum: Spectrum, n: int,
     d = spectrum.d
     if n < 1:
         raise ParameterError(f"need at least one copy, got N={n}")
-    if d > 2 and orientation is not None and (orientation.theta or orientation.phi):
+    rotated = orientation is not None and bool(orientation.theta or orientation.phi)
+    if d > 2 and rotated:
         raise UnsupportedFeatureError("rotated states are only supported for qubits")
     blocks: dict[YoungDiagram, Block] = {}
-    if d == 2:
-        p = spectrum.max_eigenvalue
-        for lam in enumerate_diagrams(n, 2):
-            w = qubit_weight(n, p, lam.two_j)
-            blocks[lam] = Block(w, _qubit_block_matrix(n, p, lam.two_j, orientation))
-    else:
-        for lam in enumerate_diagrams(n, d):
-            if lam.num_rows > spectrum.rank:
-                blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, d)))
-                continue
-            s_val = schur_polynomial(lam, spectrum)
-            w = s_val * multiplicity_float(lam)
-            if w < UNDERFLOW:
-                blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, d)))
-            else:
-                blocks[lam] = Block(w, _qudit_block_matrix(lam, spectrum))
+    for lam, w in block_weights(n, spectrum).items():
+        if w < UNDERFLOW:
+            blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, d)))
+            continue
+        diag = _block_diagonal(lam, spectrum)
+        blocks[lam] = Block(w, _rotated(diag, orientation) if rotated else diag)
     return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=False)
 
 
@@ -431,5 +396,5 @@ def exact_protocol_error(n: int, spectrum: Spectrum,
     kept = set(keep)
     restored = decode(encode(state, kept, dump_state))
     err = trace_distance(state, restored)
-    tail = sum(blk.weight for lam, blk in state.blocks.items() if lam not in kept)
+    tail = sum((blk.weight for lam, blk in state.blocks.items() if lam not in kept), 0.0)
     return ErrorReport(exact_error=err, tail_mass=tail, lower_bound=0.5 * tail)

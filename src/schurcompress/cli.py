@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,10 +75,14 @@ def parse_value(text: str, cast, what: str):
 
 
 def parse_spectrum(text: str) -> Spectrum:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ParameterError(f"bad spectrum {text!r}: {exc}") from None
+    bad = [tok for tok, v in zip(tokens, vals) if not math.isfinite(v)]
+    if bad:
+        raise ParameterError(f"non-finite spectrum entry {bad[0]!r} in {text!r}")
     if not vals or any(v < 0 for v in vals):
         raise ParameterError(f"spectrum entries must be non-negative, got {text!r}")
     total = sum(vals)

@@ -227,15 +227,13 @@ def error_threshold_copies(p: float, epsilon: float, cap: int = 1 << 30) -> int:
 def truncation_lower_bound(n: int, spectrum: Spectrum,
                            keep: Iterable[YoungDiagram]) -> float:
     """Half the discarded weight: the error floor for any protocol that is
-    covariant and preserves the block label."""
+    covariant and preserves the block label.
+
+    The discarded weights are summed directly; 1 - (kept mass) would turn the
+    roundoff of the kept weights into a spurious floor when little is dropped.
+    """
     kept = set(keep)
-    if spectrum.d == 2:
-        p = spectrum.max_eigenvalue
-        kept_mass = sum(qubit_weight(n, p, lam.two_j) for lam in kept)
-    else:
-        weights = block_weights(n, spectrum)
-        kept_mass = sum(weights.get(lam, 0.0) for lam in kept)
-    return 0.5 * max(0.0, 1.0 - kept_mass)
+    return 0.5 * sum(w for lam, w in block_weights(n, spectrum).items() if lam not in kept)
 
 
 def keyl_werner_tail_bound(n: int, d: int, x: float) -> float:

@@ -1,10 +1,11 @@
 """Representation-theoretic combinatorics for the Schur-Weyl block picture.
 
 Everything in here is a pure function of its arguments: Young diagrams,
-irrep and multiplicity dimensions (exact big integers), Schur polynomials
-(float, via Jacobi-Trudi), SU(2) Clebsch-Gordan coefficients and Wigner
-rotation matrices.  Half-integer angular momenta are passed around as
-doubled integers (2j, 2m) so they stay exact and hashable.
+irrep and multiplicity dimensions (exact big integers), tableau contents
+(Gelfand-Tsetlin branching), Schur polynomials (float, via Jacobi-Trudi),
+SU(2) Clebsch-Gordan coefficients and Wigner rotation matrices.  Half-integer
+angular momenta are passed around as doubled integers (2j, 2m) so they stay
+exact and hashable.
 """
 
 from __future__ import annotations
@@ -220,8 +221,9 @@ def semistandard_tableaux(diagram: YoungDiagram, d: int) -> Iterator[tuple[tuple
     """Yield all semistandard fillings with entries 1..d, in a fixed order.
 
     Rows weakly increase, columns strictly increase.  The order is
-    lexicographic in the row-reading word, which downstream code relies on
-    as the canonical basis order for diagonal qudit blocks.
+    lexicographic in the row-reading word; no other code relies on it.  This
+    walk is the test reference for ``gelfand_tsetlin_contents``, which block
+    construction uses instead.
     """
     lam = [r for r in diagram.rows if r > 0]
     if not lam:
@@ -247,6 +249,54 @@ def semistandard_tableaux(diagram: YoungDiagram, d: int) -> Iterator[tuple[tuple
         rows[i][j] = 0
 
     yield from fill(0, 0)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer lo[i]..hi[i] for every i, as (index i, value), grouped by i."""
+    lengths = hi - lo + 1
+    owner = np.repeat(np.arange(lo.size), lengths)
+    offset = lo + lengths - np.cumsum(lengths)  # value minus position
+    return owner, np.arange(owner.size) + offset[owner]
+
+
+def _gt_level(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contents of the tableaux with entries 1..k of every shape in ``shapes``
+    (M, k), grouped by shape in Gelfand-Tsetlin order, and each one's shape.
+
+    Branching rule: a tableau of shape lambda with entries <= k is a tableau
+    of an interlacing shape mu (lambda_{i+1} <= mu_i <= lambda_i) with entries
+    <= k - 1, plus |lambda| - |mu| boxes holding k.
+    """
+    m, k = shapes.shape
+    if k == 1:
+        return shapes, np.arange(m)
+    owner = np.arange(m)
+    mu = np.empty((m, 0), dtype=np.int64)
+    for i in range(k - 1):  # mu in lexicographic order
+        sel, value = _ranges(shapes[owner, i + 1], shapes[owner, i])
+        owner = owner[sel]
+        mu = np.column_stack([mu[sel], value])
+    sub, sub_owner = _gt_level(mu)
+    owner = owner[sub_owner]
+    return np.column_stack([sub, shapes.sum(axis=1)[owner] - sub.sum(axis=1)]), owner
+
+
+def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:
+    """Content vectors of all semistandard tableaux of the shape, entries 1..d.
+
+    Returns an integer array of shape (irrep_dim(diagram, d), d) whose row t
+    counts the entries 1..d of tableau t.  Tableaux come in Gelfand-Tsetlin
+    order, the canonical basis order of diagonal blocks: sorted by the shape
+    of their entries <= d - 1, then of their entries <= d - 2, and so on down
+    to <= 1, each shape compared lexicographically.  For two rows (a, b) the
+    contents are (c, a + b - c) for c = b..a, which is ascending m for spins.
+    """
+    rows = diagram.padded(d).rows
+    if d == 2:  # the two-row level in closed form
+        first = np.arange(rows[1], rows[0] + 1)
+        return np.column_stack([first, rows[0] + rows[1] - first])
+    contents, _ = _gt_level(np.array([rows], dtype=np.int64))
+    return contents
 
 
 def tableau_content(tableau: Sequence[Sequence[int]], d: int) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurcompress import blocksim, schur_core
 from schurcompress.blocksim import (
     Block,
     BlochVector,
@@ -31,7 +32,9 @@ from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
     enumerate_diagrams,
+    gelfand_tsetlin_contents,
     qubit_multiplicity,
+    schur_polynomial_brute,
     spectrum_of,
 )
 
@@ -149,6 +152,32 @@ def test_diagonal_states_keep_vector_blocks(sp, n):
     encoded = encode(state, keep)
     for each in (state, uniform_dump(n, sp.d, keep), encoded, decode(encoded)):
         assert_vectors(each)
+
+
+def test_product_state_needs_no_tableau_walk(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("semistandard tableaux enumerated")
+
+    for name in ("semistandard_tableaux", "tableau_content"):
+        monkeypatch.setattr(schur_core, name, boom)
+        monkeypatch.setattr(blocksim, name, boom, raising=False)
+    state = product_state(spectrum_of(0.5, 0.3, 0.2), 12)
+    validate_block_state(state)
+
+
+@pytest.mark.parametrize("sp", [Spectrum((0.6, 0.4, 0.0)), Spectrum((0.5, 0.3, 0.2, 0.0))])
+def test_block_diagonals_with_a_zero_eigenvalue(sp):
+    # a letter of probability 0 zeroes the entries that use it and leaves the
+    # others finite: the diagonal is the monomials over the Schur polynomial
+    probs = np.array(sp.probs)
+    for lam, blk in product_state(sp, 5).blocks.items():
+        if blk.weight == 0.0:
+            assert lam.num_rows > sp.rank and not np.any(blk.matrix)
+            continue
+        monomials = np.prod(probs ** gelfand_tsetlin_contents(lam, sp.d), axis=1)
+        s_val = schur_polynomial_brute(lam, sp)
+        assert monomials.sum() == pytest.approx(s_val, rel=1e-12)
+        assert np.allclose(blk.matrix, monomials / s_val, rtol=1e-12, atol=0.0)
 
 
 def test_product_state_qudit_rejects_rotation():
@@ -302,6 +331,7 @@ def test_exact_error_zero_for_full_keep():
     report = exact_protocol_error(6, sp, enumerate_diagrams(6, 2))
     assert report.exact_error == 0.0
     assert report.tail_mass == 0.0
+    assert isinstance(report.tail_mass, float)
 
 
 def test_exact_error_sandwiched_by_tail():

@@ -90,6 +90,14 @@ def test_qdist_rejects_non_finite_spectrum_exit_2(capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("text, entry", [("0.5,0.3,nan", "nan"), ("0.5, inf,0.2", "inf"),
+                                         ("1e400,0", "1e400")])
+def test_non_finite_spectrum_error_names_the_entry(capsys, text, entry):
+    code, _, err = run_cli(capsys, "simulate", "--n", "4", "--spectrum", text, "--epsilon", "0.1")
+    assert code == 2
+    assert f"non-finite spectrum entry {entry!r} in {text!r}" in err
+
+
 def test_plan_approx_headline(capsys):
     code, out, _ = run_cli(capsys, "plan", "--n", "20", "--spectrum", "0.6,0.4",
                            "--epsilon", "0.01", "--format", "json")

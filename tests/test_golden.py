@@ -1,12 +1,15 @@
 """Golden CLI outputs: every line must match the recorded stdout.
 
 The files under ``golden/`` are the stdout of ``schurcompress <argv>`` for the
-commands below, recorded before diagonal blocks were stored as vectors and
-before qubit multiplicities moved to log space.  Non-numeric text must match
-exactly.  Numbers must agree within 1e-9 relative, which leaves room for the
-last of the ten printed digits, or within 1e-13 absolute: the sweeps print
-``tail_mass`` and ``lower_bound`` from 1 - (kept mass), so the ~1e-14 roundoff
-of weights that sum to 1 shows up there as an absolute error.
+commands below.  The first nine were recorded before diagonal blocks were
+stored as vectors and before qubit multiplicities moved to log space; the two
+``sweep_qudit_*`` files (a rank-deficient d = 3 spectrum, and d = 4) were
+recorded while qudit block diagonals still came from a tableau walk.
+Non-numeric text must match exactly.  Numbers must agree within 1e-9
+relative, which leaves room for the last of the ten printed digits, or within
+1e-13 absolute: the recorded sweeps printed ``tail_mass`` and ``lower_bound``
+from 1 - (kept mass), so the ~1e-14 roundoff of weights that sum to 1 shows
+up there as an absolute error.
 """
 
 import math
@@ -37,6 +40,10 @@ CASES = {
                           "--epsilon-list", "0.1,0.01"],
     "sweep_budget.csv": ["sweep", "--n-list", "64,128,512", "--spectrum", "0.75,0.25",
                          "--budget-exponent", "1.4"],
+    "sweep_qudit_rank2.csv": ["sweep", "--n-list", "6,12,18", "--spectrum", "0.6,0.4,0",
+                              "--budget-exponent", "1.4"],
+    "sweep_qudit_d4.csv": ["sweep", "--n-list", "6,12", "--spectrum", "0.4,0.3,0.2,0.1",
+                           "--budget-exponent", "1.4"],
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schurcompress.blocksim import exact_protocol_error, qubit_weights
+from schurcompress.blocksim import exact_protocol_error, qubit_weight_binomial, qubit_weights
 from schurcompress.errors import NotApplicableError, ParameterError
 from schurcompress.planner import (
     ceil_log2,
@@ -219,6 +219,24 @@ def test_truncation_lower_bound_limits():
     everything = enumerate_diagrams(12, 2)
     assert truncation_lower_bound(12, sp, everything) == pytest.approx(0.0, abs=1e-12)
     assert truncation_lower_bound(12, sp, []) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_truncation_lower_bound_is_zero_when_every_block_is_kept():
+    sp = spectrum_of(0.75, 0.25)
+    keep = qubit_approx_plan(40, 0.75, 0.01).keep
+    assert len(keep) == len(enumerate_diagrams(40, 2))
+    assert truncation_lower_bound(40, sp, keep) == 0.0
+
+
+@pytest.mark.parametrize("n", [50, 60])
+def test_truncation_lower_bound_is_half_the_binomial_tail(n):
+    sp = spectrum_of(0.75, 0.25)
+    keep = qubit_approx_plan(n, 0.75, 0.1).keep
+    kept = {lam.two_j for lam in keep}
+    tail = sum(qubit_weight_binomial(n, 0.75, two_j)
+               for two_j in range(n % 2, n + 1, 2) if two_j not in kept)
+    assert tail > 0.0
+    assert truncation_lower_bound(n, sp, keep) == pytest.approx(0.5 * tail, rel=0.0, abs=1e-15)
 
 
 def test_budgeted_lower_bound_grows():

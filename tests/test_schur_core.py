@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from schurcompress.schur_core import (
     clebsch_gordan_signed_square,
     complete_homogeneous,
     enumerate_diagrams,
+    gelfand_tsetlin_contents,
     irrep_dim,
     multiplicity_dim,
     qubit_multiplicity,
@@ -238,6 +240,32 @@ def test_complete_homogeneous_two_variables():
     assert h[1] == pytest.approx(1.0)
     assert h[2] == pytest.approx(0.75)   # x^2 + xy + y^2 at 0.5
     assert h[3] == pytest.approx(0.5)
+
+
+def test_gelfand_tsetlin_contents_match_tableau_contents():
+    for d in (2, 3, 4):
+        for n in range(9):
+            for lam in enumerate_diagrams(n, d):
+                contents = gelfand_tsetlin_contents(lam, d)
+                assert contents.shape == (irrep_dim(lam, d), d)
+                want = Counter(tableau_content(t, d) for t in semistandard_tableaux(lam, d))
+                assert Counter(map(tuple, contents.tolist())) == want, (lam, d)
+
+
+def test_gelfand_tsetlin_two_rows_is_ascending_m():
+    contents = gelfand_tsetlin_contents(YoungDiagram((5, 2)), 2)
+    assert contents.tolist() == [[c, 7 - c] for c in range(2, 6)]
+
+
+def test_gelfand_tsetlin_monomials_sum_to_schur_polynomial():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 4):
+        for n in (3, 6, 8):
+            sp = random_spectrum(rng, d)
+            for lam in enumerate_diagrams(n, d):
+                logs = gelfand_tsetlin_contents(lam, d) @ np.log(sp.probs)
+                assert np.exp(logs).sum() == pytest.approx(
+                    schur_polynomial_brute(lam, sp), rel=1e-12)
 
 
 def test_tableau_order_is_deterministic():

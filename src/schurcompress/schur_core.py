@@ -292,9 +292,6 @@ def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:
     contents are (c, a + b - c) for c = b..a, which is ascending m for spins.
     """
     rows = diagram.padded(d).rows
-    if d == 2:  # the two-row level in closed form
-        first = np.arange(rows[1], rows[0] + 1)
-        return np.column_stack([first, rows[0] + rows[1] - first])
     contents, _ = _gt_level(np.array([rows], dtype=np.int64))
     return contents
 

@@ -23,11 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, UnsupportedFeatureError
+from .errors import (
+    ContractViolationError,
+    ParameterError,
+    ResourceLimitError,
+    UnsupportedFeatureError,
+)
 from .schur_core import (
     Spectrum,
     YoungDiagram,
@@ -35,14 +41,15 @@ from .schur_core import (
     enumerate_diagrams,
     gelfand_tsetlin_contents,
     irrep_dim,
-    multiplicity_dim,
-    schur_polynomial,
+    log_multiplicity,
+    log_schur_polynomials,
     wigner_d_matrix,
 )
 
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
 UNDERFLOW = 1e-300
+BLOCK_ENTRY_CAP = 2 ** 25  # floats held by all blocks of one product state
 
 
 class Block(NamedTuple):
@@ -106,34 +113,11 @@ def validate_block_state(state: BlockState, tol: float = WEIGHT_SUM_TOL) -> None
 # ---------------------------------------------------------------------------
 
 def qubit_weight(n: int, p: float, two_j: int) -> float:
-    """Probability weight of the spin-j block of the N-fold qubit state.
-
-    Evaluated as m_j * sum_{m=-j..j} p^{N/2+m} (1-p)^{N/2-m}, a geometric sum
-    accumulated in log space.  This form has no singularity at p = 1/2, where
-    the binomial-difference expression degenerates to 0/0.
-    """
-    if not 0.5 <= p <= 1.0:
-        raise ParameterError(f"need 1/2 <= p <= 1, got {p}")
+    """Probability weight of the spin-j block of the N-fold qubit state: the
+    ``block_weights`` entry of the spectrum (p, 1 - p) at ((N + 2j)/2, (N - 2j)/2)."""
     if two_j < 0 or two_j > n or (n - two_j) % 2:
         raise ParameterError(f"invalid 2j={two_j} for N={n}")
-    if p == 1.0:
-        return 1.0 if two_j == n else 0.0
-    # log m_j = log C(N, k) + log((N - 2k + 1) / (N - k + 1)), k = N/2 - j
-    k = (n - two_j) // 2
-    log_mult = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                + math.log((two_j + 1) / (n - k + 1)))
-    if p == 0.5:
-        return math.exp(math.log(two_j + 1) + log_mult - n * math.log(2.0))
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    delta = log_p - log_q  # > 0
-    top = ((n + two_j) // 2) * log_p + ((n - two_j) // 2) * log_q
-    # sum of the geometric series with ratio exp(-delta), largest term first
-    log_series = math.log(-math.expm1(-(two_j + 1) * delta)) - math.log(-math.expm1(-delta))
-    log_w = log_mult + top + log_series
-    if log_w < math.log(UNDERFLOW):
-        return 0.0
-    return math.exp(log_w)
+    return qubit_weights(n, p)[two_j]
 
 
 def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
@@ -164,32 +148,26 @@ def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
 
 
 def qubit_weights(n: int, p: float) -> dict[int, float]:
-    """All weights {2j: q_j} on the valid spin grid for N copies."""
-    return {two_j: qubit_weight(n, p, two_j) for two_j in range(n % 2, n + 1, 2)}
+    """All weights {2j: q_j} on the valid spin grid for N copies, ascending 2j."""
+    if not 0.5 <= p <= 1.0:
+        raise ParameterError(f"need 1/2 <= p <= 1, got {p}")
+    return {lam.two_j: w for lam, w in reversed(_weight_items(n, Spectrum((p, 1.0 - p))))}
 
 
 def block_weights(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
-    """Weights of every block of the N-copy state with the given spectrum.
-
-    Qubits use the log-space geometric form; higher d goes through the Schur
-    polynomial.  Diagrams beyond the spectrum rank get exact weight 0.
-    """
-    d = spectrum.d
-    out: dict[YoungDiagram, float] = {}
-    if d == 2:
-        for lam in enumerate_diagrams(n, 2):
-            out[lam] = qubit_weight(n, spectrum.max_eigenvalue, lam.two_j)
-        return out
-    for lam in enumerate_diagrams(n, d):
-        if lam.num_rows > spectrum.rank:
-            out[lam] = 0.0
-        else:
-            out[lam] = schur_polynomial(lam, spectrum) * multiplicity_float(lam)
-    return out
+    """Weights q_lambda = m_lambda s_lambda(p) of every block of the N-copy state, for
+    every d: exp(``log_multiplicity`` + ``log_schur_polynomials``), so neither factor
+    has to fit a float and nothing cancels.  Exactly 0 beyond the spectrum rank."""
+    return dict(_weight_items(n, spectrum))
 
 
-def multiplicity_float(diagram: YoungDiagram) -> float:
-    return float(multiplicity_dim(diagram))
+@lru_cache(maxsize=1)  # callers ask for the same (N, spectrum) several times in a row
+def _weight_items(n: int, spectrum: Spectrum) -> tuple[tuple[YoungDiagram, float], ...]:
+    """The items of ``block_weights``, in the order of ``enumerate_diagrams``."""
+    rank = spectrum.rank
+    logs = iter(log_schur_polynomials(n, spectrum).tolist())  # diagrams within the rank
+    return tuple((lam, math.exp(log_multiplicity(lam) + next(logs))
+                  if lam.num_rows <= rank else 0.0) for lam in enumerate_diagrams(n, spectrum.d))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +205,9 @@ def product_state(spectrum: Spectrum, n: int,
     For qubits any orientation is accepted; for d > 2 only diagonal states
     are supported (rotating a qudit block needs irrep machinery this package
     deliberately omits, and every error formula is orientation independent).
+    Raises ResourceLimitError, before allocating any block, when the blocks
+    would hold more than BLOCK_ENTRY_CAP floats: one per basis state of every
+    irrep, squared for rotated blocks.
     """
     d = spectrum.d
     if n < 1:
@@ -234,6 +215,10 @@ def product_state(spectrum: Spectrum, n: int,
     rotated = orientation is not None and bool(orientation.theta or orientation.phi)
     if d > 2 and rotated:
         raise UnsupportedFeatureError("rotated states are only supported for qubits")
+    entries = sum(irrep_dim(lam, d) ** (2 if rotated else 1) for lam in enumerate_diagrams(n, d))
+    if entries > BLOCK_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"product state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
     blocks: dict[YoungDiagram, Block] = {}
     for lam, w in block_weights(n, spectrum).items():
         if w < UNDERFLOW:

@@ -15,14 +15,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blocksim import block_weights, qubit_weight, qubit_weights
+from .blocksim import block_weights
 from .errors import NotApplicableError, ParameterError
 from .schur_core import (
     Spectrum,
     YoungDiagram,
     enumerate_diagrams,
     irrep_dim,
-    qubit_multiplicity,
+    log_multiplicity,
 )
 
 
@@ -246,14 +246,6 @@ def keyl_werner_tail_bound(n: int, d: int, x: float) -> float:
 
 def spectrum_tail_mass(n: int, spectrum: Spectrum, x: float) -> float:
     """Empirical tail: total weight of blocks farther than x from the spectrum."""
-    if spectrum.d == 2:
-        p = spectrum.max_eigenvalue
-        total = 0.0
-        for two_j in qubit_spin_grid(n):
-            lam = YoungDiagram.from_two_j(n, two_j)
-            if row_fraction_distance(lam, spectrum) > x:
-                total += qubit_weight(n, p, two_j)
-        return total
     weights = block_weights(n, spectrum)
     return sum(w for lam, w in weights.items() if row_fraction_distance(lam, spectrum) > x)
 
@@ -290,11 +282,7 @@ def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[Yo
     which minimizes the discarded mass among block truncations at this
     budget.  At least one block is always kept.
     """
-    if spectrum.d == 2:
-        items = [(YoungDiagram.from_two_j(n, two_j), w)
-                 for two_j, w in qubit_weights(n, spectrum.max_eigenvalue).items()]
-    else:
-        items = list(block_weights(n, spectrum).items())
+    items = list(block_weights(n, spectrum).items())
     dims = {lam: irrep_dim(lam, spectrum.d) for lam, _ in items}
     items.sort(key=lambda kv: (-kv[1] / dims[kv[0]], kv[0]))
     keep: list[YoungDiagram] = []
@@ -381,6 +369,37 @@ class ResourceEstimate:
         }
 
 
+def _max_qubit_multiplicity(n: int) -> int:
+    """The largest m_j over the spins of N qubits, exactly.
+
+    m_j rises to one peak and falls after it, so bisection on the float
+    log-multiplicities finds the peak to within one spin; only that spin and
+    its neighbours are evaluated as big integers, as
+    m_j = C(N, k) (N - 2k + 1) / (N - k + 1) with k = N/2 - j.  One
+    ``math.comb`` gives the first binomial and exact ratios the others:
+    ``math.comb(65536, 32640)`` alone takes 0.1 s on CPython 3.11 and 0.6 s
+    on 3.10, and exact m_j for every spin took about a minute at N = 16384.
+    """
+    spins = qubit_spin_grid(n)
+
+    def log_m(i: int) -> float:
+        return log_multiplicity(YoungDiagram.from_two_j(n, spins[i]))
+
+    lo, hi = 0, len(spins) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_m(mid + 1) > log_m(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    k_lo = (n - spins[min(lo + 1, len(spins) - 1)]) // 2
+    binom, best = math.comb(n, k_lo), 0
+    for k in range(k_lo, (n - spins[max(lo - 1, 0)]) // 2 + 1):
+        best = max(best, binom * (n - 2 * k + 1) // (n - k + 1))
+        binom = binom * (n - k) // (k + 1)
+    return best
+
+
 def circuit_resource_estimate(n: int) -> ResourceEstimate:
     """Register widths and operation-count orders of the qubit circuits.
 
@@ -394,14 +413,13 @@ def circuit_resource_estimate(n: int) -> ResourceEstimate:
     """
     if n < 2:
         raise ParameterError(f"need N >= 2, got {n}")
-    max_mult = max(qubit_multiplicity(n, two_j) for two_j in qubit_spin_grid(n))
     index = ceil_log2(n // 2 + 1)
     representation = ceil_log2(n + 1)
     ancilla = ceil_log2(n + 1)
     return ResourceEstimate(
         index_register_qubits=index,
         representation_register_qubits=representation,
-        multiplicity_register_qubits=ceil_log2(max_mult),
+        multiplicity_register_qubits=ceil_log2(_max_qubit_multiplicity(n)),
         ancilla_qubits=ancilla,
         coherent_qubits=index + representation + ancilla,
         encoding_ops_order="poly(N) + N*log(N)^2",

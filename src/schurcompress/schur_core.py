@@ -1,9 +1,9 @@
 """Representation-theoretic combinatorics for the Schur-Weyl block picture.
 
 Everything in here is a pure function of its arguments: Young diagrams,
-irrep and multiplicity dimensions (exact big integers), tableau contents
-(Gelfand-Tsetlin branching), Schur polynomials (float, via Jacobi-Trudi),
-SU(2) Clebsch-Gordan coefficients and Wigner rotation matrices.  Half-integer
+irrep and multiplicity dimensions (exact big integers; logs via lgamma), tableau
+contents and log Schur polynomials (Gelfand-Tsetlin branching), SU(2)
+Clebsch-Gordan coefficients and Wigner rotation matrices.  Half-integer
 angular momenta are passed around as doubled integers (2j, 2m) so they stay
 exact and hashable.
 """
@@ -305,55 +305,87 @@ def tableau_content(tableau: Sequence[Sequence[int]], d: int) -> tuple[int, ...]
     return tuple(counts)
 
 
-def complete_homogeneous(values: Sequence[float], degree: int) -> list[float]:
-    """h_0..h_degree of the given variables, by the one-variable-at-a-time DP."""
-    h = [0.0] * (degree + 1)
-    h[0] = 1.0
-    for x in values:
-        for k in range(1, degree + 1):
-            h[k] += x * h[k - 1]
-    return h
+def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """log s_(a,b)(x_1, x_2) = log(x_1^a x_2^b (1 - r^(a-b+1)) / (1 - r)), r = x_2 / x_1 <= 1,
+    for arrays a >= b; the geometric sum goes through expm1 and is a - b + 1 at r = 1."""
+    delta = log_x[0] - log_x[1]
+    out = a * log_x[0] + b * log_x[1]
+    if delta == 0.0:
+        return out + np.log(a - b + 1.0)
+    return out + np.log(-np.expm1(-(a - b + 1) * delta)) - math.log(-math.expm1(-delta))
 
 
-def _det_small(mat: list[list[float]]) -> float:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0.0
-    for col in range(n):
-        if mat[0][col] == 0.0:
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
-        total += (-1) ** col * mat[0][col] * _det_small(minor)
-    return total
+def _interlacing_sums(t: np.ndarray, top: int, n: int) -> np.ndarray:
+    """log sum of exp(t[mu]) over the mu interlacing lambda = (top, l_2, .., l_k), dense
+    over (l_2, .., l_k) with |lambda| <= n (-inf where no partition).  One axis at
+    a time, in one buffer: mask every mu_i above l_i, then a reverse running
+    logaddexp turns the axis of mu_i into that of l_{i+1}.  Nothing is subtracted."""
+    # mu_{j+1} <= l_{j+1}, and l_2..l_{j+1} share at most n - top boxes
+    cuts = [min(top, (n - top) // j) + 1 for j in range(1, t.ndim)]
+    s = t[(slice(top, None, -1),) + tuple(slice(0, c) for c in cuts)]
+    s = np.logaddexp.accumulate(s, axis=0)[::-1][: cuts[0]]
+    for i in range(1, s.ndim):
+        above = np.arange(s.shape[i]) > np.arange(s.shape[i - 1])[:, None]
+        np.copyto(s, -np.inf, where=above.reshape(above.shape + (1,) * (s.ndim - i - 1)))
+        flipped = np.flip(s, i)
+        np.logaddexp.accumulate(flipped, axis=i, out=flipped)
+    return s
+
+
+def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
+    """log s_lambda(p) for each lambda in ``enumerate_diagrams(n, d, rank)``, in that order.
+
+    Gelfand-Tsetlin branching over the positive eigenvalues x_1 >= .. >= x_r,
+    s_lambda(x_1..x_k) = sum over mu interlacing lambda of
+    x_k^(|lambda| - |mu|) s_mu(x_1..x_{k-1}), adds positive terms only, so it
+    runs in log space without cancellation.  Level k - 1 is held at x / x_k,
+    which makes x_k = 1.  Two variables are a closed form: the answer for
+    r = 2, else a dense table over every mu of at most n boxes (axis i of
+    length n // (i + 1) + 1), as is each middle level; the top level is only
+    evaluated at |lambda| = n, one lambda_1 at a time.
+    """
+    log_x = np.log(spectrum.positive())
+    r = log_x.size
+    if r == 1 or n == 0:
+        return np.array([n * log_x[0]])
+    if r == 2:
+        a = np.arange(n, (n - 1) // 2, -1)
+        return _two_row_log_schur(a, n - a, log_x)
+    a, b = np.ogrid[: n + 1, : n // 2 + 1]
+    table = np.where(b <= a, _two_row_log_schur(a, np.minimum(a, b), log_x - log_x[2]), -np.inf)
+    for k in range(3, r):
+        t, table = table, np.full([n // (i + 1) + 1 for i in range(k)], -np.inf)
+        for top in range(n + 1):
+            s = _interlacing_sums(t, top, n)
+            region = tuple(slice(0, min(m, size)) for m, size in zip(s.shape, table.shape[1:]))
+            table[(top,) + region] = s[region]
+        for i, m in enumerate(table.shape):  # rescale to x / x_{k+1}
+            table += ((log_x[k - 1] - log_x[k]) * np.arange(m)).reshape((m,) + (1,) * (k - 1 - i))
+    out = []
+    for top in range(n, -(-n // r) - 1, -1):
+        s = _interlacing_sums(table, top, n)
+        out += [s[rest + (0,) * (r - 1 - len(rest))]
+                for rest in _partitions_at_most(n - top, top, r - 1)]
+    return np.array(out) + n * log_x[-1]
+
+
+def log_multiplicity(diagram: YoungDiagram) -> float:
+    """log multiplicity_dim from lgamma, over the nonzero rows (one row gives exactly 0)."""
+    lam = diagram.rows[: diagram.num_rows]
+    ell = len(lam)
+    out = math.lgamma(sum(lam) + 1) - sum(math.lgamma(lam[i] + ell - i) for i in range(ell))
+    return out + sum(math.log(lam[i] - lam[j] + j - i)
+                     for i in range(ell) for j in range(i + 1, ell))
 
 
 def schur_polynomial(diagram: YoungDiagram, spectrum: Spectrum) -> float:
-    """s_lambda evaluated at the spectrum, via the Jacobi-Trudi determinant.
-
-    det(h_{l_i - i + j}) stays finite for degenerate spectra, unlike the
-    bialternant quotient whose Vandermonde denominator vanishes there.
-    Returns 0 when the diagram has more nonzero rows than the spectrum has
-    positive entries.
-    """
-    lam = [r for r in diagram.rows if r > 0]
-    if not lam:
-        return 1.0
-    ell = len(lam)
-    values = spectrum.positive()
-    if ell > len(values):
+    """s_lambda evaluated at the spectrum: exp of ``log_schur_polynomials``, which
+    evaluates every diagram of the same size.  0 beyond the spectrum rank."""
+    n, d, r = diagram.boxes, spectrum.d, spectrum.rank
+    if diagram.num_rows > r:
         return 0.0
-    h = complete_homogeneous(values, lam[0] + ell - 1)
-
-    def h_at(k: int) -> float:
-        if k < 0:
-            return 0.0
-        return h[k]
-
-    mat = [[h_at(lam[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return _det_small(mat)
+    position = enumerate_diagrams(n, d, r).index(diagram.padded(d))
+    return math.exp(log_schur_polynomials(n, spectrum)[position])
 
 
 def schur_polynomial_brute(diagram: YoungDiagram, spectrum: Spectrum) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from schurcompress.blocksim import (
 from schurcompress.errors import (
     ContractViolationError,
     ParameterError,
+    ResourceLimitError,
     UnsupportedFeatureError,
 )
 from schurcompress.schur_core import (
@@ -33,6 +35,8 @@ from schurcompress.schur_core import (
     YoungDiagram,
     enumerate_diagrams,
     gelfand_tsetlin_contents,
+    irrep_dim,
+    multiplicity_dim,
     qubit_multiplicity,
     schur_polynomial_brute,
     spectrum_of,
@@ -41,6 +45,31 @@ from schurcompress.schur_core import (
 
 def two_row(n, two_j):
     return YoungDiagram.from_two_j(n, two_j)
+
+
+def exact_block_weights(n, probs) -> dict:
+    """q_lambda = m_lambda s_lambda(p) at the exact binary values of probs, for every
+    diagram: the Jacobi-Trudi determinant det(h_{l_i - i + j}) in rationals, where
+    it cannot cancel the way it does in floats."""
+    h = [Fraction(1)] + [Fraction(0)] * (n + len(probs))
+    for x in map(Fraction, probs):
+        for k in range(1, len(h)):
+            h[k] += x * h[k - 1]
+    weights = {}
+    for lam in enumerate_diagrams(n, len(probs)):
+        rows = lam.rows[: lam.num_rows]
+        mat = [[h[r - i + j] if r - i + j >= 0 else 0 for j in range(len(rows))]
+               for i, r in enumerate(rows)]
+        weights[lam] = multiplicity_dim(lam) * _determinant(mat)
+    return weights
+
+
+def _determinant(mat) -> Fraction:
+    if len(mat) <= 1:
+        return mat[0][0] if mat else Fraction(1)
+    return sum((-1) ** col * mat[0][col]
+               * _determinant([row[:col] + row[col + 1:] for row in mat[1:]])
+               for col in range(len(mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +133,48 @@ def test_block_weights_d3_frozen():
     assert weights[YoungDiagram((1, 1, 1))] == pytest.approx(0.03, abs=1e-12)
 
 
+@pytest.mark.parametrize("probs, n", [
+    ((0.5, 0.3, 0.2), 40), ((0.5, 0.3, 0.2), 60), ((0.98, 0.01, 0.01), 40),
+    ((0.6, 0.2, 0.2), 60), ((0.4, 0.3, 0.2, 0.1), 30), ((0.5, 0.3, 0.2, 0.0), 12),
+])
+def test_block_weights_match_exact_rationals(probs, n):
+    # float Jacobi-Trudi was off by 4e-2, 2e3 and 1e36 relative on the d = 3 rows;
+    # beyond the rank the exact weight is 0, and so must ours be
+    exact = exact_block_weights(n, probs)
+    for lam, w in block_weights(n, Spectrum(probs)).items():
+        assert abs(Fraction(w) - exact[lam]) <= Fraction(1e-12) * exact[lam], lam
+
+
+@pytest.mark.parametrize("probs, n", [
+    ((0.5, 0.3, 0.2), 400), ((0.98, 0.01, 0.01), 400), ((0.4, 0.3, 0.2, 0.1), 100),
+])
+def test_block_weights_normalized_at_large_n(probs, n):
+    weights = list(block_weights(n, Spectrum(probs)).values())
+    assert min(weights) >= 0.0
+    assert abs(math.fsum(weights) - 1.0) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Product states
 # ---------------------------------------------------------------------------
+
+def test_product_state_over_the_block_entry_cap_raises(monkeypatch):
+    sp = spectrum_of(0.5, 0.3, 0.2)
+    entries = sum(irrep_dim(lam, 3) for lam in enumerate_diagrams(20, 3))
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", entries - 1)
+    with pytest.raises(ResourceLimitError):
+        product_state(sp, 20)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", entries)
+    validate_block_state(product_state(sp, 20))
+
+
+def test_rotated_product_state_counts_matrix_entries_against_the_cap(monkeypatch):
+    sp = spectrum_of(0.75, 0.25)
+    squares = sum((two_j + 1) ** 2 for two_j in range(0, 21, 2))
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares - 1)
+    product_state(sp, 20)  # the diagonal blocks hold far fewer entries
+    with pytest.raises(ResourceLimitError):
+        product_state(sp, 20, BlochVector(0.4, 1.0))
 
 def test_product_state_weights_and_invariants():
     state = product_state(spectrum_of(0.75, 0.25), 4)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from schurcompress import blocksim
 from schurcompress.cli import main
 
 
@@ -64,6 +65,23 @@ def test_qdist_qudit_values(capsys):
     assert rows[(2, 1, 0)] == pytest.approx(0.56, abs=1e-10)
     assert rows[(1, 1, 1)] == pytest.approx(0.03, abs=1e-10)
     assert doc["results"]["total"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_qdist_qudit_n100_total_is_one(capsys):
+    # the float Jacobi-Trudi weights printed total = 0.968 here
+    code, out, _ = run_cli(capsys, "qdist", "--n", "100", "--spectrum", "0.5,0.3,0.2")
+    assert code == 0
+    total = float(next(line for line in out.splitlines() if line.startswith("total = "))[8:])
+    assert abs(total - 1.0) < 1e-8
+
+
+def test_simulate_over_the_block_entry_cap_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", 1000)
+    code, out, err = run_cli(capsys, "simulate", "--n", "20", "--spectrum", "0.5,0.3,0.2",
+                             "--epsilon", "0.1")
+    assert code == 4
+    assert "resource limit" in err and "1000" in err
+    assert out == ""
 
 
 def test_qdist_maximally_mixed(capsys):

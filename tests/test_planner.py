@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from schurcompress.blocksim import exact_protocol_error, qubit_weight_binomial, qubit_weights
 from schurcompress.errors import NotApplicableError, ParameterError
 from schurcompress.planner import (
+    _max_qubit_multiplicity,
     ceil_log2,
     circuit_resource_estimate,
     error_threshold_copies,
@@ -330,6 +332,21 @@ def test_circuit_resources_n20():
     assert res.coherent_qubits == (res.index_register_qubits
                                    + res.representation_register_qubits
                                    + res.ancilla_qubits)
+
+
+def test_max_qubit_multiplicity_equals_the_bigint_maximum():
+    row = [1]  # binomials C(N, k) by Pascal's rule
+    for n in range(1, 601):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        want = max(row[k] - (row[k - 1] if k else 0) for k in range(n // 2 + 1))
+        assert _max_qubit_multiplicity(n) == want, n
+
+
+def test_circuit_resource_estimate_at_two_to_the_sixteen_is_fast():
+    start = time.perf_counter()
+    res = circuit_resource_estimate(2 ** 16)
+    assert time.perf_counter() - start < 1.0
+    assert 65500 < res.multiplicity_register_qubits < 65536
 
 
 def test_circuit_resources_coherent_count_is_logarithmic():

@@ -13,10 +13,11 @@ from schurcompress.schur_core import (
     YoungDiagram,
     clebsch_gordan,
     clebsch_gordan_signed_square,
-    complete_homogeneous,
     enumerate_diagrams,
     gelfand_tsetlin_contents,
     irrep_dim,
+    log_multiplicity,
+    log_schur_polynomials,
     multiplicity_dim,
     qubit_multiplicity,
     schur_polynomial,
@@ -209,7 +210,7 @@ def test_schur_symmetric_row_geometric_sum():
             assert schur_polynomial(lam, spectrum_of(p, 1 - p)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_jacobi_trudi_matches_tableau_sum():
+def test_schur_polynomial_matches_tableau_sum():
     rng = np.random.default_rng(7)
     for d in (2, 3, 4):
         for n in range(1, 9):
@@ -234,12 +235,29 @@ def test_schur_normalization_random_spectra():
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_complete_homogeneous_two_variables():
-    h = complete_homogeneous([0.5, 0.5], 3)
-    assert h[0] == 1.0
-    assert h[1] == pytest.approx(1.0)
-    assert h[2] == pytest.approx(0.75)   # x^2 + xy + y^2 at 0.5
-    assert h[3] == pytest.approx(0.5)
+def test_log_schur_polynomials_follow_enumerate_diagrams_within_the_rank():
+    # entry i belongs to enumerate_diagrams(n, d, rank)[i], zero eigenvalues included
+    rng = np.random.default_rng(3)
+    for probs in [(1.0,), (1.0, 0.0), (0.5, 0.5), (0.6, 0.4, 0.0), (0.4, 0.4, 0.2),
+                  (0.6, 0.2, 0.2), (0.25,) * 4, (0.5, 0.2, 0.2, 0.1, 0.0),
+                  random_spectrum(rng, 3).probs, random_spectrum(rng, 4).probs]:
+        sp = Spectrum(probs)
+        for n in range(8):
+            diagrams = enumerate_diagrams(n, sp.d, sp.rank)
+            logs = log_schur_polynomials(n, sp)
+            assert logs.shape == (len(diagrams),), (probs, n)
+            for lam, value in zip(diagrams, logs):
+                assert math.exp(value) == pytest.approx(
+                    schur_polynomial_brute(lam, sp), rel=1e-13), (probs, lam)
+
+
+def test_log_multiplicity_matches_exact_count():
+    for d in (2, 3, 4):
+        for n in range(13):
+            for lam in enumerate_diagrams(n, d):
+                assert log_multiplicity(lam) == pytest.approx(
+                    math.log(multiplicity_dim(lam)), abs=1e-12)
+    assert log_multiplicity(YoungDiagram((40, 0, 0))) == 0.0
 
 
 def test_gelfand_tsetlin_contents_match_tableau_contents():

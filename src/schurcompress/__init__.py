@@ -50,8 +50,10 @@ from .schur_core import (
     WignerRotation,
     YoungDiagram,
     clebsch_gordan,
+    diagram_rows,
     enumerate_diagrams,
     irrep_dim,
+    irrep_dims,
     multiplicity_dim,
     schur_polynomial,
     wigner_d_matrix,
@@ -77,10 +79,12 @@ __all__ = [
     "circuit_resource_estimate",
     "clebsch_gordan",
     "decode",
+    "diagram_rows",
     "encode",
     "enumerate_diagrams",
     "exact_protocol_error",
     "irrep_dim",
+    "irrep_dims",
     "keyl_werner_tail_bound",
     "mixed_prep_cost",
     "multiplicity_dim",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -38,10 +38,13 @@ from .schur_core import (
     Spectrum,
     YoungDiagram,
     WignerRotation,
+    diagram_array,
+    diagram_rows,
     enumerate_diagrams,
     gelfand_tsetlin_contents,
     irrep_dim,
-    log_multiplicity,
+    irrep_dims,
+    log_multiplicities,
     log_schur_polynomials,
     wigner_d_matrix,
 )
@@ -66,6 +69,10 @@ class BlochVector:
 
     theta: float
     phi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ParameterError(f"non-finite Bloch angles theta={self.theta}, phi={self.phi}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +124,7 @@ def qubit_weight(n: int, p: float, two_j: int) -> float:
     ``block_weights`` entry of the spectrum (p, 1 - p) at ((N + 2j)/2, (N - 2j)/2)."""
     if two_j < 0 or two_j > n or (n - two_j) % 2:
         raise ParameterError(f"invalid 2j={two_j} for N={n}")
-    return qubit_weights(n, p)[two_j]
+    return float(_qubit_table(n, p).weights[(n - two_j) // 2])
 
 
 def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
@@ -147,27 +154,53 @@ def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
     return (two_j + 1) / two_j0 * (upper - lower)
 
 
-def qubit_weights(n: int, p: float) -> dict[int, float]:
-    """All weights {2j: q_j} on the valid spin grid for N copies, ascending 2j."""
+def _qubit_table(n: int, p: float) -> "WeightTable":
     if not 0.5 <= p <= 1.0:
         raise ParameterError(f"need 1/2 <= p <= 1, got {p}")
-    return {lam.two_j: w for lam, w in reversed(_weight_items(n, Spectrum((p, 1.0 - p))))}
+    return weight_table(n, Spectrum((p, 1.0 - p)))
+
+
+def qubit_weights(n: int, p: float) -> dict[int, float]:
+    """All weights {2j: q_j} on the valid spin grid for N copies, ascending 2j."""
+    table = _qubit_table(n, p)
+    rows = table.rows[::-1]  # ascending 2j = l_1 - l_2
+    return dict(zip((rows[:, 0] - rows[:, 1]).tolist(), table.weights[::-1].tolist()))
 
 
 def block_weights(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
-    """Weights q_lambda = m_lambda s_lambda(p) of every block of the N-copy state, for
-    every d: exp(``log_multiplicity`` + ``log_schur_polynomials``), so neither factor
-    has to fit a float and nothing cancels.  Exactly 0 beyond the spectrum rank."""
-    return dict(_weight_items(n, spectrum))
+    """Weights q_lambda = m_lambda s_lambda(p) of every block of the N-copy state:
+    ``weight_table`` as a mapping, in the order of ``enumerate_diagrams``."""
+    table = weight_table(n, spectrum)
+    return dict(zip(table.diagrams, table.weights.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class WeightTable:
+    """Every block of the N-copy state: the (M, d) ``diagram_rows`` and the weight
+    of each row, both read-only.  The YoungDiagrams are built on first use."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def diagrams(self) -> tuple[YoungDiagram, ...]:
+        return tuple(YoungDiagram(row) for row in self.rows.tolist())
 
 
 @lru_cache(maxsize=1)  # callers ask for the same (N, spectrum) several times in a row
-def _weight_items(n: int, spectrum: Spectrum) -> tuple[tuple[YoungDiagram, float], ...]:
-    """The items of ``block_weights``, in the order of ``enumerate_diagrams``."""
-    rank = spectrum.rank
-    logs = iter(log_schur_polynomials(n, spectrum).tolist())  # diagrams within the rank
-    return tuple((lam, math.exp(log_multiplicity(lam) + next(logs))
-                  if lam.num_rows <= rank else 0.0) for lam in enumerate_diagrams(n, spectrum.d))
+def weight_table(n: int, spectrum: Spectrum) -> WeightTable:
+    """Weights q_lambda = m_lambda s_lambda(p) for every d: exp(``log_multiplicities``
+    + ``log_schur_polynomials``), so neither factor has to fit a float and nothing
+    cancels.  Exactly 0 beyond the spectrum rank.  The exponential is libm's
+    ``math.exp``: ``np.exp`` differs from it in the last bit for a few percent of
+    arguments, which would reorder near-tied densities in ``greedy_budget_keep``."""
+    rows = diagram_rows(n, spectrum.d)
+    inside = ~rows[:, spectrum.rank:].any(axis=1)  # the rows of diagram_rows(n, rank)
+    logs = log_multiplicities(rows[inside]) + log_schur_polynomials(n, spectrum)
+    weights = np.zeros(len(rows))
+    weights[inside] = np.fromiter(map(math.exp, logs.tolist()), float, logs.size)
+    weights.flags.writeable = False
+    return WeightTable(rows, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +248,16 @@ def product_state(spectrum: Spectrum, n: int,
     rotated = orientation is not None and bool(orientation.theta or orientation.phi)
     if d > 2 and rotated:
         raise UnsupportedFeatureError("rotated states are only supported for qubits")
-    entries = sum(irrep_dim(lam, d) ** (2 if rotated else 1) for lam in enumerate_diagrams(n, d))
+    table = weight_table(n, spectrum)
+    dims = irrep_dims(table.rows)
+    entries = int((dims ** 2 if rotated else dims).sum())
     if entries > BLOCK_ENTRY_CAP:
         raise ResourceLimitError(
             f"product state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
     blocks: dict[YoungDiagram, Block] = {}
-    for lam, w in block_weights(n, spectrum).items():
+    for lam, w, dim in zip(table.diagrams, table.weights.tolist(), dims):
         if w < UNDERFLOW:
-            blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, d)))
+            blocks[lam] = Block(0.0, np.zeros(dim))
             continue
         diag = _block_diagonal(lam, spectrum)
         blocks[lam] = Block(w, _rotated(diag, orientation) if rotated else diag)
@@ -235,8 +270,7 @@ def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
     raw = rng.random(len(diagrams)) + 1e-3
     weights = raw / raw.sum()
     blocks = {}
-    for lam, w in zip(diagrams, weights):
-        dim = irrep_dim(lam, d)
+    for lam, w, dim in zip(diagrams, weights, irrep_dims(diagram_array(diagrams, d))):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = g @ g.conj().T
         mat /= np.trace(mat).real
@@ -253,10 +287,9 @@ def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram]) -> BlockState:
     kept = sorted(set(keep), reverse=True)
     if not kept:
         raise ParameterError("keep set must not be empty")
-    dims = {lam: irrep_dim(lam, d) for lam in kept}
-    d_enc = sum(dims.values())
-    blocks = {lam: Block(dims[lam] / d_enc, np.full(dims[lam], 1.0 / dims[lam]))
-              for lam in kept}
+    dims = irrep_dims(diagram_array(kept, d)).tolist()
+    d_enc = sum(dims)
+    blocks = {lam: Block(dim / d_enc, np.full(dim, 1.0 / dim)) for lam, dim in zip(kept, dims)}
     return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=True)
 
 

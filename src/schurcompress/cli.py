@@ -51,8 +51,9 @@ from .planner import (
 from .schur_core import (
     Spectrum,
     YoungDiagram,
+    diagram_array,
     enumerate_diagrams,
-    irrep_dim,
+    irrep_dims,
     multiplicity_dim,
 )
 
@@ -167,11 +168,11 @@ def cmd_dims(args, config) -> int:
     if n is None or d is None:
         raise ParameterError("dims requires --n and --d")
     diagrams = enumerate_diagrams(n, d, r)
+    dims = irrep_dims(diagram_array(diagrams, d)).tolist()
+    mults = [multiplicity_dim(lam) for lam in diagrams]
     rows = []
     total = 0
-    for lam in diagrams:
-        dim = irrep_dim(lam, d)
-        mult = multiplicity_dim(lam)
+    for lam, dim, mult in zip(diagrams, dims, mults):
         total += dim * mult
         rows.append([diagram_label(lam, d) if d == 2 else str(list(lam.rows)),
                      str(dim), str(mult), str(dim * mult)])
@@ -179,9 +180,8 @@ def cmd_dims(args, config) -> int:
     headers = ["j" if d == 2 else "diagram", "irrep_dim", "mult_dim", "product"]
     if out_format == "json":
         emit_json("dims", {"n": n, "d": d, "r": r}, {
-            "rows": [{"diagram": list(lam.rows),
-                      "irrep_dim": irrep_dim(lam, d),
-                      "mult_dim": multiplicity_dim(lam)} for lam in diagrams],
+            "rows": [{"diagram": list(lam.rows), "irrep_dim": dim, "mult_dim": mult}
+                     for lam, dim, mult in zip(diagrams, dims, mults)],
             "total": total,
             "full_space": full,
         })
@@ -357,6 +357,14 @@ def _parse_n_values(args, config) -> list[int]:
     return vals
 
 
+def _dimension_budget(n: int, exponent: float) -> float:
+    """N^exponent; one past the float range exceeds every block dimension, so it is inf."""
+    try:
+        return float(n) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def cmd_sweep(args, config) -> int:
     spectrum_text = opt(args, config, "spectrum", str)
     epsilon_list = opt(args, config, "epsilon-list", str)
@@ -384,8 +392,8 @@ def cmd_sweep(args, config) -> int:
     for n in n_values:
         for eps in epsilons:
             if budget_exponent is not None:
-                keep = greedy_budget_keep(n, spectrum, float(n) ** budget_exponent)
-                d_enc = sum(irrep_dim(lam, spectrum.d) for lam in keep)
+                keep = greedy_budget_keep(n, spectrum, _dimension_budget(n, budget_exponent))
+                d_enc = int(irrep_dims(diagram_array(keep, spectrum.d)).sum())
                 qubits = ceil_log2(d_enc)
                 bound = None
             else:

@@ -10,19 +10,22 @@ entropy-style term eta(x) = -x ln x is natural log, as is conventional.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blocksim import block_weights
+from .blocksim import weight_table
 from .errors import NotApplicableError, ParameterError
 from .schur_core import (
     Spectrum,
     YoungDiagram,
+    diagram_array,
+    diagram_rows,
     enumerate_diagrams,
-    irrep_dim,
-    log_multiplicity,
+    irrep_dims,
+    log_multiplicities,
 )
 
 
@@ -71,11 +74,11 @@ class CompressionPlan:
 
 def _finish_plan(n: int, d: int, spectrum, epsilon, keep: Sequence[YoungDiagram],
                  bound_qubits: float | None) -> CompressionPlan:
-    keep = tuple(sorted(set(keep), reverse=True))
+    keep = tuple(sorted(set(keep), key=operator.attrgetter("rows"), reverse=True))
     if not keep:
         raise ParameterError("plan would keep no blocks")
-    dims = [irrep_dim(lam, d) for lam in keep]
-    d_enc = sum(dims)
+    dims = irrep_dims(diagram_array(keep, d))
+    d_enc = int(dims.sum())
     return CompressionPlan(
         n=n, d=d,
         spectrum=tuple(spectrum.probs) if isinstance(spectrum, Spectrum) else spectrum,
@@ -156,11 +159,20 @@ def total_variation_radius(n: int, d: int, epsilon: float) -> float:
                      / (2.0 * n))
 
 
+def _row_distances(rows: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """``row_fraction_distance`` of every row of an (M, d) diagram array, summed
+    one column at a time so that each value is the one-diagram value exactly."""
+    n = rows.sum(axis=1)
+    total = np.zeros(len(rows))
+    for column, p in zip(rows.T, spectrum.probs):
+        total += np.abs(column / n - p)
+    return 0.5 * total
+
+
 def row_fraction_distance(lam: YoungDiagram, spectrum: Spectrum) -> float:
     """Total-variation distance between the normalized rows and the spectrum."""
-    n = lam.boxes
-    rows = lam.padded(spectrum.d).rows
-    return 0.5 * sum(abs(r / n - p) for r, p in zip(rows, spectrum.probs))
+    rows = np.array([lam.padded(spectrum.d).rows], dtype=np.int64)
+    return float(_row_distances(rows, spectrum)[0])
 
 
 def qudit_approx_plan(n: int, spectrum: Spectrum, epsilon: float) -> CompressionPlan:
@@ -177,8 +189,8 @@ def qudit_approx_plan(n: int, spectrum: Spectrum, epsilon: float) -> Compression
     r = spectrum.rank
     m = spectrum.degeneracy_m
     x_eps = total_variation_radius(n, d, epsilon)
-    keep = [lam for lam in enumerate_diagrams(n, d, r)
-            if row_fraction_distance(lam, spectrum) <= x_eps]
+    rows = diagram_rows(n, d, r)
+    keep = [YoungDiagram(row) for row in rows[_row_distances(rows, spectrum) <= x_eps].tolist()]
     if not keep:
         raise ParameterError("total-variation ball contains no diagram; N too small for this spectrum")
     log_factor = 4.0 * d * (d + 1) * math.log(n + 1) + 8.0 * math.log(1.0 / epsilon)
@@ -232,8 +244,14 @@ def truncation_lower_bound(n: int, spectrum: Spectrum,
     The discarded weights are summed directly; 1 - (kept mass) would turn the
     roundoff of the kept weights into a spurious floor when little is dropped.
     """
-    kept = set(keep)
-    return 0.5 * sum(w for lam, w in block_weights(n, spectrum).items() if lam not in kept)
+    table = weight_table(n, spectrum)
+    m, d = table.rows.shape
+    kept = np.array([lam.rows for lam in set(keep) if len(lam.rows) == d], dtype=np.int64)
+    # a table row is kept when np.unique gives it the id of a kept row
+    _, ids = np.unique(np.concatenate([table.rows, kept.reshape(-1, d)]), axis=0,
+                       return_inverse=True)
+    dropped = ~np.isin(ids.ravel()[:m], ids.ravel()[m:])
+    return 0.5 * float(table.weights[dropped].sum())
 
 
 def keyl_werner_tail_bound(n: int, d: int, x: float) -> float:
@@ -246,8 +264,8 @@ def keyl_werner_tail_bound(n: int, d: int, x: float) -> float:
 
 def spectrum_tail_mass(n: int, spectrum: Spectrum, x: float) -> float:
     """Empirical tail: total weight of blocks farther than x from the spectrum."""
-    weights = block_weights(n, spectrum)
-    return sum(w for lam, w in weights.items() if row_fraction_distance(lam, spectrum) > x)
+    table = weight_table(n, spectrum)
+    return float(table.weights[_row_distances(table.rows, spectrum) > x].sum())
 
 
 def spectrum_estimate(n: int, two_j: int) -> float:
@@ -282,18 +300,19 @@ def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[Yo
     which minimizes the discarded mass among block truncations at this
     budget.  At least one block is always kept.
     """
-    items = list(block_weights(n, spectrum).items())
-    dims = {lam: irrep_dim(lam, spectrum.d) for lam, _ in items}
-    items.sort(key=lambda kv: (-kv[1] / dims[kv[0]], kv[0]))
-    keep: list[YoungDiagram] = []
+    if math.isnan(dim_budget):
+        raise ParameterError("dimension budget is NaN")
+    table = weight_table(n, spectrum)
+    dims = irrep_dims(table.rows)
+    # by density, then by ascending rows: the order of YoungDiagram keys
+    order = np.lexsort(tuple(table.rows.T[::-1]) + (-(table.weights / dims.astype(float)),))
+    keep: list[int] = []
     used = 0
-    for lam, _ in items:
-        if used + dims[lam] <= dim_budget:
-            keep.append(lam)
-            used += dims[lam]
-    if not keep:
-        keep.append(items[0][0])
-    return keep
+    for i, dim in zip(order.tolist(), dims[order].tolist()):  # exact int sums
+        if used + dim <= dim_budget:
+            keep.append(i)
+            used += dim
+    return [YoungDiagram(row) for row in table.rows[keep or order[:1]].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +391,7 @@ class ResourceEstimate:
 def _max_qubit_multiplicity(n: int) -> int:
     """The largest m_j over the spins of N qubits, exactly.
 
-    m_j rises to one peak and falls after it, so bisection on the float
+    m_j rises to one peak and falls after it, so the largest of the float
     log-multiplicities finds the peak to within one spin; only that spin and
     its neighbours are evaluated as big integers, as
     m_j = C(N, k) (N - 2k + 1) / (N - k + 1) with k = N/2 - j.  One
@@ -381,17 +400,7 @@ def _max_qubit_multiplicity(n: int) -> int:
     on 3.10, and exact m_j for every spin took about a minute at N = 16384.
     """
     spins = qubit_spin_grid(n)
-
-    def log_m(i: int) -> float:
-        return log_multiplicity(YoungDiagram.from_two_j(n, spins[i]))
-
-    lo, hi = 0, len(spins) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if log_m(mid + 1) > log_m(mid):
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = int(np.argmax(log_multiplicities(diagram_rows(n, 2))[::-1]))  # ascending 2j
     k_lo = (n - spins[min(lo + 1, len(spins) - 1)]) // 2
     binom, best = math.comb(n, k_lo), 0
     for k in range(k_lo, (n - spins[max(lo - 1, 0)]) // 2 + 1):

@@ -6,6 +6,10 @@ contents and log Schur polynomials (Gelfand-Tsetlin branching), SU(2)
 Clebsch-Gordan coefficients and Wigner rotation matrices.  Half-integer
 angular momenta are passed around as doubled integers (2j, 2m) so they stay
 exact and hashable.
+
+Whole families of diagrams travel as one (M, d) integer array of rows
+(``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
+array, and their one-diagram forms are views of them.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 SUM_TOL = 1e-12
+DIAGRAM_ENTRY_CAP = 2 ** 21  # ints held by one diagram_rows array (diagrams * d)
+SCHUR_TABLE_CAP = 2 ** 25    # floats held by the dense table of log_schur_polynomials
 
 
 @dataclass(frozen=True, order=True)
@@ -34,12 +40,12 @@ class YoungDiagram:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(map(int, self.rows))
         object.__setattr__(self, "rows", rows)
-        if any(r < 0 for r in rows):
-            raise ParameterError(f"negative row length in {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if rows != tuple(sorted(rows, reverse=True)):
             raise ParameterError(f"rows not weakly decreasing: {rows}")
+        if rows and rows[-1] < 0:
+            raise ParameterError(f"negative row length in {rows}")
 
     @property
     def boxes(self) -> int:
@@ -139,24 +145,15 @@ def spectrum_of(*probs: float) -> Spectrum:
 # Diagram enumeration and dimensions
 # ---------------------------------------------------------------------------
 
-def _partitions_at_most(n: int, max_part: int, parts_left: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    if parts_left == 0 or max_part == 0:
-        return
-    # smallest admissible first part keeps the remainder fillable
-    lo = -(-n // parts_left)  # ceil(n / parts_left)
-    for first in range(min(n, max_part), lo - 1, -1):
-        for rest in _partitions_at_most(n - first, first, parts_left - 1):
-            yield (first,) + rest
+def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
+    """All partitions of n into at most r parts, padded to d rows, as an (M, d)
+    int64 array in lexicographically decreasing order (read-only).
 
-
-def enumerate_diagrams(n: int, d: int, r: int | None = None) -> list[YoungDiagram]:
-    """All partitions of n into at most r parts, padded to d rows.
-
-    Output is in lexicographically decreasing order; the count equals the
-    number of partitions of n into at most r parts.
+    Built one column at a time: a prefix with ``left`` boxes still to place in
+    k rows takes every next row from ceil(left / k), which keeps the rest
+    fillable, up to min(left, previous row).  Raises ResourceLimitError,
+    before the array grows past it, when it would hold more than
+    DIAGRAM_ENTRY_CAP entries.
     """
     if r is None:
         r = d
@@ -164,25 +161,60 @@ def enumerate_diagrams(n: int, d: int, r: int | None = None) -> list[YoungDiagra
         raise ParameterError(f"negative box count {n}")
     if r < 1 or r > d:
         raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
-    return [YoungDiagram(p + (0,) * (d - len(p))) for p in _partitions_at_most(n, n, r)]
+    rows = np.empty((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for k in range(min(r, max(n, 1)), 0, -1):  # rows past the n-th are 0
+        hi = np.minimum(left, rows[:, -1]) if rows.shape[1] else left
+        lo = -(-left // k)
+        count = int((hi - lo + 1).sum())
+        if count * d > DIAGRAM_ENTRY_CAP:
+            raise ResourceLimitError(
+                f"diagram table capped at {DIAGRAM_ENTRY_CAP} entries, N={n} with "
+                f"{d} rows needs at least {count * d}")
+        owner, value = _ranges(lo, hi)
+        value = lo[owner] + hi[owner] - value  # each range descending
+        rows = np.column_stack([rows[owner], value])
+        left = left[owner] - value
+    rows = np.pad(rows, ((0, 0), (0, d - rows.shape[1])))
+    rows.flags.writeable = False
+    return rows
 
 
-def irrep_dim(diagram: YoungDiagram, d: int) -> int:
-    """Dimension of the GL(d) irrep labeled by the diagram (exact integer).
+def enumerate_diagrams(n: int, d: int, r: int | None = None) -> list[YoungDiagram]:
+    """All partitions of n into at most r parts, padded to d rows: the rows of
+    ``diagram_rows`` as YoungDiagrams.
+
+    Output is in lexicographically decreasing order; the count equals the
+    number of partitions of n into at most r parts.
+    """
+    return [YoungDiagram(row) for row in diagram_rows(n, d, r).tolist()]
+
+
+def diagram_array(diagrams: Sequence[YoungDiagram], d: int) -> np.ndarray:
+    """The rows of the diagrams as an (M, d) int64 array, each padded (or cut at
+    trailing zeros) to d rows; ParameterError for more than d nonzero rows."""
+    rows = [lam.rows if len(lam.rows) == d else lam.padded(d).rows for lam in diagrams]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), d)
+
+
+def irrep_dims(rows: np.ndarray) -> np.ndarray:
+    """Dimension of the GL(d) irrep of every row of an (M, d) diagram array, as
+    exact Python ints (an object array).
 
     Weyl formula: prod_{i<j} (l_i - l_j - i + j) / prod_{k<d} k!.
     """
-    lam = diagram.padded(d).rows
-    num = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= lam[i] - lam[j] + j - i
-    den = 1
-    for k in range(1, d):
-        den *= math.factorial(k)
-    q, rem = divmod(num, den)
-    assert rem == 0, "Weyl numerator must be divisible by the superfactorial"
-    return q
+    d = rows.shape[1]
+    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # every pair i < j
+    num = np.multiply.reduce((rows[:, i] - rows[:, j] + (j - i)).astype(object), axis=1)
+    den = math.prod(map(math.factorial, range(1, d)))
+    assert not (num % den).any(), "Weyl numerator must be divisible by the superfactorial"
+    return num // den
+
+
+def irrep_dim(diagram: YoungDiagram, d: int) -> int:
+    """Dimension of the GL(d) irrep labeled by the diagram (exact integer):
+    ``irrep_dims`` of one row."""
+    return irrep_dims(diagram_array([diagram], d))[0]
 
 
 def multiplicity_dim(diagram: YoungDiagram) -> int:
@@ -333,7 +365,7 @@ def _interlacing_sums(t: np.ndarray, top: int, n: int) -> np.ndarray:
 
 
 def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
-    """log s_lambda(p) for each lambda in ``enumerate_diagrams(n, d, rank)``, in that order.
+    """log s_lambda(p) for each row of ``diagram_rows(n, rank)``, in that order.
 
     Gelfand-Tsetlin branching over the positive eigenvalues x_1 >= .. >= x_r,
     s_lambda(x_1..x_k) = sum over mu interlacing lambda of
@@ -342,7 +374,9 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
     which makes x_k = 1.  Two variables are a closed form: the answer for
     r = 2, else a dense table over every mu of at most n boxes (axis i of
     length n // (i + 1) + 1), as is each middle level; the top level is only
-    evaluated at |lambda| = n, one lambda_1 at a time.
+    evaluated at |lambda| = n, one lambda_1 at a time.  Raises
+    ResourceLimitError, before allocating it, when the largest dense table
+    would hold more than SCHUR_TABLE_CAP floats.
     """
     log_x = np.log(spectrum.positive())
     r = log_x.size
@@ -351,6 +385,11 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
     if r == 2:
         a = np.arange(n, (n - 1) // 2, -1)
         return _two_row_log_schur(a, n - a, log_x)
+    entries = math.prod(n // (i + 1) + 1 for i in range(r - 1))
+    if entries > SCHUR_TABLE_CAP:
+        raise ResourceLimitError(
+            f"Schur table capped at {SCHUR_TABLE_CAP} entries, N={n} at rank {r} needs {entries}")
+    rows = diagram_rows(n, r)
     a, b = np.ogrid[: n + 1, : n // 2 + 1]
     table = np.where(b <= a, _two_row_log_schur(a, np.minimum(a, b), log_x - log_x[2]), -np.inf)
     for k in range(3, r):
@@ -361,21 +400,38 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
             table[(top,) + region] = s[region]
         for i, m in enumerate(table.shape):  # rescale to x / x_{k+1}
             table += ((log_x[k - 1] - log_x[k]) * np.arange(m)).reshape((m,) + (1,) * (k - 1 - i))
-    out = []
-    for top in range(n, -(-n // r) - 1, -1):
-        s = _interlacing_sums(table, top, n)
-        out += [s[rest + (0,) * (r - 1 - len(rest))]
-                for rest in _partitions_at_most(n - top, top, r - 1)]
-    return np.array(out) + n * log_x[-1]
+    # rows come in one block per lambda_1 = n, n - 1, ..; gather (l_2, .., l_r) from each
+    blocks = np.split(rows[:, 1:], np.cumsum(np.bincount(n - rows[:, 0]))[:-1])
+    out = [_interlacing_sums(table, n - i, n)[tuple(block.T)] for i, block in enumerate(blocks)]
+    return np.concatenate(out) + n * log_x[-1]
+
+
+def log_multiplicities(rows: np.ndarray) -> np.ndarray:
+    """log multiplicity_dim of every row of an (M, d) diagram array.
+
+    Over the ell nonzero rows of each diagram: log N! - sum_i log (l_i + ell - 1 - i)!
+    + sum_{i<j} log(l_i - l_j + j - i), each sum taken in index order from tables
+    of ``math.lgamma`` and ``math.log``.  A one-row diagram gives exactly 0.
+    """
+    m, d = rows.shape
+    n = rows.sum(axis=1)
+    ell = (rows > 0).sum(axis=1)
+    size = int(n.max(initial=0)) + d + 1
+    log_factorial = np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
+    log_int = np.fromiter(map(math.log, range(1, size)), float, size - 1)
+    factorials = np.zeros(m)
+    for i in range(d):
+        factorials += log_factorial[np.where(i < ell, rows[:, i] + ell - 1 - i, 0)]
+    pairs = np.zeros(m)
+    for i in range(d):
+        for j in range(i + 1, d):
+            pairs += np.where(j < ell, log_int[rows[:, i] - rows[:, j] + (j - i - 1)], 0.0)
+    return (log_factorial[n] - factorials) + pairs
 
 
 def log_multiplicity(diagram: YoungDiagram) -> float:
-    """log multiplicity_dim from lgamma, over the nonzero rows (one row gives exactly 0)."""
-    lam = diagram.rows[: diagram.num_rows]
-    ell = len(lam)
-    out = math.lgamma(sum(lam) + 1) - sum(math.lgamma(lam[i] + ell - i) for i in range(ell))
-    return out + sum(math.log(lam[i] - lam[j] + j - i)
-                     for i in range(ell) for j in range(i + 1, ell))
+    """log multiplicity_dim from lgamma: ``log_multiplicities`` of one row."""
+    return float(log_multiplicities(diagram_array([diagram], len(diagram.rows)))[0])
 
 
 def schur_polynomial(diagram: YoungDiagram, spectrum: Spectrum) -> float:
@@ -384,7 +440,8 @@ def schur_polynomial(diagram: YoungDiagram, spectrum: Spectrum) -> float:
     n, d, r = diagram.boxes, spectrum.d, spectrum.rank
     if diagram.num_rows > r:
         return 0.0
-    position = enumerate_diagrams(n, d, r).index(diagram.padded(d))
+    target = diagram_array([diagram], d)[:, :r]
+    position = np.flatnonzero((diagram_rows(n, r) == target).all(axis=1))[0]
     return math.exp(log_schur_polynomials(n, spectrum)[position])
 
 

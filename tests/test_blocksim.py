@@ -116,6 +116,32 @@ def test_qubit_weights_normalized_up_to_200():
             assert abs(total - 1.0) < 1e-12, (p, n, total)
 
 
+def test_weight_views_share_one_read_only_table():
+    sp = spectrum_of(0.6, 0.3, 0.1)
+    table = blocksim.weight_table(12, sp)
+    assert not table.rows.flags.writeable and not table.weights.flags.writeable
+    assert [lam.rows for lam in table.diagrams] == [tuple(r) for r in table.rows.tolist()]
+    assert block_weights(12, sp) == dict(zip(enumerate_diagrams(12, 3), table.weights.tolist()))
+    qubits = qubit_weights(12, 0.75)
+    assert list(qubits) == list(range(0, 13, 2))
+    assert all(qubit_weight(12, 0.75, two_j) == w for two_j, w in qubits.items())
+
+
+def test_block_weights_over_the_diagram_cap_raise(monkeypatch):
+    monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 100)
+    blocksim.weight_table.cache_clear()
+    block_weights(12, spectrum_of(0.5, 0.3, 0.2))  # 19 diagrams of 3 rows
+    with pytest.raises(ResourceLimitError):
+        block_weights(20, spectrum_of(0.5, 0.3, 0.2))
+
+
+@pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0),
+                                        (1.0, -math.inf)])
+def test_bloch_vector_rejects_non_finite_angles(theta, phi):
+    with pytest.raises(ParameterError):
+        BlochVector(theta, phi)
+
+
 @settings(deadline=None, max_examples=60)
 @given(p=st.floats(0.51, 0.99), n=st.integers(1, 200))
 def test_binomial_difference_form_agrees(p, n):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from schurcompress import blocksim
+from schurcompress import blocksim, schur_core
 from schurcompress.cli import main
 
 
@@ -81,6 +81,25 @@ def test_simulate_over_the_block_entry_cap_exits_4(capsys, monkeypatch):
                              "--epsilon", "0.1")
     assert code == 4
     assert "resource limit" in err and "1000" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cap, argv", [
+    ("DIAGRAM_ENTRY_CAP", ["qdist", "--n", "20", "--spectrum", "0.5,0.3,0.2"]),
+    ("DIAGRAM_ENTRY_CAP", ["plan", "--n", "20", "--spectrum", "0.5,0.3,0.2", "--epsilon", "0.1"]),
+    ("DIAGRAM_ENTRY_CAP", ["sweep", "--n-list", "20", "--spectrum", "0.5,0.3,0.2",
+                           "--budget-exponent", "1.4"]),
+    ("DIAGRAM_ENTRY_CAP", ["dims", "--n", "20", "--d", "3"]),
+    ("SCHUR_TABLE_CAP", ["qdist", "--n", "20", "--spectrum", "0.4,0.3,0.2,0.1"]),
+    ("SCHUR_TABLE_CAP", ["sweep", "--n-list", "20", "--spectrum", "0.4,0.3,0.2,0.1",
+                         "--budget-exponent", "1.4"]),
+])
+def test_weight_path_over_its_caps_exits_4(capsys, monkeypatch, cap, argv):
+    monkeypatch.setattr(schur_core, cap, 100)
+    blocksim.weight_table.cache_clear()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert err.startswith("resource limit: ") and "100" in err
     assert out == ""
 
 
@@ -304,3 +323,25 @@ def test_malformed_values_exit_2(tmp_path, capsys, argv, config):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "10", "--spectrum", "0.75,0.25", "--epsilon", "0.1", "--theta", "nan"],
+    ["simulate", "--n", "10", "--spectrum", "0.75,0.25", "--epsilon", "0.1", "--phi", "inf"],
+    ["oracle-check", "--n", "4", "--spectrum", "0.75,0.25", "--theta=-inf"],
+    ["oracle-check", "--n", "4", "--spectrum", "0.75,0.25", "--phi", "nan"],
+    ["sweep", "--n-list", "10", "--spectrum", "0.75,0.25", "--budget-exponent", "nan"],
+])
+def test_non_finite_angles_and_budgets_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ("non-finite" in err or "NaN" in err)
+
+
+def test_budget_beyond_the_float_range_keeps_every_block(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n-list", "10", "--spectrum", "0.75,0.25",
+                           "--budget-exponent", "1000")
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[2] == "36" and row[6] == "0"  # d_enc = (N/2 + 1)^2, nothing discarded

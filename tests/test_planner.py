@@ -4,8 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from schurcompress.blocksim import exact_protocol_error, qubit_weight_binomial, qubit_weights
-from schurcompress.errors import NotApplicableError, ParameterError
+from schurcompress import schur_core
+from schurcompress.blocksim import (
+    block_weights,
+    exact_protocol_error,
+    qubit_weight_binomial,
+    qubit_weights,
+    weight_table,
+)
+from schurcompress.errors import NotApplicableError, ParameterError, ResourceLimitError
 from schurcompress.planner import (
     _max_qubit_multiplicity,
     ceil_log2,
@@ -27,10 +34,41 @@ from schurcompress.planner import (
     zero_error_plan,
 )
 from schurcompress.schur_core import (
+    Spectrum,
+    YoungDiagram,
+    diagram_rows,
     enumerate_diagrams,
     irrep_dim,
+    irrep_dims,
     spectrum_of,
 )
+
+
+def reference_greedy(n, spectrum, budgets):
+    """The greedy keep set at each budget, by a per-diagram sort on (-q / d_lambda, diagram)."""
+    items = list(block_weights(n, spectrum).items())
+    dims = {lam: irrep_dim(lam, spectrum.d) for lam, _ in items}
+    items.sort(key=lambda kv: (-kv[1] / dims[kv[0]], kv[0]))
+    out = []
+    for budget in budgets:
+        keep, used = [], 0
+        for lam, _ in items:
+            if used + dims[lam] <= budget:
+                keep.append(lam)
+                used += dims[lam]
+        out.append(keep or [items[0][0]])
+    return out
+
+
+def random_probs(rng, d):
+    """Sorted probabilities with, at random, zero tails and repeated values."""
+    vals = sorted(rng.random(d), reverse=True)
+    if rng.random() < 0.3:
+        vals = vals[: rng.integers(1, d)] + [0.0] * d
+    if rng.random() < 0.3:
+        vals[1] = vals[0]
+    vals = vals[:d]
+    return tuple(v / sum(vals) for v in vals)
 
 
 def test_ceil_log2_exact():
@@ -250,6 +288,59 @@ def test_budgeted_lower_bound_grows():
         assert sum(irrep_dim(lam, 2) for lam in keep) <= n ** 1.4
         values.append(truncation_lower_bound(n, sp, keep))
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_greedy_matches_the_per_diagram_sort():
+    rng = np.random.default_rng(11)
+    cases = [((0.75, 0.25), 4096), ((0.5, 0.5), 40), ((1.0, 0.0), 9), ((0.6, 0.4, 0.0), 18),
+             ((0.5, 0.5, 0.0, 0.0), 12), ((0.25,) * 4, 10), ((0.4, 0.3, 0.2, 0.1), 30)]
+    cases += [(random_probs(rng, int(rng.integers(2, 6))), int(rng.integers(1, 26)))
+              for _ in range(60)]
+    for probs, n in cases:
+        sp = Spectrum(probs)
+        total = int(irrep_dims(diagram_rows(n, sp.d)).sum())
+        budgets = [0.0, 1.0, float(n) ** 1.4, math.inf, float(total), total // 2,
+                   float(rng.uniform(0, total))]
+        for budget, want in zip(budgets, reference_greedy(n, sp, budgets)):
+            assert greedy_budget_keep(n, sp, budget) == want, (probs, n, budget)
+
+
+def test_greedy_rejects_a_nan_budget():
+    with pytest.raises(ParameterError):
+        greedy_budget_keep(10, spectrum_of(0.75, 0.25), math.nan)
+
+
+def test_planning_over_the_diagram_cap_raises(monkeypatch):
+    monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 100)
+    weight_table.cache_clear()
+    sp = spectrum_of(0.5, 0.3, 0.2)
+    greedy_budget_keep(12, sp, 50.0)  # 19 diagrams of 3 rows
+    for call in (lambda: greedy_budget_keep(20, sp, 50.0),
+                 lambda: spectrum_tail_mass(20, sp, 0.1),
+                 lambda: qudit_approx_plan(20, sp, 0.1),
+                 lambda: zero_error_plan(20, 3)):
+        with pytest.raises(ResourceLimitError):
+            call()
+
+
+def test_spectrum_tail_mass_matches_the_per_diagram_sum():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        sp = Spectrum(random_probs(rng, int(rng.integers(2, 5))))
+        n = int(rng.integers(1, 30))
+        x = float(rng.uniform(0.0, 0.5))
+        want = math.fsum(w for lam, w in block_weights(n, sp).items()
+                         if row_fraction_distance(lam, sp) > x)
+        assert spectrum_tail_mass(n, sp, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_truncation_lower_bound_ignores_diagrams_outside_the_table():
+    sp = spectrum_of(0.5, 0.3, 0.2)
+    keep = [YoungDiagram((6, 0, 0)), YoungDiagram((5, 1, 0))]
+    want = 0.5 * math.fsum(w for lam, w in block_weights(6, sp).items() if lam not in keep)
+    assert truncation_lower_bound(6, sp, keep) == pytest.approx(want, rel=1e-12)
+    other = keep + [YoungDiagram((4, 2)), YoungDiagram((7, 0, 0)), YoungDiagram((2, 2, 1, 1))]
+    assert truncation_lower_bound(6, sp, other) == truncation_lower_bound(6, sp, keep)
 
 
 def test_keyl_werner_bound_at_radius_equals_epsilon():

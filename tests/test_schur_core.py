@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -6,16 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurcompress.errors import ParameterError
+from schurcompress import schur_core
+from schurcompress.errors import ParameterError, ResourceLimitError
 from schurcompress.schur_core import (
     Spectrum,
     WignerRotation,
     YoungDiagram,
     clebsch_gordan,
     clebsch_gordan_signed_square,
+    diagram_array,
+    diagram_rows,
     enumerate_diagrams,
     gelfand_tsetlin_contents,
     irrep_dim,
+    irrep_dims,
+    log_multiplicities,
     log_multiplicity,
     log_schur_polynomials,
     multiplicity_dim,
@@ -69,6 +75,27 @@ def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     return place(sum(shape), [0] * len(shape))
 
 
+def brute_partitions(n: int, d: int) -> list[tuple[int, ...]]:
+    """Every partition of n into at most d parts, padded to d, lexicographically
+    decreasing: all multisets of d row lengths in 0..n, kept when they sum to n."""
+    return sorted((tuple(sorted(rows, reverse=True))
+                   for rows in itertools.combinations_with_replacement(range(n + 1), d)
+                   if sum(rows) == n), reverse=True)
+
+
+def hook_content_dim(rows: tuple[int, ...], d: int) -> int:
+    """GL(d) irrep dimension by the hook-content formula, prod (d + c) / hook."""
+    rows = [r for r in rows if r > 0]
+    cols = [sum(1 for r in rows if r > j) for j in range(rows[0])] if rows else []
+    num, den = 1, 1
+    for i, r in enumerate(rows):
+        for j in range(r):
+            num *= d + j - i
+            den *= (r - j - 1) + (cols[j] - i - 1) + 1
+    assert num % den == 0
+    return num // den
+
+
 def random_spectrum(rng: np.random.Generator, d: int) -> Spectrum:
     vals = np.sort(rng.random(d) + 0.05)[::-1]
     vals /= vals.sum()
@@ -101,6 +128,30 @@ def test_enumerate_order_is_lex_decreasing():
 @given(n=st.integers(0, 24), r=st.integers(1, 4))
 def test_enumerate_count_matches_partition_recurrence(n, r):
     assert len(enumerate_diagrams(n, 4, r)) == count_partitions(n, r)
+
+
+def test_diagram_rows_match_brute_force_partitions():
+    for n in range(13):
+        for d in range(1, 6):
+            every = brute_partitions(n, d)
+            for r in range(1, d + 1):
+                rows = diagram_rows(n, d, r)
+                assert rows.dtype == np.int64 and rows.shape == (len(rows), d)
+                assert not rows.flags.writeable
+                want = [p for p in every if sum(1 for x in p if x) <= r]
+                assert [tuple(row) for row in rows.tolist()] == want, (n, d, r)
+                assert [lam.rows for lam in enumerate_diagrams(n, d, r)] == want
+
+
+def test_diagram_rows_cap_raises_before_building(monkeypatch):
+    monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 19 * 3)
+    assert len(diagram_rows(12, 3)) == 19  # partitions of 12 into at most 3 parts
+    monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 19 * 3 - 1)
+    assert len(diagram_rows(12, 2)) == 7
+    with pytest.raises(ResourceLimitError):
+        diagram_rows(12, 3)
+    with pytest.raises(ResourceLimitError):
+        enumerate_diagrams(5, 10 ** 9)  # the padding alone is over the cap
 
 
 def test_young_diagram_validation():
@@ -145,6 +196,37 @@ def test_irrep_dim_counts_semistandard_tableaux():
         for n in range(0, 9):
             for lam in enumerate_diagrams(n, d):
                 assert irrep_dim(lam, d) == sum(1 for _ in semistandard_tableaux(lam, d))
+
+
+def test_irrep_dims_match_hook_content_and_tableau_count():
+    for d in (1, 2, 3, 4, 5):
+        for n in range(9):
+            rows = diagram_rows(n, d)
+            dims = irrep_dims(rows)
+            assert dims.dtype == object
+            for row, dim in zip(rows.tolist(), dims):
+                lam = YoungDiagram(row)
+                assert type(dim) is int and dim == hook_content_dim(lam.rows, d)
+                assert dim == irrep_dim(lam, d)
+                if d <= 4:
+                    assert dim == len(gelfand_tsetlin_contents(lam, d))
+
+
+def test_irrep_dims_are_exact_beyond_int64():
+    rows = np.array([[250, 150, 100, 60, 30, 10], [600, 0, 0, 0, 0, 0],
+                     [100, 100, 100, 100, 100, 100], [101, 100, 100, 100, 100, 99]])
+    dims = irrep_dims(rows)
+    assert dims.tolist() == [hook_content_dim(tuple(row), 6) for row in rows.tolist()]
+    assert dims[0] > 2 ** 63 and dims[2] == 1 and dims[3] == 35
+    assert irrep_dim(YoungDiagram((250, 150, 100, 60, 30, 10)), 6) == dims[0]
+
+
+def test_diagram_array_pads_and_rejects_extra_rows():
+    lams = [YoungDiagram((3, 1)), YoungDiagram((2, 1, 1, 0))]
+    assert diagram_array(lams, 3).tolist() == [[3, 1, 0], [2, 1, 1]]
+    assert diagram_array([], 2).shape == (0, 2)
+    with pytest.raises(ParameterError):
+        diagram_array(lams, 2)
 
 
 def test_multiplicity_examples():
@@ -251,6 +333,16 @@ def test_log_schur_polynomials_follow_enumerate_diagrams_within_the_rank():
                     schur_polynomial_brute(lam, sp), rel=1e-13), (probs, lam)
 
 
+def test_log_schur_polynomials_table_cap_raises_before_allocating(monkeypatch):
+    rank5 = Spectrum((0.3, 0.2, 0.2, 0.2, 0.1))
+    with pytest.raises(ResourceLimitError):
+        log_schur_polynomials(400, rank5)  # would be a 401 x 201 x 134 x 101 float table
+    monkeypatch.setattr(schur_core, "SCHUR_TABLE_CAP", 11 * 6 * 4 - 1)
+    log_schur_polynomials(10, Spectrum((0.5, 0.3, 0.2)))  # 11 x 6 table
+    with pytest.raises(ResourceLimitError):
+        log_schur_polynomials(10, Spectrum((0.4, 0.3, 0.2, 0.1)))  # 11 x 6 x 4 table
+
+
 def test_log_multiplicity_matches_exact_count():
     for d in (2, 3, 4):
         for n in range(13):
@@ -258,6 +350,20 @@ def test_log_multiplicity_matches_exact_count():
                 assert log_multiplicity(lam) == pytest.approx(
                     math.log(multiplicity_dim(lam)), abs=1e-12)
     assert log_multiplicity(YoungDiagram((40, 0, 0))) == 0.0
+
+
+def test_log_multiplicities_match_exact_counts():
+    for n, d in [(0, 3), (1, 2), (40, 2), (401, 2), (30, 3), (60, 3), (24, 4), (14, 5)]:
+        rows = diagram_rows(n, d)
+        logs = log_multiplicities(rows)
+        for row, value in zip(rows.tolist(), logs.tolist()):
+            lam = YoungDiagram(row)
+            want = math.log(multiplicity_dim(lam))
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-14), (n, row)
+            assert value == log_multiplicity(lam)  # the scalar is a view of the array form
+    single = np.array([[40, 0, 0], [7, 0, 0], [0, 0, 0]])
+    assert log_multiplicities(single).tolist() == [0.0, 0.0, 0.0]
+    assert log_multiplicities(np.array([[12]])).tolist() == [0.0]
 
 
 def test_gelfand_tsetlin_contents_match_tableau_contents():

@@ -10,10 +10,16 @@ trace distances between full-form states are exact block-by-block sums.
 
 A block that is diagonal in its basis (Gelfand-Tsetlin order, which is
 ascending m for qubits) is stored as the 1-D real vector of its diagonal; only
-blocks that are not diagonal (rotated qubit states, random or user-supplied
-blocks) are 2-D Hermitian matrices.  Diagonal product states, the uniform dump and everything
-encoded from them stay vectors, so their trace distances are plain sums of
-absolute values.
+blocks that are not diagonal (random or user-supplied blocks) are 2-D
+Hermitian matrices.  A qubit product state turned to a Bloch orientation
+keeps the same vectors: the orientation is a label on the state, and its
+blocks are diagonal in the frame turned by U^{ox N}.  Encode, decode and the
+trace distance compare blocks directly whenever both states share a frame,
+and a vector with all entries equal (such as the uniform dump's) fits every
+frame.  Only where a block meets one held in another frame is it turned into
+that frame as a dense matrix by the Wigner rotation.  So diagonal and oriented
+product states, the uniform dump and everything encoded from them stay
+vectors, and their trace distances are plain sums of absolute values.
 
 BlockStates are immutable after construction; channels return new values, so
 independent (N, spectrum, epsilon) points can be evaluated in parallel.
@@ -22,7 +28,7 @@ independent (N, spectrum, epsilon) points can be evaluated in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
@@ -38,11 +44,10 @@ from .schur_core import (
     Spectrum,
     YoungDiagram,
     WignerRotation,
+    _gt_level,
     diagram_array,
     diagram_rows,
     enumerate_diagrams,
-    gelfand_tsetlin_contents,
-    irrep_dim,
     irrep_dims,
     log_multiplicities,
     log_schur_polynomials,
@@ -52,12 +57,14 @@ from .schur_core import (
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
 UNDERFLOW = 1e-300
-BLOCK_ENTRY_CAP = 2 ** 25  # floats held by all blocks of one product state
+BLOCK_ENTRY_CAP = 2 ** 25  # entries held by the blocks of one state: dim, or dim^2 if dense
+GT_BATCH = 4096  # tableaux per batch of shapes when building product-state diagonals
 
 
 class Block(NamedTuple):
-    """Weight and normalized block: a 1-D array is the diagonal of a diagonal
-    block, a 2-D array is a full Hermitian matrix."""
+    """Weight and normalized block, in the frame of the state that holds it: a
+    1-D array is the diagonal of a diagonal block, a 2-D array is a full
+    Hermitian matrix."""
 
     weight: float
     matrix: np.ndarray
@@ -77,10 +84,19 @@ class BlochVector:
 
 @dataclass(frozen=True, eq=False)
 class BlockState:
+    """Weights and blocks of a permutation-invariant N-copy state.
+
+    ``orientation`` names the frame the blocks are held in: None is the lab
+    frame, a Bloch vector the frame turned by the N-fold qubit rotation that
+    takes the lab z axis to it, where an oriented product state is diagonal.
+    Spectra, traces and weights do not depend on the frame.
+    """
+
     n: int
     d: int
     blocks: Mapping[YoungDiagram, Block]
     multiplicity_free: bool = False
+    orientation: BlochVector | None = None
 
     def weight(self, diagram: YoungDiagram) -> float:
         blk = self.blocks.get(diagram)
@@ -207,40 +223,84 @@ def weight_table(n: int, spectrum: Spectrum) -> WeightTable:
 # Product-state construction
 # ---------------------------------------------------------------------------
 
-def _block_diagonal(lam: YoungDiagram, spectrum: Spectrum) -> np.ndarray:
-    """Normalized diagonal of the block for a diagonal state, Gelfand-Tsetlin order.
+def _block_diagonals(rows: np.ndarray, spectrum: Spectrum) -> list[np.ndarray]:
+    """Normalized diagonal of the block of every shape in ``rows`` for a diagonal
+    state, each in Gelfand-Tsetlin order.
 
     Diagonal entries are the content monomials p^{content(T)} over the
-    semistandard tableaux of the shape, normalized via a stable softmax so
-    that deep tails do not lose the normalization.  A letter of probability 0
-    that a tableau does not use contributes a factor 1; one it uses, 0.
+    semistandard tableaux of the shape, normalized per shape via a stable
+    softmax so that deep tails do not lose the normalization.  A letter of
+    probability 0 that a tableau does not use contributes a factor 1; one it
+    uses, 0.  The shapes go through the branching rule together, in batches
+    of consecutive shapes that start within GT_BATCH tableaux of each other.
     """
-    contents = gelfand_tsetlin_contents(lam, spectrum.d)
     rank = spectrum.rank  # the zero eigenvalues come last
-    logs = contents[:, :rank] @ np.log(spectrum.probs[:rank])
-    if rank < spectrum.d:
-        logs[contents[:, rank:].any(axis=1)] = -np.inf
-    rel = np.exp(logs - logs.max())
-    return rel / rel.sum()
+    log_p = np.log(spectrum.probs[:rank])
+    dims = irrep_dims(rows).astype(np.int64)
+    offsets = np.cumsum(dims) - dims
+    cuts = np.flatnonzero(np.diff(offsets // GT_BATCH)) + 1
+    out: list[np.ndarray] = []
+    for batch in np.split(np.arange(len(rows)), cuts):
+        contents, owner = _gt_level(rows[batch])
+        logs = contents[:, :rank] @ log_p
+        if rank < spectrum.d:
+            logs[contents[:, rank:].any(axis=1)] = -np.inf
+        starts = offsets[batch] - offsets[batch[0]]
+        rel = np.exp(logs - np.maximum.reduceat(logs, starts)[owner])
+        out += np.split(rel / np.add.reduceat(rel, starts)[owner], starts[1:])
+    return out
 
 
-def _rotated(diag: np.ndarray, orientation: BlochVector) -> np.ndarray:
-    """The spin block with the given diagonal, turned to the given orientation."""
-    rot = wigner_d_matrix(WignerRotation(orientation.phi, orientation.theta, 0.0, diag.size - 1))
-    mat = (rot * diag) @ rot.conj().T
-    return (mat + mat.conj().T) / 2.0
+def _rotation(frame: BlochVector | None, dim: int) -> np.ndarray:
+    """Wigner matrix of the spin block of dimension dim that turns the lab frame
+    into the given one (the identity for the lab frame)."""
+    if frame is None:
+        return np.eye(dim)
+    return wigner_d_matrix(WignerRotation(frame.phi, frame.theta, 0.0, dim - 1))
+
+
+def _rotated(mat: np.ndarray, source: BlochVector | None,
+             target: BlochVector | None) -> np.ndarray:
+    """A qubit spin block held in frame ``source``, as a dense matrix in frame ``target``."""
+    turn = _rotation(target, len(mat)).conj().T @ _rotation(source, len(mat))
+    out = (turn * mat if mat.ndim == 1 else turn @ mat) @ turn.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def _in_frame(state: BlockState, frame: BlochVector | None) -> BlockState:
+    """The state with its blocks held in the given frame.
+
+    A diagonal block with all entries equal is a multiple of the identity and
+    fits every frame, so it passes through; every other block is turned into
+    a dense matrix.  Raises ResourceLimitError, before allocating any, when
+    those matrices would hold more than BLOCK_ENTRY_CAP entries.
+    """
+    if state.orientation == frame:
+        return state
+    moved = [lam for lam, (_, mat) in state.blocks.items()
+             if mat.ndim == 2 or (mat != mat[0]).any()]
+    entries = sum(len(state.blocks[lam].matrix) ** 2 for lam in moved)
+    if entries > BLOCK_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"rotated blocks capped at {BLOCK_ENTRY_CAP} entries, N={state.n} needs {entries}")
+    blocks = dict(state.blocks)
+    for lam in moved:
+        w, mat = blocks[lam]
+        blocks[lam] = Block(w, _rotated(mat, state.orientation, frame))
+    return replace(state, blocks=blocks, orientation=frame)
 
 
 def product_state(spectrum: Spectrum, n: int,
                   orientation: BlochVector | None = None) -> BlockState:
     """Block decomposition of the N-fold product of a single-copy state.
 
-    For qubits any orientation is accepted; for d > 2 only diagonal states
-    are supported (rotating a qudit block needs irrep machinery this package
-    deliberately omits, and every error formula is orientation independent).
-    Raises ResourceLimitError, before allocating any block, when the blocks
-    would hold more than BLOCK_ENTRY_CAP floats: one per basis state of every
-    irrep, squared for rotated blocks.
+    For qubits any orientation is accepted: it becomes the state's frame
+    label, and the blocks are the same diagonals as the unrotated state's.
+    For d > 2 only diagonal states are supported (rotating a qudit block needs
+    irrep machinery this package deliberately omits, and every error formula
+    is orientation independent).  Raises ResourceLimitError, before
+    allocating any block, when the blocks would hold more than
+    BLOCK_ENTRY_CAP floats: one per basis state of every irrep.
     """
     d = spectrum.d
     if n < 1:
@@ -250,27 +310,33 @@ def product_state(spectrum: Spectrum, n: int,
         raise UnsupportedFeatureError("rotated states are only supported for qubits")
     table = weight_table(n, spectrum)
     dims = irrep_dims(table.rows)
-    entries = int((dims ** 2 if rotated else dims).sum())
+    entries = int(dims.sum())
     if entries > BLOCK_ENTRY_CAP:
         raise ResourceLimitError(
             f"product state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
-    blocks: dict[YoungDiagram, Block] = {}
-    for lam, w, dim in zip(table.diagrams, table.weights.tolist(), dims):
-        if w < UNDERFLOW:
-            blocks[lam] = Block(0.0, np.zeros(dim))
-            continue
-        diag = _block_diagonal(lam, spectrum)
-        blocks[lam] = Block(w, _rotated(diag, orientation) if rotated else diag)
-    return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=False)
+    live = table.weights >= UNDERFLOW
+    diagonals = iter(_block_diagonals(table.rows[live], spectrum))
+    blocks = {lam: Block(w, next(diagonals)) if alive else Block(0.0, np.zeros(dim))
+              for lam, w, dim, alive in zip(table.diagrams, table.weights.tolist(), dims,
+                                            live.tolist())}
+    return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=False,
+                      orientation=orientation if rotated else None)
 
 
 def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
-    """A random permutation-invariant state: random weights, random PSD blocks."""
+    """A random permutation-invariant state: random weights, random PSD blocks.
+    Raises ResourceLimitError, before allocating any block, when the dense
+    blocks would hold more than BLOCK_ENTRY_CAP entries."""
     diagrams = enumerate_diagrams(n, d)
+    dims = irrep_dims(diagram_array(diagrams, d))
+    entries = int((dims ** 2).sum())
+    if entries > BLOCK_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"random state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
     raw = rng.random(len(diagrams)) + 1e-3
     weights = raw / raw.sum()
     blocks = {}
-    for lam, w, dim in zip(diagrams, weights, irrep_dims(diagram_array(diagrams, d))):
+    for lam, w, dim in zip(diagrams, weights, dims):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = g @ g.conj().T
         mat /= np.trace(mat).real
@@ -298,7 +364,9 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram],
     """Keep the selected blocks, drop multiplicity factors, reroute the tail.
 
     The weight of every discarded block is added to the kept blocks according
-    to the dump state's distribution.  The result is flagged multiplicity-free.
+    to the dump state's distribution.  The result is flagged multiplicity-free
+    and held in the frame of ``state``; a dump block that does not fit that
+    frame is turned into it.
     """
     kept = set(keep)
     if not kept:
@@ -308,16 +376,19 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram],
     for lam, blk in dump_state.blocks.items():
         if blk.weight > 0 and lam not in kept:
             raise ContractViolationError(f"dump state has weight on discarded block {lam}")
+    dump_state = _in_frame(dump_state, state.orientation)
     tail = sum(blk.weight for lam, blk in state.blocks.items() if lam not in kept)
     blocks: dict[YoungDiagram, Block] = {}
     for lam in sorted(kept, reverse=True):
-        w_in = state.weight(lam)
-        mat_in = state.blocks[lam].matrix if lam in state.blocks else None
+        blk_in = state.blocks.get(lam)
+        w_in, mat_in = blk_in if blk_in is not None else (0.0, None)
         dump_blk = dump_state.blocks.get(lam)
         w_dump = tail * dump_blk.weight if dump_blk is not None else 0.0
         w_out = w_in + w_dump
         if w_out == 0.0:
-            blocks[lam] = Block(0.0, np.zeros(irrep_dim(lam, state.d)))
+            sized = blk_in or dump_blk  # a block neither input holds has weight 0 already
+            if sized is not None:
+                blocks[lam] = Block(0.0, np.zeros(len(sized.matrix)))
             continue
         if w_dump == 0.0:
             blocks[lam] = Block(w_in, mat_in)  # untouched block passes through exactly
@@ -328,15 +399,15 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram],
         else:
             acc = w_dump * dump_blk.matrix
         blocks[lam] = Block(w_out, acc / w_out)
-    return BlockState(n=state.n, d=state.d, blocks=blocks, multiplicity_free=True)
+    return BlockState(n=state.n, d=state.d, blocks=blocks, multiplicity_free=True,
+                      orientation=state.orientation)
 
 
 def decode(encoded: BlockState) -> BlockState:
     """Re-append the implied maximally mixed multiplicity factor per block."""
     if not encoded.multiplicity_free:
         raise ParameterError("decode expects a multiplicity-free (encoded) state")
-    return BlockState(n=encoded.n, d=encoded.d, blocks=dict(encoded.blocks),
-                      multiplicity_free=False)
+    return replace(encoded, blocks=dict(encoded.blocks), multiplicity_free=False)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +432,14 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
     """Half the trace norm of the difference of two full-form block states.
 
     Block diagonality plus the shared maximally mixed multiplicity factors
-    make the block-by-block sum exact.
+    make the block-by-block sum exact.  Blocks of ``b`` that do not fit the
+    frame of ``a`` are turned into it.
     """
     if a.n != b.n or a.d != b.d:
         raise ParameterError("states must share N and d")
     if a.multiplicity_free or b.multiplicity_free:
         raise ParameterError("trace distance is defined between decoded (full) states")
+    b = _in_frame(b, a.orientation)
     total = 0.0
     for lam in sorted(set(a.blocks) | set(b.blocks), reverse=True):
         blk_a = a.blocks.get(lam)

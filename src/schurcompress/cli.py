@@ -31,11 +31,11 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .oracle import (
+    block_spectrum_mismatch,
     character_projection_weights,
     dense_product_state,
     dense_protocol_error,
     extract_blocks,
-    jacobi_check_spectrum,
 )
 from .planner import (
     ceil_log2,
@@ -450,7 +450,7 @@ def cmd_oracle_check(args, config) -> int:
         weight_diff = max(abs(oracle_state.weight(lam) - blk.weight)
                           for lam, blk in block_state.blocks.items())
         checks.append(("weights", weight_diff))
-        checks.append(("block spectra", jacobi_check_spectrum(block_state, oracle_state)))
+        checks.append(("block spectra", block_spectrum_mismatch(block_state, oracle_state)))
         rng = np.random.default_rng(seed)
         grid = sorted(block_state.blocks, reverse=True)
         mask = rng.random(len(grid)) < 0.5

@@ -166,12 +166,13 @@ def _block_spectrum(mat: np.ndarray) -> np.ndarray:
     return np.sort(mat) if mat.ndim == 1 else np.linalg.eigvalsh(mat)
 
 
-def jacobi_check_spectrum(block_state: BlockState, oracle_state: BlockState) -> float:
+def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -> float:
     """Worst mismatch between per-block eigenvalue spectra of two states.
 
     Basis independent, which is the point: the coupled basis fixes the
     multiplicity convention arbitrarily, so entrywise comparison would test
-    a convention, not the physics.
+    a convention, not the physics.  For the same reason it reads a block
+    state in whatever frame it is held.
     """
     worst = 0.0
     for lam, blk in block_state.blocks.items():
@@ -206,6 +207,8 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
             for lam in keep}
     if dump_state is None:
         dump_state = uniform_dump(n, 2, kept)
+    if dump_state.orientation is not None:
+        raise UnsupportedFeatureError("the dense oracle takes dump states in the lab frame")
     dense = dense_product_state(spectrum, n, orientation)
     basis = schur_basis_qubits(n)
     out = np.zeros_like(dense)

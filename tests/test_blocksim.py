@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from schurcompress.errors import (
     ResourceLimitError,
     UnsupportedFeatureError,
 )
+from schurcompress.planner import qubit_approx_plan
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
@@ -195,12 +197,32 @@ def test_product_state_over_the_block_entry_cap_raises(monkeypatch):
 
 
 def test_rotated_product_state_counts_matrix_entries_against_the_cap(monkeypatch):
+    # the orientation label holds no extra entries; turning the state into the lab
+    # frame holds dim^2 per block, except the singlet's, which fits every frame
     sp = spectrum_of(0.75, 0.25)
-    squares = sum((two_j + 1) ** 2 for two_j in range(0, 21, 2))
+    squares = sum((two_j + 1) ** 2 for two_j in range(2, 21, 2))
     monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares - 1)
-    product_state(sp, 20)  # the diagonal blocks hold far fewer entries
+    state = product_state(sp, 20, BlochVector(0.4, 1.0))
     with pytest.raises(ResourceLimitError):
-        product_state(sp, 20, BlochVector(0.4, 1.0))
+        blocksim._in_frame(state, None)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares)
+    validate_block_state(blocksim._in_frame(state, None))
+
+
+def test_random_and_turned_blocks_count_against_the_cap(monkeypatch):
+    rng = np.random.default_rng(4)
+    squares = sum((two_j + 1) ** 2 for two_j in range(0, 9, 2))  # every dense block at N = 8
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares - 1)
+    with pytest.raises(ResourceLimitError):
+        random_block_state(8, 2, rng)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares)
+    lab = random_block_state(8, 2, rng)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares - 1)
+    oriented = product_state(spectrum_of(0.75, 0.25), 8, BlochVector(0.3, 2.0))
+    assert 0.0 < trace_distance(lab, oriented) <= 1.0  # the oriented singlet stays a vector
+    with pytest.raises(ResourceLimitError):
+        trace_distance(oriented, lab)  # every dense block turned into the oriented frame
+
 
 def test_product_state_weights_and_invariants():
     state = product_state(spectrum_of(0.75, 0.25), 4)
@@ -216,10 +238,14 @@ def test_product_state_pure_lives_in_symmetric_block():
 
 
 def test_product_state_rotated_is_valid():
-    state = product_state(spectrum_of(0.8, 0.2), 5, BlochVector(1.1, 0.4))
+    orient = BlochVector(1.1, 0.4)
+    state = product_state(spectrum_of(0.8, 0.2), 5, orient)
+    assert state.orientation == orient
     validate_block_state(state)
+    lab = blocksim._in_frame(state, None)
+    validate_block_state(lab)
     diag = product_state(spectrum_of(0.8, 0.2), 5)
-    for lam, blk in state.blocks.items():
+    for lam, blk in lab.blocks.items():
         assert blk.weight == diag.blocks[lam].weight  # weights ignore orientation
         mine = np.sort(np.linalg.eigvalsh(blk.matrix))
         theirs = np.sort(diag.blocks[lam].matrix)
@@ -259,6 +285,27 @@ def test_product_state_needs_no_tableau_walk(monkeypatch):
     validate_block_state(state)
 
 
+@pytest.mark.parametrize("sp, n", [(spectrum_of(0.75, 0.25), 40), (spectrum_of(0.5, 0.3, 0.2), 12),
+                                   (Spectrum((0.5, 0.3, 0.2, 0.0)), 8)])
+def test_block_diagonals_do_not_depend_on_the_batching(monkeypatch, sp, n):
+    # batches of a few tableaux split the shapes many ways, and shapes larger
+    # than a batch get one of their own; the reference takes one shape at a time
+    def one_shape(lam):
+        contents = gelfand_tsetlin_contents(lam, sp.d)
+        logs = contents[:, :sp.rank] @ np.log(sp.probs[:sp.rank])
+        logs[contents[:, sp.rank:].any(axis=1)] = -np.inf
+        rel = np.exp(logs - logs.max())
+        return rel / rel.sum()
+
+    whole = product_state(sp, n)
+    monkeypatch.setattr(blocksim, "GT_BATCH", 7)
+    split = product_state(sp, n)
+    for lam, blk in whole.blocks.items():
+        reference = one_shape(lam) if blk.weight else 0.0
+        assert np.max(np.abs(blk.matrix - reference)) <= 2.2e-16, lam
+        assert np.max(np.abs(split.blocks[lam].matrix - reference)) <= 2.2e-16, lam
+
+
 @pytest.mark.parametrize("sp", [Spectrum((0.6, 0.4, 0.0)), Spectrum((0.5, 0.3, 0.2, 0.0))])
 def test_block_diagonals_with_a_zero_eigenvalue(sp):
     # a letter of probability 0 zeroes the entries that use it and leaves the
@@ -295,6 +342,16 @@ def test_encode_full_keep_is_lossless():
     for lam, blk in state.blocks.items():
         assert enc.blocks[lam].weight == blk.weight
         assert np.array_equal(enc.blocks[lam].matrix, blk.matrix)
+
+
+def test_encode_sizes_zero_blocks_without_irrep_dim(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("irrep_dim called per diagram")
+
+    monkeypatch.setattr(schur_core, "irrep_dim", boom)
+    monkeypatch.setattr(blocksim, "irrep_dim", boom, raising=False)
+    report = exact_protocol_error(6, Spectrum((1.0, 0.0)), enumerate_diagrams(6, 2))
+    assert report.exact_error == 0.0 and report.tail_mass == 0.0
 
 
 def test_encode_rejects_empty_keep():
@@ -419,6 +476,33 @@ def test_trace_distance_of_diagonal_states_needs_no_eigensolver(monkeypatch):
 # ---------------------------------------------------------------------------
 # Protocol error
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_rotated_protocol_error_needs_no_wigner_matrix_or_eigensolver(monkeypatch, n):
+    def boom(*args, **kwargs):
+        raise AssertionError("rotated state materialised")
+
+    for module in (blocksim, schur_core):
+        monkeypatch.setattr(module, "wigner_d_matrix", boom)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, boom)
+    sp = spectrum_of(0.75, 0.25)
+    keep = sorted(enumerate_diagrams(n, 2), reverse=True)[: n // 4]
+    rotated = exact_protocol_error(n, sp, keep, BlochVector(1.0, 0.5))
+    assert rotated == exact_protocol_error(n, sp, keep)
+    assert rotated.exact_error == pytest.approx(rotated.tail_mass, abs=1e-15)
+
+
+def test_rotated_protocol_error_at_512_copies_runs_at_diagonal_cost():
+    # a dense d(beta) D d(beta)^T per block took about 15 s at this size
+    n, sp, orient = 512, spectrum_of(0.75, 0.25), BlochVector(1.0, 0.5)
+    keep = qubit_approx_plan(n, 0.75, 0.01).keep
+    start = time.perf_counter()
+    product_state(sp, n, orient)
+    report = exact_protocol_error(n, sp, keep, orient)
+    assert time.perf_counter() - start < 1.0
+    assert abs(report.exact_error - report.tail_mass) <= 1e-15
+
 
 def test_exact_error_zero_for_full_keep():
     sp = spectrum_of(0.75, 0.25)

@@ -4,21 +4,26 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from schurcompress import blocksim
 from schurcompress.blocksim import (
+    Block,
     BlochVector,
+    BlockState,
     block_weights,
+    encode,
     exact_protocol_error,
     product_state,
+    trace_distance,
     validate_block_state,
 )
-from schurcompress.errors import ResourceLimitError
+from schurcompress.errors import ResourceLimitError, UnsupportedFeatureError
 from schurcompress.oracle import (
+    block_spectrum_mismatch,
     character_projection_weights,
     dense_product_state,
     dense_protocol_error,
     dense_weights,
     extract_blocks,
-    jacobi_check_spectrum,
     permutation_operator,
     schur_basis_qubits,
     schur_isometry,
@@ -120,7 +125,7 @@ def test_block_and_dense_weights_agree():
         ours = product_state(sp, n, orient)
         for lam, blk in ours.blocks.items():
             assert oracle_state.weight(lam) == pytest.approx(blk.weight, abs=1e-10)
-        assert jacobi_check_spectrum(ours, oracle_state) < 1e-10
+        assert block_spectrum_mismatch(ours, oracle_state) < 1e-10
 
 
 def test_symmetric_block_matches_oracle_entrywise():
@@ -132,9 +137,58 @@ def test_symmetric_block_matches_oracle_entrywise():
         orient = BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         sp = spectrum_of(p, 1 - p)
         sym = YoungDiagram((n, 0))
-        ours = product_state(sp, n, orient).blocks[sym].matrix
+        ours = blocksim._in_frame(product_state(sp, n, orient), None).blocks[sym].matrix
         theirs = extract_blocks(dense_product_state(sp, n, orient), n).blocks[sym].matrix
         assert np.max(np.abs(ours - theirs)) < 1e-12, n
+
+
+def _dense_dump(keep, rng) -> BlockState:
+    """A lab-frame dump of random 2-D blocks on the kept diagrams."""
+    raw = rng.random(len(keep)) + 0.1
+    blocks = {}
+    for lam, w in zip(keep, raw / raw.sum()):
+        dim = lam.two_j + 1
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = g @ g.conj().T
+        blocks[lam] = Block(float(w), mat / np.trace(mat).real)
+    return BlockState(n=keep[0].boxes, d=2, blocks=blocks, multiplicity_free=True)
+
+
+def test_materialised_frames_agree_with_the_label_and_the_oracle():
+    # a dense dump meets the oriented state's frame, so encode turns it into that
+    # frame with a real Wigner rotation; the label route and the oracle must agree
+    rng = np.random.default_rng(17)
+    for n in range(2, 13):
+        p = rng.uniform(0.55, 0.95)
+        sp = spectrum_of(p, 1 - p)
+        orient = BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        grid = sorted(enumerate_diagrams(n, 2), reverse=True)
+        keep = grid[: max(1, len(grid) // 2)]
+        dump = _dense_dump(keep, rng)
+        materialised = exact_protocol_error(n, sp, keep, orient, dump).exact_error
+        labelled = exact_protocol_error(n, sp, keep, orient)
+        assert materialised == pytest.approx(labelled.exact_error, abs=1e-12), n
+        if n <= 8:
+            dense_err = dense_protocol_error(n, sp, keep, orient, dump)
+            assert materialised == pytest.approx(dense_err, abs=1e-8), n
+            lab = extract_blocks(dense_product_state(sp, n, orient), n)
+            assert trace_distance(product_state(sp, n, orient), lab) < 1e-10, n
+
+
+def test_trace_distance_between_frames_matches_the_dense_states():
+    # two orientations meet, so one state's blocks are turned from its frame
+    # into the other's; the block sum must equal the dense trace distance
+    rng = np.random.default_rng(23)
+    for n in range(1, 8):
+        p = rng.uniform(0.55, 0.95)
+        sp = spectrum_of(p, 1 - p)
+        first, second = (BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                         for _ in range(2))
+        for other in (second, None):
+            diff = dense_product_state(sp, n, first) - dense_product_state(sp, n, other)
+            dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+            blocks = trace_distance(product_state(sp, n, first), product_state(sp, n, other))
+            assert blocks == pytest.approx(dense, abs=1e-10), (n, other)
 
 
 def test_dense_protocol_error_full_keep_is_zero():
@@ -157,6 +211,14 @@ def test_dense_protocol_error_orientation_invariant():
     plain = dense_protocol_error(5, sp, keep)
     rotated = dense_protocol_error(5, sp, keep, BlochVector(1.0, 0.5))
     assert rotated == pytest.approx(plain, abs=1e-8)
+
+
+def test_dense_protocol_error_rejects_an_oriented_dump():
+    sp = spectrum_of(0.9, 0.1)
+    keep = [YoungDiagram((3, 0))]
+    oriented = encode(product_state(sp, 3, BlochVector(1.0, 0.5)), keep)
+    with pytest.raises(UnsupportedFeatureError):
+        dense_protocol_error(3, sp, keep, dump_state=oriented)
 
 
 def test_dense_protocol_error_random_keeps():

@@ -5,12 +5,18 @@ Every command is deterministic given its flags (plus --seed where one
 applies).  Floats print with 10 significant digits so golden files stay
 byte-identical across runs.  Exit codes: 0 ok, 1 oracle mismatch, 2 usage
 or input error, 3 not-applicable request, 4 resource cap exceeded.
+
+``build_parser`` alone declares each flag's type, default and choices, and
+``--format`` offers only the forms its command prints.  ``--config`` values
+become parser defaults, checked the same way, so a command-line flag wins.
+Each ``cmd_*`` returns (exit code, JSON params, JSON results, text lines).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -59,6 +65,7 @@ from .schur_core import (
 
 ORACLE_TOL = 1e-8
 EXACT_ERROR_CAP = 256  # largest N for which sweeps evaluate the exact error
+CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def fmt(x) -> str:
@@ -96,57 +103,56 @@ def parse_spectrum(text: str) -> Spectrum:
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value file; keys match the long flag names without dashes."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"bad config line {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ParameterError(f"bad config line {line!r}")
+                key, val = line.split("=", 1)
+                out[key.strip()] = val.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config: {exc}") from None
     return out
 
 
-def opt(args, config: dict[str, str], key: str, cast, default=None):
-    """CLI flag if given, else config value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None and key in config:
+def apply_config(parser: argparse.ArgumentParser, command: str, config: dict[str, str]) -> None:
+    """Make the config values that name a flag of ``command`` its parser defaults, each
+    cast and checked by that flag's own type and choices (a store-true flag takes
+    1/true/yes/0/false/no).  Other keys, and ``config`` itself, are ignored."""
+    # argparse keeps a parser's flags in ``_actions``; it has no public accessor
+    command_parser = next(a for a in parser._actions if a.dest == "command").choices[command]
+    defaults = {}
+    for action in command_parser._actions:
+        key = action.dest.replace("_", "-")
+        if key not in config or action.dest in ("help", "config"):
+            continue
         raw = config[key]
-        if cast is bool:
-            val = raw.lower() in ("1", "true", "yes")
+        if action.nargs == 0:
+            value = CONFIG_BOOLEANS.get(raw.lower())
         else:
-            val = parse_value(raw, cast, f"config value for {key}")
-    if val is None:
-        val = default
-    return val
+            value = parse_value(raw, action.type or str, f"config value for {key}")
+        if value is None or (action.choices is not None and value not in action.choices):
+            raise ParameterError(f"bad config value for {key}: {raw!r}")
+        defaults[action.dest] = value
+    command_parser.set_defaults(**defaults)
 
 
-def emit_json(command: str, params: dict, results) -> None:
-    doc = {"command": command, "params": params, "results": results,
-           "version": __version__}
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def emit_table(headers: list[str], rows: list[list[str]], footer: list[str] | None = None) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    if footer:
-        print("-" * len(line))
-        for item in footer:
-            print(item)
-
-
-def emit_csv(headers: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+def tabulate(headers: list[str], rows: list[list[str]], out_format: str,
+             footer: list[str] | None = None) -> list[str]:
+    """CSV lines, or an aligned table closed by the footer lines (tables only)."""
+    if out_format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
+        return buf.getvalue().splitlines()
+    widths = [max(len(cell) for cell in column) for column in zip(headers, *rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(cells, widths))
+             for cells in (headers, *rows)]
+    rule = "-" * len(lines[0])
+    table = [lines[0], rule, *lines[1:]]
+    return table + [rule, *footer] if footer else table
 
 
 def diagram_label(lam: YoungDiagram, d: int) -> str:
@@ -156,17 +162,23 @@ def diagram_label(lam: YoungDiagram, d: int) -> str:
     return "(" + ",".join(str(r) for r in lam.rows) + ")"
 
 
+def orientation(args, spectrum: Spectrum) -> BlochVector | None:
+    """The qubit rotation named by --theta/--phi, or None for the diagonal state."""
+    if args.theta is None and args.phi is None:
+        return None
+    if spectrum.d > 2:
+        raise UnsupportedFeatureError("--theta/--phi are only supported for qubits")
+    return BlochVector(args.theta or 0.0, args.phi or 0.0)
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (exit code, JSON params, JSON results, text lines)
 # ---------------------------------------------------------------------------
 
-def cmd_dims(args, config) -> int:
-    n = opt(args, config, "n", int)
-    d = opt(args, config, "d", int)
-    r = opt(args, config, "r", int)
-    out_format = opt(args, config, "format", str, "table")
-    if n is None or d is None:
+def cmd_dims(args):
+    if args.n is None or args.d is None:
         raise ParameterError("dims requires --n and --d")
+    n, d, r = args.n, args.d, args.r
     diagrams = enumerate_diagrams(n, d, r)
     dims = irrep_dims(diagram_array(diagrams, d)).tolist()
     mults = [multiplicity_dim(lam) for lam in diagrams]
@@ -178,31 +190,22 @@ def cmd_dims(args, config) -> int:
                      str(dim), str(mult), str(dim * mult)])
     full = d ** n if (r is None or r == d) else None
     headers = ["j" if d == 2 else "diagram", "irrep_dim", "mult_dim", "product"]
-    if out_format == "json":
-        emit_json("dims", {"n": n, "d": d, "r": r}, {
-            "rows": [{"diagram": list(lam.rows), "irrep_dim": dim, "mult_dim": mult}
-                     for lam, dim, mult in zip(diagrams, dims, mults)],
-            "total": total,
-            "full_space": full,
-        })
-    elif out_format == "csv":
-        emit_csv(headers, rows + [["TOTAL", "", "", str(total)]])
-    else:
-        footer = [f"sum of irrep_dim*mult_dim = {total}"]
-        if full is not None:
-            footer.append(f"d^N = {full}" + ("  (match)" if full == total else "  (MISMATCH)"))
-        emit_table(headers, rows, footer)
-    return 0
+    footer = [f"sum of irrep_dim*mult_dim = {total}"]
+    if full is not None:
+        footer.append(f"d^N = {full}" + ("  (match)" if full == total else "  (MISMATCH)"))
+    if args.format == "csv":
+        rows.append(["TOTAL", "", "", str(total)])
+    results = {"rows": [{"diagram": list(lam.rows), "irrep_dim": dim, "mult_dim": mult}
+                        for lam, dim, mult in zip(diagrams, dims, mults)],
+               "total": total, "full_space": full}
+    return 0, {"n": n, "d": d, "r": r}, results, tabulate(headers, rows, args.format, footer)
 
 
-def cmd_qdist(args, config) -> int:
-    n = opt(args, config, "n", int)
-    spectrum_text = opt(args, config, "spectrum", str)
-    out_format = opt(args, config, "format", str, "table")
-    if n is None or spectrum_text is None:
+def cmd_qdist(args):
+    if args.n is None or args.spectrum is None:
         raise ParameterError("qdist requires --n and --spectrum")
-    spectrum = parse_spectrum(spectrum_text)
-    weights = block_weights(n, spectrum)
+    spectrum = parse_spectrum(args.spectrum)
+    weights = block_weights(args.n, spectrum)
     ordered = sorted(weights.items(), key=lambda kv: kv[0], reverse=True)
     rows = []
     cum = 0.0
@@ -211,16 +214,10 @@ def cmd_qdist(args, config) -> int:
         rows.append([diagram_label(lam, spectrum.d), fmt(w), fmt(cum)])
     headers = ["j" if spectrum.d == 2 else "diagram", "weight", "cumulative"]
     total = sum(weights.values())
-    if out_format == "json":
-        emit_json("qdist", {"n": n, "spectrum": list(spectrum.probs)}, {
-            "rows": [{"diagram": list(lam.rows), "weight": w} for lam, w in ordered],
-            "total": total,
-        })
-    elif out_format == "csv":
-        emit_csv(headers, rows)
-    else:
-        emit_table(headers, rows, [f"total = {fmt(total)}"])
-    return 0
+    results = {"rows": [{"diagram": list(lam.rows), "weight": w} for lam, w in ordered],
+               "total": total}
+    lines = tabulate(headers, rows, args.format, [f"total = {fmt(total)}"])
+    return 0, {"n": args.n, "spectrum": list(spectrum.probs)}, results, lines
 
 
 def _build_plan(n: int, spectrum: Spectrum, epsilon: float | None, zero_error: bool):
@@ -231,17 +228,13 @@ def _build_plan(n: int, spectrum: Spectrum, epsilon: float | None, zero_error: b
     return qudit_approx_plan(n, spectrum, epsilon)
 
 
-def cmd_plan(args, config) -> int:
-    n = opt(args, config, "n", int)
-    spectrum_text = opt(args, config, "spectrum", str)
-    epsilon = opt(args, config, "epsilon", float)
-    zero_error = bool(opt(args, config, "zero-error", bool, False))
-    out_format = opt(args, config, "format", str, "table")
-    if n is None or spectrum_text is None:
+def cmd_plan(args):
+    if args.n is None or args.spectrum is None:
         raise ParameterError("plan requires --n and --spectrum")
+    n, epsilon, zero_error = args.n, args.epsilon, args.zero_error
     if epsilon is None and not zero_error:
         raise ParameterError("plan requires --epsilon or --zero-error")
-    spectrum = parse_spectrum(spectrum_text)
+    spectrum = parse_spectrum(args.spectrum)
     plan = _build_plan(n, spectrum, epsilon, zero_error)
     # the circuit model covers the qubit protocol only
     resources = circuit_resource_estimate(n) if n >= 2 and spectrum.d == 2 else None
@@ -253,58 +246,46 @@ def cmd_plan(args, config) -> int:
     if zero_error and spectrum.d == 2 and n % 2 == 0:
         extras["closed_form_qubits"] = ceil_log2((n // 2 + 1) ** 2)
 
-    if out_format == "json":
-        results = plan.as_dict()
-        results["extras"] = extras
-        if resources is not None:
-            results["resources"] = resources.as_dict()
-        emit_json("plan", {"n": n, "spectrum": list(spectrum.probs),
-                           "epsilon": epsilon, "zero_error": zero_error}, results)
-        return 0
+    results = plan.as_dict()
+    results["extras"] = extras
+    if resources is not None:
+        results["resources"] = resources.as_dict()
+    params = {"n": n, "spectrum": list(spectrum.probs), "epsilon": epsilon,
+              "zero_error": zero_error}
+
     keep = plan.keep
-    print(f"plan: N={plan.n} d={plan.d} "
-          + ("zero-error" if plan.epsilon is None else f"epsilon={fmt(plan.epsilon)}"))
+    lines = [f"plan: N={plan.n} d={plan.d} "
+             + ("zero-error" if plan.epsilon is None else f"epsilon={fmt(plan.epsilon)}")]
     if plan.d == 2:
         labels = [diagram_label(lam, 2) for lam in sorted(keep)]
-        print(f"keep {len(keep)} blocks: j = {labels[0]} .. {labels[-1]}")
+        lines.append(f"keep {len(keep)} blocks: j = {labels[0]} .. {labels[-1]}")
     else:
-        print(f"keep {len(keep)} blocks (largest {list(keep[0].rows)})")
-    print(f"d_enc = {plan.d_enc}")
-    print(f"qubits = {plan.qubit_count}")
-    print(f"hybrid = ({plan.hybrid_qubits} qubits, {plan.hybrid_bits} bits)")
+        lines.append(f"keep {len(keep)} blocks (largest {list(keep[0].rows)})")
+    lines += [f"d_enc = {plan.d_enc}",
+              f"qubits = {plan.qubit_count}",
+              f"hybrid = ({plan.hybrid_qubits} qubits, {plan.hybrid_bits} bits)"]
     if plan.bound_qubits is not None:
-        print(f"bound_qubits = {fmt(plan.bound_qubits)}")
-    for key, val in extras.items():
-        print(f"{key} = {fmt(val)}")
+        lines.append(f"bound_qubits = {fmt(plan.bound_qubits)}")
+    lines += [f"{key} = {fmt(val)}" for key, val in extras.items()]
     if resources is not None:
-        print(f"registers: index={resources.index_register_qubits} "
-              f"representation={resources.representation_register_qubits} "
-              f"multiplicity={resources.multiplicity_register_qubits} "
-              f"ancilla={resources.ancilla_qubits} "
-              f"coherent={resources.coherent_qubits}")
-    return 0
+        lines.append(f"registers: index={resources.index_register_qubits} "
+                     f"representation={resources.representation_register_qubits} "
+                     f"multiplicity={resources.multiplicity_register_qubits} "
+                     f"ancilla={resources.ancilla_qubits} "
+                     f"coherent={resources.coherent_qubits}")
+    return 0, params, results, lines
 
 
-def cmd_simulate(args, config) -> int:
-    n = opt(args, config, "n", int)
-    spectrum_text = opt(args, config, "spectrum", str)
-    epsilon = opt(args, config, "epsilon", float)
-    zero_error = bool(opt(args, config, "zero-error", bool, False))
-    theta = opt(args, config, "theta", float)
-    phi = opt(args, config, "phi", float)
-    out_format = opt(args, config, "format", str, "table")
-    if n is None or spectrum_text is None:
+def cmd_simulate(args):
+    if args.n is None or args.spectrum is None:
         raise ParameterError("simulate requires --n and --spectrum")
+    n, epsilon, zero_error = args.n, args.epsilon, args.zero_error
     if epsilon is None and not zero_error:
         raise ParameterError("simulate requires --epsilon or --zero-error")
-    spectrum = parse_spectrum(spectrum_text)
-    orientation = None
-    if theta is not None or phi is not None:
-        if spectrum.d > 2:
-            raise UnsupportedFeatureError("--theta/--phi are only supported for qubits")
-        orientation = BlochVector(theta or 0.0, phi or 0.0)
+    spectrum = parse_spectrum(args.spectrum)
+    rotation = orientation(args, spectrum)
     plan = _build_plan(n, spectrum, epsilon, zero_error)
-    report = exact_protocol_error(n, spectrum, plan.keep, orientation)
+    report = exact_protocol_error(n, spectrum, plan.keep, rotation)
     target = epsilon if epsilon is not None else 0.0
     passed = report.exact_error <= target + 1e-12
     results = {
@@ -319,33 +300,28 @@ def cmd_simulate(args, config) -> int:
     if spectrum.d == 2 and epsilon is not None:
         results["error_upper_bound"] = qubit_error_upper_bound(
             n, spectrum.max_eigenvalue, epsilon)
-    if out_format == "json":
-        emit_json("simulate", {"n": n, "spectrum": list(spectrum.probs),
-                               "epsilon": epsilon, "zero_error": zero_error,
-                               "theta": theta, "phi": phi}, results)
-    else:
-        print(f"simulate: N={n} d={spectrum.d} "
-              + ("zero-error" if zero_error or epsilon is None else f"epsilon={fmt(epsilon)}"))
-        print(f"d_enc = {plan.d_enc}, qubits = {plan.qubit_count}")
-        print(f"exact_error = {fmt(report.exact_error)}")
-        print(f"tail_mass (upper bound) = {fmt(report.tail_mass)}")
-        print(f"half-tail (lower bound) = {fmt(report.lower_bound)}")
-        if "error_upper_bound" in results:
-            print(f"closed-form bound = {fmt(results['error_upper_bound'])}")
-        print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    params = {"n": n, "spectrum": list(spectrum.probs), "epsilon": epsilon,
+              "zero_error": zero_error, "theta": args.theta, "phi": args.phi}
+    lines = [f"simulate: N={n} d={spectrum.d} "
+             + ("zero-error" if zero_error or epsilon is None else f"epsilon={fmt(epsilon)}"),
+             f"d_enc = {plan.d_enc}, qubits = {plan.qubit_count}",
+             f"exact_error = {fmt(report.exact_error)}",
+             f"tail_mass (upper bound) = {fmt(report.tail_mass)}",
+             f"half-tail (lower bound) = {fmt(report.lower_bound)}"]
+    if "error_upper_bound" in results:
+        lines.append(f"closed-form bound = {fmt(results['error_upper_bound'])}")
+    lines.append("PASS" if passed else "FAIL")
+    return (0 if passed else 1), params, results, lines
 
 
-def _parse_n_values(args, config) -> list[int]:
-    n_range = opt(args, config, "n-range", str)
-    n_list = opt(args, config, "n-list", str)
-    if n_list:
+def _parse_n_values(args) -> list[int]:
+    if args.n_list:
         vals = [parse_value(tok, int, "--n-list entry")
-                for tok in n_list.split(",") if tok.strip()]
-    elif n_range:
-        parts = n_range.split(":")
+                for tok in args.n_list.split(",") if tok.strip()]
+    elif args.n_range:
+        parts = args.n_range.split(":")
         if len(parts) != 3:
-            raise ParameterError(f"--n-range wants a:b:step, got {n_range!r}")
+            raise ParameterError(f"--n-range wants a:b:step, got {args.n_range!r}")
         a, b, step = (parse_value(x, int, "--n-range bound") for x in parts)
         if step <= 0:
             raise ParameterError("--n-range step must be positive")
@@ -365,22 +341,17 @@ def _dimension_budget(n: int, exponent: float) -> float:
         return math.inf
 
 
-def cmd_sweep(args, config) -> int:
-    spectrum_text = opt(args, config, "spectrum", str)
-    epsilon_list = opt(args, config, "epsilon-list", str)
-    zero_error = bool(opt(args, config, "zero-error", bool, False))
-    budget_exponent = opt(args, config, "budget-exponent", float)
-    exact_cap = opt(args, config, "exact-cap", int, EXACT_ERROR_CAP)
-    out_format = opt(args, config, "format", str, "csv")
-    if spectrum_text is None:
+def cmd_sweep(args):
+    if args.spectrum is None:
         raise ParameterError("sweep requires --spectrum")
-    spectrum = parse_spectrum(spectrum_text)
-    n_values = _parse_n_values(args, config)
+    zero_error, budget_exponent = args.zero_error, args.budget_exponent
+    spectrum = parse_spectrum(args.spectrum)
+    n_values = _parse_n_values(args)
     if zero_error or budget_exponent is not None:
         epsilons: list[float | None] = [None]
-    elif epsilon_list:
+    elif args.epsilon_list:
         epsilons = [parse_value(tok, float, "--epsilon-list entry")
-                    for tok in epsilon_list.split(",") if tok.strip()]
+                    for tok in args.epsilon_list.split(",") if tok.strip()]
         if not epsilons:
             raise ParameterError("empty --epsilon-list")
     else:
@@ -404,49 +375,34 @@ def cmd_sweep(args, config) -> int:
                 bound = plan.bound_qubits
             lower = truncation_lower_bound(n, spectrum, keep)
             tail = 2.0 * lower
-            if n <= exact_cap:
-                exact = exact_protocol_error(n, spectrum, keep).exact_error
-                exact_s = fmt(exact)
-            else:
-                exact_s = ""
+            exact = (fmt(exact_protocol_error(n, spectrum, keep).exact_error)
+                     if n <= args.exact_cap else "")
             rows.append([str(n),
                          "" if eps is None else fmt(eps),
                          str(d_enc), str(qubits),
                          "" if bound is None else fmt(bound),
-                         exact_s, fmt(tail), fmt(lower)])
-    if out_format == "json":
-        emit_json("sweep", {"spectrum": list(spectrum.probs),
-                            "n_values": n_values,
-                            "epsilons": [e for e in epsilons if e is not None],
-                            "zero_error": zero_error,
-                            "budget_exponent": budget_exponent},
-                  [dict(zip(headers, row)) for row in rows])
-    else:
-        emit_csv(headers, rows)
-    return 0
+                         exact, fmt(tail), fmt(lower)])
+    params = {"spectrum": list(spectrum.probs), "n_values": n_values,
+              "epsilons": [e for e in epsilons if e is not None],
+              "zero_error": zero_error, "budget_exponent": budget_exponent}
+    results = [dict(zip(headers, row)) for row in rows]
+    return 0, params, results, tabulate(headers, rows, "csv")
 
 
-def cmd_oracle_check(args, config) -> int:
-    n = opt(args, config, "n", int)
-    spectrum_text = opt(args, config, "spectrum", str)
-    theta = opt(args, config, "theta", float)
-    phi = opt(args, config, "phi", float)
-    seed = opt(args, config, "seed", int, 0)
-    out_format = opt(args, config, "format", str, "table")
-    if n is None or spectrum_text is None:
+def cmd_oracle_check(args):
+    if args.n is None or args.spectrum is None:
         raise ParameterError("oracle-check requires --n and --spectrum")
-    spectrum = parse_spectrum(spectrum_text)
-    orientation = None
-    if theta is not None or phi is not None:
-        if spectrum.d > 2:
-            raise UnsupportedFeatureError("--theta/--phi are only supported for qubits")
-        orientation = BlochVector(theta or 0.0, phi or 0.0)
+    n, seed = args.n, args.seed
+    if seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {seed}")
+    spectrum = parse_spectrum(args.spectrum)
+    rotation = orientation(args, spectrum)
 
     checks: list[tuple[str, float]] = []
     if spectrum.d == 2:
-        dense = dense_product_state(spectrum, n, orientation)
+        dense = dense_product_state(spectrum, n, rotation)
         oracle_state = extract_blocks(dense, n)
-        block_state = product_state(spectrum, n, orientation)
+        block_state = product_state(spectrum, n, rotation)
         weight_diff = max(abs(oracle_state.weight(lam) - blk.weight)
                           for lam, blk in block_state.blocks.items())
         checks.append(("weights", weight_diff))
@@ -455,8 +411,8 @@ def cmd_oracle_check(args, config) -> int:
         grid = sorted(block_state.blocks, reverse=True)
         mask = rng.random(len(grid)) < 0.5
         keep = [lam for lam, m in zip(grid, mask) if m] or [grid[0]]
-        exact = exact_protocol_error(n, spectrum, keep, orientation).exact_error
-        dense_err = dense_protocol_error(n, spectrum, keep, orientation)
+        exact = exact_protocol_error(n, spectrum, keep, rotation).exact_error
+        dense_err = dense_protocol_error(n, spectrum, keep, rotation)
         checks.append(("protocol error", abs(exact - dense_err)))
     else:
         oracle_weights = character_projection_weights(spectrum, n)
@@ -465,18 +421,14 @@ def cmd_oracle_check(args, config) -> int:
         checks.append(("weights (character projection)", weight_diff))
 
     ok = all(diff < ORACLE_TOL for _, diff in checks)
-    if out_format == "json":
-        emit_json("oracle-check",
-                  {"n": n, "spectrum": list(spectrum.probs), "theta": theta,
-                   "phi": phi, "seed": seed},
-                  {"checks": [{"name": name, "max_diff": diff} for name, diff in checks],
-                   "tolerance": ORACLE_TOL, "pass": ok})
-    else:
-        for name, diff in checks:
-            status = "PASS" if diff < ORACLE_TOL else "FAIL"
-            print(f"{name}: max diff {fmt(diff)}  {status}")
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    params = {"n": n, "spectrum": list(spectrum.probs), "theta": args.theta,
+              "phi": args.phi, "seed": seed}
+    results = {"checks": [{"name": name, "max_diff": diff} for name, diff in checks],
+               "tolerance": ORACLE_TOL, "pass": ok}
+    lines = [f"{name}: max diff {fmt(diff)}  {'PASS' if diff < ORACLE_TOL else 'FAIL'}"
+             for name, diff in checks]
+    lines.append("PASS" if ok else "FAIL")
+    return (0 if ok else 1), params, results, lines
 
 
 # ---------------------------------------------------------------------------
@@ -489,62 +441,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-level simulator and planner for compressing N identical mixed states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, func, formats: tuple[str, ...]) -> None:
         p.add_argument("--config", help="flat key=value file with defaults for these flags")
-        p.add_argument("--format", choices=("table", "csv", "json"))
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=func)
 
     p_dims = sub.add_parser("dims", help="block dimensions and multiplicities")
     p_dims.add_argument("--n", type=int)
     p_dims.add_argument("--d", type=int)
     p_dims.add_argument("--r", type=int)
-    common(p_dims)
-    p_dims.set_defaults(func=cmd_dims)
+    common(p_dims, cmd_dims, ("table", "csv", "json"))
 
     p_qdist = sub.add_parser("qdist", help="block weight distribution")
     p_qdist.add_argument("--n", type=int)
     p_qdist.add_argument("--spectrum")
-    common(p_qdist)
-    p_qdist.set_defaults(func=cmd_qdist)
+    common(p_qdist, cmd_qdist, ("table", "csv", "json"))
 
     p_plan = sub.add_parser("plan", help="compression plan and qubit counts")
     p_plan.add_argument("--n", type=int)
     p_plan.add_argument("--spectrum")
     p_plan.add_argument("--epsilon", type=float)
-    p_plan.add_argument("--zero-error", action="store_const", const=True, default=None)
-    common(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
+    p_plan.add_argument("--zero-error", action="store_true")
+    common(p_plan, cmd_plan, ("table", "json"))
 
     p_sim = sub.add_parser("simulate", help="plan plus exact protocol error")
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--spectrum")
     p_sim.add_argument("--epsilon", type=float)
-    p_sim.add_argument("--zero-error", action="store_const", const=True, default=None)
+    p_sim.add_argument("--zero-error", action="store_true")
     p_sim.add_argument("--theta", type=float)
     p_sim.add_argument("--phi", type=float)
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    common(p_sim, cmd_simulate, ("table", "json"))
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over N and epsilon")
     p_sweep.add_argument("--n-range", help="a:b:step inclusive")
     p_sweep.add_argument("--n-list", help="comma-separated N values")
     p_sweep.add_argument("--spectrum")
     p_sweep.add_argument("--epsilon-list")
-    p_sweep.add_argument("--zero-error", action="store_const", const=True, default=None)
+    p_sweep.add_argument("--zero-error", action="store_true")
     p_sweep.add_argument("--budget-exponent", type=float,
                          help="greedy keep sets under d_enc <= N^exponent")
-    p_sweep.add_argument("--exact-cap", type=int,
-                         help=f"largest N for exact error evaluation (default {EXACT_ERROR_CAP})")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--exact-cap", type=int, default=EXACT_ERROR_CAP,
+                         help="largest N for exact error evaluation (default %(default)s)")
+    common(p_sweep, cmd_sweep, ("csv", "json"))
 
     p_oracle = sub.add_parser("oracle-check", help="dense brute-force cross-validation")
     p_oracle.add_argument("--n", type=int)
     p_oracle.add_argument("--spectrum")
     p_oracle.add_argument("--theta", type=float)
     p_oracle.add_argument("--phi", type=float)
-    p_oracle.add_argument("--seed", type=int)
-    common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle_check)
+    p_oracle.add_argument("--seed", type=int, default=0)
+    common(p_oracle, cmd_oracle_check, ("table", "json"))
 
     return parser
 
@@ -552,15 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        try:
-            config = load_config(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
     try:
-        return args.func(args, config)
+        if args.config:
+            apply_config(parser, args.command, load_config(args.config))
+            args = parser.parse_args(argv)
+        code, params, results, lines = args.func(args)
     except (NotApplicableError, UnsupportedFeatureError) as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 3
@@ -570,6 +513,13 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        doc = {"command": args.command, "params": params, "results": results,
+               "version": __version__}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

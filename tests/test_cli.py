@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from schurcompress import blocksim, schur_core
+from schurcompress import blocksim, cli, schur_core
 from schurcompress.cli import main
 
 
@@ -345,3 +345,116 @@ def test_budget_beyond_the_float_range_keeps_every_block(capsys):
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert row[2] == "36" and row[6] == "0"  # d_enc = (N/2 + 1)^2, nothing discarded
+
+
+def _config(tmp_path, text: str | bytes):
+    cfg = tmp_path / "run.cfg"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["dims"], "n=4\nd=2\nformat=xml\n"),
+    (["plan"], "n=20\nspectrum=0.6,0.4\nzero-error=true\nformat=csv\n"),
+    (["sweep"], "n-list=4\nspectrum=0.75,0.25\nzero-error=1\nformat=table\n"),
+    (["plan"], "n=20\nspectrum=0.6,0.4\nzero-error=maybe\n"),
+    (["plan"], "n=20\nspectrum=0.6,0.4\nepsilon=0.01\nzero-error=\n"),
+    (["simulate"], "n=8\nspectrum=0.75,0.25\nepsilon=0.1\ntheta=north\n"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv, "--config", _config(tmp_path, text))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad config value for ")
+
+
+@pytest.mark.parametrize("word, zero_error", [("1", True), ("TRUE", True), ("Yes", True),
+                                              ("0", False), ("false", False), ("NO", False)])
+def test_config_store_true_words(tmp_path, capsys, word, zero_error):
+    cfg = _config(tmp_path, f"n=20\nspectrum=0.6,0.4\nepsilon=0.01\nzero-error={word}\n")
+    code, out, _ = run_cli(capsys, "plan", "--config", cfg, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["zero_error"] is zero_error
+    assert doc["results"]["epsilon"] == (None if zero_error else 0.01)
+
+
+def test_config_keys_that_name_no_flag_are_ignored(tmp_path, capsys):
+    _, want, _ = run_cli(capsys, "dims", "--n", "4", "--d", "2", "--format", "json")
+    cfg = _config(tmp_path, "n=4\nd=2\nformat=json\ncolour=blue\nepsilon=0.1\n")
+    code, out, _ = run_cli(capsys, "dims", "--config", cfg)
+    assert code == 0
+    assert out == want
+
+
+def test_config_cannot_set_config_func_or_command(tmp_path, capsys):
+    cfg = _config(tmp_path, "n=4\nd=2\nconfig=/no/such/file\nfunc=cmd_plan\ncommand=plan\n")
+    parser = cli.build_parser()
+    cli.apply_config(parser, "dims", cli.load_config(cfg))
+    args = parser.parse_args(["dims", "--config", cfg])
+    assert (args.n, args.d) == (4, 2)
+    assert args.config == cfg
+    assert args.func is cli.cmd_dims
+    assert args.command == "dims"
+    code, out, _ = run_cli(capsys, "dims", "--config", cfg)
+    assert code == 0
+    assert "sum of irrep_dim*mult_dim = 16" in out
+
+
+def test_config_format_reaches_the_emitter(tmp_path, capsys):
+    cfg = _config(tmp_path, "n=20\nspectrum=0.6,0.4\nzero-error=yes\nformat=json\n")
+    code, out, _ = run_cli(capsys, "plan", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["results"]["d_enc"] == 121
+    code, out, _ = run_cli(capsys, "plan", "--config", cfg, "--format", "table")
+    assert code == 0
+    assert "d_enc = 121" in out
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "dims", "--config", _config(tmp_path, b"n=4\xff\n"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config: ") and "utf-8" in err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    argv = ["oracle-check", "--n", "4", "--spectrum", "0.75,0.25"]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative, got -1\n"
+    code, out, err = run_cli(capsys, *argv, "--config", _config(tmp_path, "seed=-3\n"))
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--n", "20", "--spectrum", "0.6,0.4", "--zero-error", "--format", "csv"],
+    ["simulate", "--n", "8", "--spectrum", "0.8,0.2", "--zero-error", "--format", "csv"],
+    ["oracle-check", "--n", "4", "--spectrum", "0.75,0.25", "--format", "csv"],
+    ["sweep", "--n-list", "4", "--spectrum", "0.75,0.25", "--zero-error", "--format", "table"],
+])
+def test_format_offers_only_the_forms_a_command_prints(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--n", "4", "--d", "2"],
+    ["qdist", "--n", "4", "--spectrum", "0.75,0.25"],
+    ["plan", "--n", "8", "--spectrum", "0.75,0.25", "--zero-error"],
+    ["simulate", "--n", "8", "--spectrum", "0.75,0.25", "--zero-error"],
+    ["sweep", "--n-list", "4,8", "--spectrum", "0.75,0.25", "--zero-error"],
+    ["oracle-check", "--n", "4", "--spectrum", "0.75,0.25"],
+])
+def test_every_command_prints_one_json_document(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"command", "params", "results", "version"}
+    assert doc["command"] == argv[0]

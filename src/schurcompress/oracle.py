@@ -6,7 +6,16 @@ by explicit projection, and the protocol error evaluated literally.  These
 paths share no code with the block-level simulator beyond the Clebsch-Gordan
 coefficients, so agreement between the two is a real cross-check.
 
-Hard size cap: d^N <= 4096.  No performance tuning, by design.
+Hard size cap: d^N <= 4096.  The computation stays literal: a dense
+rho^{ox N} in the computational basis, explicit basis columns, projections by
+matrix products and the trace norm from a dense Hermitian eigendecomposition,
+with the same structure assertions whatever the input.  What is batched is the
+bookkeeping around it.  All copies of one spin are one (2^N, m, 2j+1) array,
+so a coupling step is two matrix products, a projection onto a spin is one
+Gram product V^T rho V, and the encode-decode map on a spin is one product
+back into the full space, instead of a few small products per copy.
+Tr[rho^{ox N} U_pi] is read as a gather of d^N entries of the dense state
+rather than through a built U_pi.  A real rho is held as a real array.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ def single_qubit_state(p: float, orientation: BlochVector | None) -> np.ndarray:
 
 def dense_product_state(spectrum: Spectrum, n: int,
                         orientation: BlochVector | None = None) -> np.ndarray:
-    """rho^{ox N} as an explicit d^N x d^N matrix."""
+    """rho^{ox N} as an explicit d^N x d^N matrix: real when rho is (diagonal or
+    turned only about y), so its products and eigenvalues run in real arithmetic."""
     d = spectrum.d
     _check_cap(d, n)
     if d == 2:
@@ -59,7 +69,9 @@ def dense_product_state(spectrum: Spectrum, n: int,
     else:
         if orientation is not None and (orientation.theta or orientation.phi):
             raise UnsupportedFeatureError("dense qudit states are diagonal only")
-        rho = np.diag(spectrum.probs).astype(complex)
+        rho = np.diag(spectrum.probs)
+    if not rho.imag.any():
+        rho = rho.real
     full = rho
     for _ in range(n - 1):
         full = np.kron(full, rho)
@@ -70,7 +82,55 @@ def dense_product_state(spectrum: Spectrum, n: int,
 # Schur basis for qubits, by iterated coupling
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+def _coupling_matrix(two_j: int, two_s: int, two_jt: int) -> np.ndarray:
+    """<j m; 1/2 s | j' m'> for one s, rows ascending m and columns ascending m'."""
+    c = np.zeros((two_j + 1, two_jt + 1))
+    for i, two_m in enumerate(range(-two_j, two_j + 1, 2)):
+        two_mt = two_m + two_s
+        if abs(two_mt) <= two_jt:
+            c[i, (two_mt + two_jt) // 2] = clebsch_gordan(two_j, two_m, 1, two_s, two_jt, two_mt)
+    return c
+
+
+@lru_cache(maxsize=2)
+def _spin_bases(n: int) -> dict[int, np.ndarray]:
+    """{2j: W} with W of shape (2^N, m_j, 2j+1) holding every copy of spin j
+    (read-only): W[:, a, :] is copy a, its columns |j, m> for ascending m.
+
+    One coupling step adds qubit k+1 as the last tensor factor: copies of spin
+    j go to j' = j +- 1/2 through two matrix products, W @ C_up and W @ C_down,
+    which fill the rows |r>|0> and |r>|1>.  Copies coupled down from 2j'+1 come
+    before those coupled up from 2j'-1.  Each cached entry is a full 2^N x 2^N
+    orthogonal matrix (134 MB at N = 12), so the cache holds only two.
+    """
+    _check_cap(2, n)
+    # ascending m: col 0 is m=-1/2 -> |1>, col 1 is m=+1/2 -> |0>
+    level = {1: np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 1, 2)}
+    for _ in range(n - 1):
+        sources: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for two_j, w in sorted(level.items(), reverse=True):
+            for two_jt in (two_j + 1, two_j - 1):
+                if two_jt >= 0:
+                    sources.setdefault(two_jt, []).append((two_j, w))
+        nxt = {}
+        for two_jt, parts in sources.items():
+            dim = parts[0][1].shape[0]
+            new = np.empty((dim, 2, sum(w.shape[1] for _, w in parts), two_jt + 1))
+            start = 0
+            for two_j, w in parts:
+                mult = w.shape[1]
+                flat = w.reshape(-1, two_j + 1)
+                for bit, two_s in enumerate((1, -1)):  # |0> is spin up
+                    coupled = flat @ _coupling_matrix(two_j, two_s, two_jt)
+                    new[:, bit, start:start + mult] = coupled.reshape(dim, mult, two_jt + 1)
+                start += mult
+            nxt[two_jt] = new.reshape(2 * dim, -1, two_jt + 1)
+        level = nxt
+    for w in level.values():
+        w.flags.writeable = False
+    return level
+
+
 def schur_basis_qubits(n: int) -> dict[int, list[np.ndarray]]:
     """Orthonormal total-spin basis of N qubits grouped by (2j, multiplicity copy).
 
@@ -78,45 +138,33 @@ def schur_basis_qubits(n: int) -> dict[int, list[np.ndarray]]:
     columns are |j, m> for ascending m.  Coupling order: qubit 1 with 2, the
     result with 3, and so on; the copy order follows that tree, which is an
     arbitrary but fixed convention.  Computational |0> is spin up (m = +1/2).
+    The V are read-only views of one cached array per spin.
     """
-    _check_cap(2, n)
-    up = np.array([1.0, 0.0])
-    down = np.array([0.0, 1.0])
-    # ascending m: col 0 is m=-1/2 -> |1>, col 1 is m=+1/2 -> |0>
-    level: dict[int, list[np.ndarray]] = {1: [np.column_stack([down, up])]}
-    for _ in range(n - 1):
-        nxt: dict[int, list[np.ndarray]] = {}
-        for two_j, copies in sorted(level.items(), reverse=True):
-            for v in copies:
-                for two_jt in (two_j + 1, two_j - 1):
-                    if two_jt < 0:
-                        continue
-                    cols = []
-                    for two_mt in range(-two_jt, two_jt + 1, 2):
-                        vec = None
-                        for idx_m, two_m in enumerate(range(-two_j, two_j + 1, 2)):
-                            two_s = two_mt - two_m
-                            if two_s not in (-1, 1):
-                                continue
-                            coef = clebsch_gordan(two_j, two_m, 1, two_s, two_jt, two_mt)
-                            if coef == 0.0:
-                                continue
-                            spin = up if two_s == 1 else down
-                            term = coef * np.kron(v[:, idx_m], spin)
-                            vec = term if vec is None else vec + term
-                        cols.append(vec)
-                    nxt.setdefault(two_jt, []).append(np.column_stack(cols))
-        level = nxt
-    return level
+    return {two_j: list(w.transpose(1, 0, 2)) for two_j, w in _spin_bases(n).items()}
 
 
 def schur_isometry(n: int) -> np.ndarray:
     """All basis columns side by side: a full 2^N x 2^N orthogonal matrix."""
-    basis = schur_basis_qubits(n)
-    cols = []
-    for two_j in sorted(basis, reverse=True):
-        cols.extend(basis[two_j])
-    return np.column_stack(cols)
+    return np.concatenate([w.reshape(w.shape[0], -1)
+                           for _, w in sorted(_spin_bases(n).items(), reverse=True)], axis=1)
+
+
+def _real_times(real: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """real @ other in real arithmetic: a complex ``other`` is read as its rows of
+    (re, im) pairs, so ``real`` is never promoted to complex."""
+    if not np.iscomplexobj(other):
+        return real @ other
+    pairs = np.ascontiguousarray(other, dtype=np.complex128).view(np.float64)
+    return (real @ pairs).view(np.complex128)
+
+
+def _gram(dense: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W^T rho W for the copies W (D, m, k) of one spin, viewed as (m, k, m, k):
+    entry [a, :, b, :] is V_a^T rho V_b."""
+    dim, mult, k = w.shape
+    flat = w.reshape(dim, mult * k)
+    left = _real_times(flat.T, dense)  # W^T rho
+    return _real_times(flat.T, left.T).T.reshape(mult, k, mult, k)  # (W^T rho^T W)^T
 
 
 def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
@@ -125,33 +173,35 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
     Asserts the structure the decomposition promises: cross-multiplicity
     blocks vanish and the multiplicity marginal is exactly maximally mixed,
     both within 1e-10.  Raises OracleMismatchError otherwise, which signals
-    a bug upstream rather than bad input.
+    a bug upstream rather than bad input; the message names the first
+    offending copies.
     """
-    basis = schur_basis_qubits(n)
     blocks: dict[YoungDiagram, Block] = {}
-    for two_j, copies in sorted(basis.items(), reverse=True):
-        mult = len(copies)
-        if mult != multiplicity_dim(YoungDiagram.from_two_j(n, two_j)):
-            raise OracleMismatchError(f"coupling produced wrong multiplicity for 2j={two_j}")
-        compressed = [dense @ v for v in copies]  # cache the expensive right product
-        inner = [[v.conj().T @ cw for cw in compressed] for v in copies]
-        for a in range(mult):
-            for b in range(mult):
-                if a != b and np.max(np.abs(inner[a][b])) > STRUCTURE_TOL:
-                    raise OracleMismatchError(
-                        f"cross-multiplicity block (2j={two_j}, {a},{b}) does not vanish")
-        weight = sum(np.trace(inner[a][a]).real for a in range(mult))
+    for two_j, w in sorted(_spin_bases(n).items(), reverse=True):
         lam = YoungDiagram.from_two_j(n, two_j)
+        mult = w.shape[1]
+        if mult != multiplicity_dim(lam):
+            raise OracleMismatchError(f"coupling produced wrong multiplicity for 2j={two_j}")
+        gram = _gram(dense, w)
+        cross = np.abs(gram).max(axis=(1, 3))
+        np.fill_diagonal(cross, 0.0)
+        bad = np.argwhere(cross > STRUCTURE_TOL)
+        if len(bad):
+            a, b = bad[0]
+            raise OracleMismatchError(
+                f"cross-multiplicity block (2j={two_j}, {a},{b}) does not vanish")
+        traces = np.einsum("akak->a", gram).real
+        weight = float(traces.sum())
         if weight <= STRUCTURE_TOL ** 2:
             blocks[lam] = Block(max(weight, 0.0), np.zeros((two_j + 1, two_j + 1), complex))
             continue
-        for a in range(mult):
-            marg = np.trace(inner[a][a]).real / weight
-            if abs(marg - 1.0 / mult) > STRUCTURE_TOL:
-                raise OracleMismatchError(
-                    f"multiplicity marginal of 2j={two_j} copy {a} is {marg}, not 1/{mult}")
-        total = sum(inner[a][a] for a in range(mult))
-        blocks[lam] = Block(weight, total / weight)
+        marg = traces / weight
+        bad = np.flatnonzero(np.abs(marg - 1.0 / mult) > STRUCTURE_TOL)
+        if len(bad):
+            a = bad[0]
+            raise OracleMismatchError(
+                f"multiplicity marginal of 2j={two_j} copy {a} is {marg[a]}, not 1/{mult}")
+        blocks[lam] = Block(weight, np.einsum("akal->kl", gram) / weight)
     return BlockState(n=n, d=2, blocks=blocks)
 
 
@@ -198,9 +248,11 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
                          dump_state: BlockState | None = None) -> float:
     """(1/2) || rho - decode(encode(rho)) ||_1 evaluated in the full space.
 
-    The encode-decode composite is assembled from the coupled basis columns;
-    the trace norm comes from a dense Hermitian eigendecomposition.  Qubits
-    only (the qudit oracle validates weights, not channels).
+    The encode-decode composite is assembled from the coupled basis columns:
+    per spin one block B_j, the kept sum_a V_a^T rho V_a plus the tail mass
+    spread over the dump block, goes back as sum_a V_a (B_j / m_j) V_a^T.  The
+    trace norm comes from a dense Hermitian eigendecomposition.  Qubits only
+    (the qudit oracle validates weights, not channels).
     """
     _check_cap(2, n)
     kept = {lam if isinstance(lam, YoungDiagram) else YoungDiagram.from_two_j(n, lam)
@@ -210,28 +262,32 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
     if dump_state.orientation is not None:
         raise UnsupportedFeatureError("the dense oracle takes dump states in the lab frame")
     dense = dense_product_state(spectrum, n, orientation)
-    basis = schur_basis_qubits(n)
-    out = np.zeros_like(dense)
+    bases = _spin_bases(n)
+    inner: dict[int, np.ndarray] = {}
     tail = 0.0
-    for two_j, copies in sorted(basis.items(), reverse=True):
-        lam = YoungDiagram.from_two_j(n, two_j)
-        mult = len(copies)
-        if lam in kept:
-            # sum_b V_b^dag rho V_b, spread uniformly over copies a
-            inner = sum(v.conj().T @ dense @ v for v in copies)
-            for v in copies:
-                out += v @ inner @ v.conj().T / mult
+    for two_j, w in sorted(bases.items(), reverse=True):
+        dim, mult, k = w.shape
+        projected = _real_times(w.reshape(dim, -1).T, dense).reshape(mult, k, dim)  # W^T rho
+        block = np.einsum("akr,ral->kl", projected, w)  # sum_a V_a^T rho V_a
+        if YoungDiagram.from_two_j(n, two_j) in kept:
+            inner[two_j] = block
         else:
-            proj_weight = sum(np.trace(v.conj().T @ dense @ v).real for v in copies)
-            tail += proj_weight
+            tail += np.trace(block).real
     for lam, blk in dump_state.blocks.items():
         if blk.weight == 0.0:
             continue
         mat = np.diag(blk.matrix) if blk.matrix.ndim == 1 else blk.matrix
-        for v in basis[lam.two_j]:
-            out += tail * blk.weight * (v @ mat @ v.conj().T) / len(basis[lam.two_j])
-    diff = dense - out
-    eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
+        inner[lam.two_j] = inner.get(lam.two_j, 0.0) + tail * blk.weight * mat
+    out = np.zeros(dense.shape, np.result_type(dense, *inner.values()))
+    for two_j, block in inner.items():
+        w = bases[two_j]
+        dim, mult, k = w.shape
+        # Z^T = W (1_m ox B/m)^T, so that W Z = W (1_m ox B/m) W^T = sum_a V_a (B/m) V_a^T
+        spread = _real_times(w.reshape(-1, k), block.T / mult).reshape(dim, mult * k)
+        out += _real_times(w.reshape(dim, -1), spread.T)
+    np.subtract(dense, out, out=out)  # rho - decode(encode(rho)), in place
+    del dense
+    eigs = np.linalg.eigvalsh(out)
     return 0.5 * float(np.sum(np.abs(eigs)))
 
 
@@ -287,23 +343,19 @@ def symmetric_group_character(shape: tuple[int, ...], cycle_type: tuple[int, ...
     return total
 
 
+def _permuted_indices(perm: tuple[int, ...], d: int) -> np.ndarray:
+    """src with U_pi[i, src[i]] = 1: U_pi carries site k's factor to site perm[k],
+    and site 0 is the most significant digit of a basis index."""
+    n = len(perm)
+    inverse = sorted(range(n), key=perm.__getitem__)  # argsort
+    return np.arange(d ** n).reshape((d,) * n).transpose(inverse).ravel()
+
+
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     """The unitary that permutes the N tensor factors of (C^d)^{ox N}."""
-    n = len(perm)
-    dim = d ** n
+    dim = d ** len(perm)
     op = np.zeros((dim, dim))
-    for idx in range(dim):
-        digits = []
-        x = idx
-        for _ in range(n):
-            digits.append(x % d)
-            x //= d
-        digits.reverse()  # site 0 is the most significant digit
-        moved = [digits[perm.index(i)] for i in range(n)]
-        j = 0
-        for t in moved:
-            j = j * d + t
-        op[j, idx] = 1.0
+    op[np.arange(dim), _permuted_indices(perm, d)] = 1.0
     return op
 
 
@@ -311,27 +363,24 @@ def character_projection_weights(spectrum: Spectrum, n: int) -> dict[YoungDiagra
     """Block weights of a diagonal qudit state from explicit group projectors.
 
     q_lambda = Tr[rho^{ox N} P_lambda] with P_lambda the central projector
-    (m_lambda / N!) sum_pi chi_lambda(pi) U_pi.  Exponential in N; intended
-    for N <= 5.
+    (m_lambda / N!) sum_pi chi_lambda(pi) U_pi.  Tr[rho^{ox N} U_pi] is the sum
+    of the d^N entries rho^{ox N}[src[i], i] for every permutation, summed per
+    cycle type; no U_pi is built.  N! permutations, so meant for N <= 7.
     """
     d = spectrum.d
     _check_cap(d, n)
-    dense = dense_product_state(spectrum, n)
-    ops: dict[tuple[int, ...], np.ndarray] = {}
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    dim = d ** n
+    entries = dense_product_state(spectrum, n).ravel()  # real: rho is diagonal
+    cols = np.arange(dim)
+    class_traces: dict[tuple[int, ...], float] = {}
     for perm in permutations(range(n)):
-        classes.setdefault(_cycle_type(perm), []).append(perm)
+        ctype = _cycle_type(perm)
+        trace = entries[_permuted_indices(perm, d) * dim + cols].sum()
+        class_traces[ctype] = class_traces.get(ctype, 0.0) + trace
     out = {}
     for lam in enumerate_diagrams(n, d):
         shape = tuple(r for r in lam.rows if r > 0)
-        proj = np.zeros_like(dense)
-        for ctype, members in classes.items():
-            chi = symmetric_group_character(shape, ctype)
-            if chi == 0:
-                continue
-            if ctype not in ops:
-                ops[ctype] = sum(permutation_operator(p, d) for p in members)
-            proj = proj + chi * ops[ctype]
-        proj *= multiplicity_dim(lam) / math.factorial(n)
-        out[lam] = float(np.trace(proj @ dense).real)
+        total = sum(symmetric_group_character(shape, ctype) * trace
+                    for ctype, trace in class_traces.items())
+        out[lam] = float(multiplicity_dim(lam) / math.factorial(n) * total)
     return out

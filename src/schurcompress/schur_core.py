@@ -201,12 +201,16 @@ def irrep_dims(rows: np.ndarray) -> np.ndarray:
     """Dimension of the GL(d) irrep of every row of an (M, d) diagram array, as
     exact Python ints (an object array).
 
-    Weyl formula: prod_{i<j} (l_i - l_j - i + j) / prod_{k<d} k!.
+    Weyl formula: prod_{i<j} (l_i - l_j - i + j) / prod_{k<d} k!.  Rows at and
+    past L, the most nonzero rows of any diagram, are 0 in every diagram, so
+    their pairs give prod_{k<d-L} k! whatever the diagram; only pairs with
+    i < L are multiplied, over prod_{d-L<=k<d} k!.
     """
     d = rows.shape[1]
-    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # every pair i < j
+    top = int((rows > 0).sum(axis=1).max(initial=0))
+    i, j = np.nonzero(np.arange(top)[:, None] < np.arange(d))  # every pair i < j, i < L
     num = np.multiply.reduce((rows[:, i] - rows[:, j] + (j - i)).astype(object), axis=1)
-    den = math.prod(map(math.factorial, range(1, d)))
+    den = math.prod(map(math.factorial, range(d - top, d)))
     assert not (num % den).any(), "Weyl numerator must be divisible by the superfactorial"
     return num // den
 
@@ -220,19 +224,18 @@ def irrep_dim(diagram: YoungDiagram, d: int) -> int:
 def multiplicity_dim(diagram: YoungDiagram) -> int:
     """Dimension of the symmetric-group multiplicity space (exact integer).
 
-    Equals the number of standard Young tableaux of the shape:
-    N! * prod_{i<j} (l_i - l_j + j - i) / prod_i (l_i + d - i)!.
+    Equals the number of standard Young tableaux of the shape: over its ell
+    nonzero rows, N! * prod_{i<j} (l_i - l_j + j - i) / prod_i (l_i + ell - 1 - i)!.
     """
-    lam = diagram.rows
-    d = len(lam)
-    n = sum(lam)
-    num = math.factorial(n)
-    for i in range(d):
-        for j in range(i + 1, d):
+    lam = [r for r in diagram.rows if r > 0]
+    ell = len(lam)
+    num = math.factorial(sum(lam))
+    for i in range(ell):
+        for j in range(i + 1, ell):
             num *= lam[i] - lam[j] + j - i
     den = 1
-    for i in range(d):
-        den *= math.factorial(lam[i] + d - 1 - i)
+    for i in range(ell):
+        den *= math.factorial(lam[i] + ell - 1 - i)
     q, rem = divmod(num, den)
     assert rem == 0, "multiplicity formula must divide exactly"
     return q

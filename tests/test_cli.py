@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -41,6 +42,15 @@ def test_dims_json_roundtrips(capsys):
     doc = json.loads(out1)
     assert json.loads(json.dumps(doc)) == doc
     assert set(doc) == {"command", "params", "results", "version"}
+
+
+def test_dims_at_wide_d_is_fast(capsys):
+    # the Weyl and hook products run over the nonzero rows only, not all 600
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "dims", "--n", "2", "--d", "600")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "d^N = 360000  (match)" in out
 
 
 def test_dims_usage_error_exit_2(capsys):

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -16,7 +17,11 @@ from schurcompress.blocksim import (
     trace_distance,
     validate_block_state,
 )
-from schurcompress.errors import ResourceLimitError, UnsupportedFeatureError
+from schurcompress.errors import (
+    OracleMismatchError,
+    ResourceLimitError,
+    UnsupportedFeatureError,
+)
 from schurcompress.oracle import (
     block_spectrum_mismatch,
     character_projection_weights,
@@ -83,6 +88,47 @@ def test_schur_isometry_unitary():
         assert np.max(np.abs(b.T @ b - np.eye(2 ** n))) < 1e-10
 
 
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y_REAL = np.array([[0.0, -1.0], [1.0, 0.0]])  # sigma_y = i * this
+PAULI_Z = np.diag([1.0, -1.0])  # |0> is spin up
+
+
+def _spin_component(op: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """(1/2) sum_i op^(i) v: the 2x2 op on each qubit i of the columns of v."""
+    t = v.reshape((2,) * n + (-1,))
+    return sum(np.moveaxis(np.tensordot(op, t, axes=(1, i)), 0, i)
+               for i in range(n)).reshape(v.shape) / 2.0
+
+
+def test_schur_basis_columns_are_total_spin_eigenvectors():
+    # an independent route to the batched coupling: every column must be |j, m>
+    # of the total spin from Pauli sums, m ascending, and all must be orthonormal;
+    # J_y^2 = -A^2 for the real A = (1/2) sum_i (sigma_y / i)^(i)
+    for n in range(1, 10):
+        for two_j, copies in schur_basis_qubits(n).items():
+            v = np.hstack(copies)
+            j = two_j / 2
+            m = np.tile(np.arange(-two_j, two_j + 1, 2) / 2, len(copies))
+            j2v = sum(sign * _spin_component(op, _spin_component(op, v, n), n)
+                      for sign, op in ((1, PAULI_X), (-1, PAULI_Y_REAL), (1, PAULI_Z)))
+            assert np.max(np.abs(j2v - j * (j + 1) * v)) < 1e-12, (n, two_j)
+            assert np.max(np.abs(_spin_component(PAULI_Z, v, n) - v * m)) < 1e-12, (n, two_j)
+        iso = schur_isometry(n)
+        assert np.max(np.abs(iso.T @ iso - np.eye(2 ** n))) < 1e-12, n
+
+
+def test_permutation_operator_moves_site_factors():
+    # U_pi carries the factor of site k to site pi(k)
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        for n in range(1, 5):
+            sites = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            product = reduce(np.kron, sites)
+            for perm in permutations(range(n)):
+                moved = reduce(np.kron, [sites[perm.index(s)] for s in range(n)])
+                assert np.max(np.abs(permutation_operator(perm, d) @ product - moved)) < 1e-12
+
+
 def test_extract_blocks_frozen_weights():
     sp = spectrum_of(0.75, 0.25)
     w2 = dense_weights(dense_product_state(sp, 2), 2)
@@ -112,6 +158,34 @@ def test_extract_blocks_on_symmetrized_random_state():
         rho = _symmetrized_random_state(n, rng)
         state = extract_blocks(rho, n)
         validate_block_state(state)
+
+
+def _basis_state(bits: str) -> np.ndarray:
+    dense = np.zeros((2 ** len(bits), 2 ** len(bits)))
+    dense[int(bits, 2), int(bits, 2)] = 1.0
+    return dense
+
+
+@pytest.mark.parametrize("bits, message", [
+    ("100", r"cross-multiplicity block \(2j=1, 0,1\) does not vanish"),
+    ("0010", r"cross-multiplicity block \(2j=2, 0,1\) does not vanish"),
+    ("001", r"multiplicity marginal of 2j=1 copy 0 is 1\.0, not 1/2"),
+    ("0001", r"multiplicity marginal of 2j=2 copy 0 is 1\.0, not 1/3"),
+])
+def test_extract_blocks_rejects_states_that_are_not_permutation_invariant(bits, message):
+    # |100> has weight on both spin-1/2 copies, which then overlap; |001> puts
+    # all of its spin-1/2 weight on the copy coupled down from spin 1
+    with pytest.raises(OracleMismatchError, match=f"^{message}$"):
+        extract_blocks(_basis_state(bits), len(bits))
+
+
+def test_extract_blocks_names_the_first_offending_copies():
+    copies = schur_basis_qubits(4)[2]
+    psi = copies[1][:, 0] + copies[2][:, 0]
+    with pytest.raises(OracleMismatchError, match=r"^cross-multiplicity block \(2j=2, 1,2\)"):
+        extract_blocks(np.outer(psi, psi) / 2.0, 4)
+    with pytest.raises(OracleMismatchError, match=r"^multiplicity marginal of 2j=2 copy 0 is "):
+        extract_blocks(copies[1] @ copies[1].T / 3.0, 4)
 
 
 def test_block_and_dense_weights_agree():
@@ -262,6 +336,16 @@ def test_character_projection_weights_frozen():
     assert weights[YoungDiagram((3, 0, 0))] == pytest.approx(0.41, abs=1e-10)
     assert weights[YoungDiagram((2, 1, 0))] == pytest.approx(0.56, abs=1e-10)
     assert weights[YoungDiagram((1, 1, 1))] == pytest.approx(0.03, abs=1e-10)
+
+
+def test_character_projection_at_the_qudit_cap():
+    # 3^7 = 2187 <= DENSE_DIM_CAP < 3^8, and all 5040 permutations of S_7
+    sp = spectrum_of(0.5, 0.3, 0.2)
+    oracle_weights = character_projection_weights(sp, 7)
+    assert sum(oracle_weights.values()) == pytest.approx(1.0, abs=1e-10)
+    ours = block_weights(7, sp)
+    for lam, val in oracle_weights.items():
+        assert ours[lam] == pytest.approx(val, abs=1e-10), lam
 
 
 def test_character_projection_matches_schur_weights():

@@ -221,6 +221,25 @@ def test_irrep_dims_are_exact_beyond_int64():
     assert irrep_dim(YoungDiagram((250, 150, 100, 60, 30, 10)), 6) == dims[0]
 
 
+def test_dims_at_wide_d_match_the_hook_formulas():
+    # rows past the most nonzero rows of a table are 0 in every diagram; their
+    # Weyl pairs are divided out exactly, so padding to d = 600 must change nothing
+    for d in (6, 40, 300, 600):
+        for n in range(6):
+            rows = diagram_rows(n, d)
+            dims = irrep_dims(rows)
+            for row, dim in zip(rows.tolist(), dims):
+                lam = YoungDiagram(row)
+                assert type(dim) is int and dim == hook_content_dim(lam.rows, d), (d, lam)
+                assert multiplicity_dim(lam) == count_standard_tableaux(lam.rows), (d, lam)
+            assert sum(dims * np.array([multiplicity_dim(YoungDiagram(r))
+                                        for r in rows.tolist()], dtype=object)) == d ** n
+    mixed = np.zeros((3, 600), dtype=np.int64)
+    mixed[0, :1], mixed[1, :3], mixed[2, :5] = 7, (4, 2, 1), (3, 1, 1, 1, 1)
+    assert irrep_dims(mixed).tolist() == [hook_content_dim(tuple(row), 600)
+                                          for row in mixed.tolist()]
+
+
 def test_diagram_array_pads_and_rejects_extra_rows():
     lams = [YoungDiagram((3, 1)), YoungDiagram((2, 1, 1, 0))]
     assert diagram_array(lams, 3).tolist() == [[3, 1, 0], [2, 1, 1]]

@@ -6,14 +6,15 @@ by explicit projection, and the protocol error evaluated literally.  These
 paths share no code with the block-level simulator beyond the Clebsch-Gordan
 coefficients, so agreement between the two is a real cross-check.
 
-Hard size cap: d^N <= 4096.  The computation stays literal: a dense
-rho^{ox N} in the computational basis, explicit basis columns, projections by
-matrix products and the trace norm from a dense Hermitian eigendecomposition,
-with the same structure assertions whatever the input.  What is batched is the
-bookkeeping around it.  All copies of one spin are one (2^N, m, 2j+1) array,
-so a coupling step is two matrix products, a projection onto a spin is one
-Gram product V^T rho V, and the encode-decode map on a spin is one product
-back into the full space, instead of a few small products per copy.
+Hard size caps: d^N <= 4096, and N! <= 7! for the character projection.  The
+computation stays literal: a dense rho^{ox N} in the computational basis,
+explicit basis columns, projections by matrix products and the trace norm from
+a dense Hermitian eigendecomposition, with the same structure assertions
+whatever the input.  What is batched is the bookkeeping around it.  All
+copies of one spin are one (2^N, m, 2j+1) array, so a coupling step is two
+matrix products, a projection onto a spin is one Gram product V^T rho V, and
+the encode-decode map on a spin is one product back into the full space,
+instead of a few small products per copy.
 Tr[rho^{ox N} U_pi] is read as a gather of d^N entries of the dense state
 rather than through a built U_pi.  A real rho is held as a real array.
 """
@@ -37,6 +38,7 @@ from .schur_core import (
 )
 
 DENSE_DIM_CAP = 4096
+PERMUTATION_CAP = math.factorial(7)  # the most N! that DENSE_DIM_CAP admits for d >= 3
 STRUCTURE_TOL = 1e-10
 
 
@@ -365,10 +367,14 @@ def character_projection_weights(spectrum: Spectrum, n: int) -> dict[YoungDiagra
     q_lambda = Tr[rho^{ox N} P_lambda] with P_lambda the central projector
     (m_lambda / N!) sum_pi chi_lambda(pi) U_pi.  Tr[rho^{ox N} U_pi] is the sum
     of the d^N entries rho^{ox N}[src[i], i] for every permutation, summed per
-    cycle type; no U_pi is built.  N! permutations, so meant for N <= 7.
+    cycle type; no U_pi is built.  N! permutations, so raises ResourceLimitError,
+    before the first one, when N! > PERMUTATION_CAP (N > 7).
     """
     d = spectrum.d
     _check_cap(d, n)
+    if math.factorial(n) > PERMUTATION_CAP:
+        raise ResourceLimitError(
+            f"character projection capped at {PERMUTATION_CAP} permutations, N={n} needs {n}!")
     dim = d ** n
     entries = dense_product_state(spectrum, n).ravel()  # real: rho is diagonal
     cols = np.arange(dim)

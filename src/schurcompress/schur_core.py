@@ -350,21 +350,49 @@ def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.nd
     return out + np.log(-np.expm1(-(a - b + 1) * delta)) - math.log(-math.expm1(-delta))
 
 
-def _interlacing_sums(t: np.ndarray, top: int, n: int) -> np.ndarray:
-    """log sum of exp(t[mu]) over the mu interlacing lambda = (top, l_2, .., l_k), dense
-    over (l_2, .., l_k) with |lambda| <= n (-inf where no partition).  One axis at
-    a time, in one buffer: mask every mu_i above l_i, then a reverse running
-    logaddexp turns the axis of mu_i into that of l_{i+1}.  Nothing is subtracted."""
+def _weights(delta: float, gap: np.ndarray) -> np.ndarray:
+    """exp(-delta * gap) where gap >= 0, else 0: the factor (x_k / x_i)^(l_i - mu_i)
+    of the normalised branching rule, with gap = l_i - mu_i."""
+    return np.exp(-delta * gap.clip(0)) * (gap >= 0)
+
+
+def _interlacing_sums(t: np.ndarray, top: int, n: int, delta: np.ndarray,
+                      plane: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the mu interlacing lambda = (top, l_2, .., l_k), on a table
+    normalised by its dominant monomial.
+
+    t[mu] = s_mu(x_1..x_{k-1}) / prod_i x_i^mu_i, dense over every mu of at most n
+    boxes (0 where no partition), and delta[i] = log(x_{i+1} / x_k) >= 0.  The
+    branching rule divided by x^lambda reads
+    s_lambda(x_1..x_k) / x^lambda = sum over mu of prod_i exp(-delta[i] (l_i - mu_i)) t[mu].
+    One axis at a time, in one buffer: weight the axis of mu_i (0 where mu_i > l_i),
+    then a reverse running sum turns it into the axis of l_{i+1}.  Every partial
+    sum holds its anchor term mu_i = l_i, of weight 1 and value >= 1: so nothing
+    overflows (no value exceeds the irrep dimension), a term that underflows is
+    below 2^-1074 of its sum, and nothing is subtracted.
+
+    Returns the sums dense over (l_2, .., l_k) with |lambda| <= n; or, given the
+    rows (l_2, .., l_k) of a ``plane`` of lambdas, only theirs: the last axis is
+    then summed once per lambda, over mu_{k-1} in [l_k, l_{k-1}].
+    """
     # mu_{j+1} <= l_{j+1}, and l_2..l_{j+1} share at most n - top boxes
     cuts = [min(top, (n - top) // j) + 1 for j in range(1, t.ndim)]
-    s = t[(slice(top, None, -1),) + tuple(slice(0, c) for c in cuts)]
-    s = np.logaddexp.accumulate(s, axis=0)[::-1][: cuts[0]]
-    for i in range(1, s.ndim):
-        above = np.arange(s.shape[i]) > np.arange(s.shape[i - 1])[:, None]
-        np.copyto(s, -np.inf, where=above.reshape(above.shape + (1,) * (s.ndim - i - 1)))
-        flipped = np.flip(s, i)
-        np.logaddexp.accumulate(flipped, axis=i, out=flipped)
-    return s
+    s = t[(slice(0, top + 1),) + tuple(slice(0, c) for c in cuts)]
+    s = s * _weights(delta[0], np.arange(top, -1, -1)).reshape((-1,) + (1,) * (s.ndim - 1))
+    s[cuts[0] - 1] = s[cuts[0] - 1:].sum(axis=0)  # every mu_1 >= l_2 = cuts[0] - 1 at once
+    s = s[: cuts[0]]
+    summed = s.ndim if plane is None else s.ndim - 1  # a plane sums its last axis per lambda
+    for i in range(s.ndim):
+        if i:
+            gap = np.arange(s.shape[i - 1])[:, None] - np.arange(s.shape[i])
+            s *= _weights(delta[i], gap).reshape(gap.shape + (1,) * (s.ndim - i - 1))
+        if i < summed:
+            flipped = np.flip(s, i)
+            np.add.accumulate(flipped, axis=i, out=flipped)
+    if plane is None:
+        return s
+    lower = np.arange(s.shape[-1]) >= plane[:, -1:]
+    return s[tuple(plane[:, :-1].T)].sum(axis=1, where=lower)
 
 
 def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
@@ -372,12 +400,18 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
 
     Gelfand-Tsetlin branching over the positive eigenvalues x_1 >= .. >= x_r,
     s_lambda(x_1..x_k) = sum over mu interlacing lambda of
-    x_k^(|lambda| - |mu|) s_mu(x_1..x_{k-1}), adds positive terms only, so it
-    runs in log space without cancellation.  Level k - 1 is held at x / x_k,
-    which makes x_k = 1.  Two variables are a closed form: the answer for
-    r = 2, else a dense table over every mu of at most n boxes (axis i of
-    length n // (i + 1) + 1), as is each middle level; the top level is only
-    evaluated at |lambda| = n, one lambda_1 at a time.  Raises
+    x_k^(|lambda| - |mu|) s_mu(x_1..x_{k-1}), adds positive terms only.  Level k
+    is held normalised by its dominant monomial, N_k[lambda] =
+    s_lambda(x_1..x_k) / prod_i x_i^l_i, a plain float in [1, dim lambda]; its
+    branching weights (x_k / x_i)^(l_i - mu_i) are at most 1, so the sums run in
+    linear space with nothing subtracted (``_interlacing_sums``), and
+    log s_lambda = log N_r[lambda] + sum_i l_i log x_i.  Two variables are a
+    closed form, the geometric sum expm1(-(a - b + 1) delta) / expm1(-delta):
+    for r = 2 the answer (in log form), else a dense table over every mu of at
+    most n boxes (axis i of length n // (i + 1) + 1), as is each middle level.
+    The top level is only evaluated at |lambda| = n: one lambda_1 at a time, its
+    rows (l_2, .., l_{r-1}) are gathered before the last axis, which is one
+    weighted sum over mu_{r-1} in [l_r, l_{r-1}] per lambda.  Raises
     ResourceLimitError, before allocating it, when the largest dense table
     would hold more than SCHUR_TABLE_CAP floats.
     """
@@ -393,20 +427,24 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
         raise ResourceLimitError(
             f"Schur table capped at {SCHUR_TABLE_CAP} entries, N={n} at rank {r} needs {entries}")
     rows = diagram_rows(n, r)
+    delta = log_x[:, None] - log_x  # delta[i, k] = log(x_{i+1} / x_{k+1}), >= 0 for i <= k
     a, b = np.ogrid[: n + 1, : n // 2 + 1]
-    table = np.where(b <= a, _two_row_log_schur(a, np.minimum(a, b), log_x - log_x[2]), -np.inf)
+    count = (a - b + 1).clip(0)  # terms of the geometric sum, 0 where b > a
+    if delta[0, 1] == 0.0:
+        table = count * 1.0
+    else:
+        table = np.expm1(-delta[0, 1] * count) / math.expm1(-delta[0, 1])
     for k in range(3, r):
-        t, table = table, np.full([n // (i + 1) + 1 for i in range(k)], -np.inf)
+        t, table = table, np.zeros([n // (i + 1) + 1 for i in range(k)])
         for top in range(n + 1):
-            s = _interlacing_sums(t, top, n)
+            s = _interlacing_sums(t, top, n, delta[: k - 1, k - 1])
             region = tuple(slice(0, min(m, size)) for m, size in zip(s.shape, table.shape[1:]))
             table[(top,) + region] = s[region]
-        for i, m in enumerate(table.shape):  # rescale to x / x_{k+1}
-            table += ((log_x[k - 1] - log_x[k]) * np.arange(m)).reshape((m,) + (1,) * (k - 1 - i))
-    # rows come in one block per lambda_1 = n, n - 1, ..; gather (l_2, .., l_r) from each
+    # rows come in one block per lambda_1 = n, n - 1, ..; each is a plane of (l_2, .., l_r)
     blocks = np.split(rows[:, 1:], np.cumsum(np.bincount(n - rows[:, 0]))[:-1])
-    out = [_interlacing_sums(table, n - i, n)[tuple(block.T)] for i, block in enumerate(blocks)]
-    return np.concatenate(out) + n * log_x[-1]
+    out = [_interlacing_sums(table, n - i, n, delta[:-1, -1], block)
+           for i, block in enumerate(blocks)]
+    return np.log(np.concatenate(out)) + rows @ log_x
 
 
 def log_multiplicities(rows: np.ndarray) -> np.ndarray:

@@ -164,6 +164,7 @@ def test_block_weights_d3_frozen():
 @pytest.mark.parametrize("probs, n", [
     ((0.5, 0.3, 0.2), 40), ((0.5, 0.3, 0.2), 60), ((0.98, 0.01, 0.01), 40),
     ((0.6, 0.2, 0.2), 60), ((0.4, 0.3, 0.2, 0.1), 30), ((0.5, 0.3, 0.2, 0.0), 12),
+    ((0.999999998, 1e-9, 1e-9), 40), ((0.7, 0.2, 0.099999999, 1e-9), 30),
 ])
 def test_block_weights_match_exact_rationals(probs, n):
     # float Jacobi-Trudi was off by 4e-2, 2e3 and 1e36 relative on the d = 3 rows;
@@ -175,6 +176,7 @@ def test_block_weights_match_exact_rationals(probs, n):
 
 @pytest.mark.parametrize("probs, n", [
     ((0.5, 0.3, 0.2), 400), ((0.98, 0.01, 0.01), 400), ((0.4, 0.3, 0.2, 0.1), 100),
+    ((0.999999998, 1e-9, 1e-9), 200), ((0.7, 0.2, 0.099999999, 1e-9), 120),
 ])
 def test_block_weights_normalized_at_large_n(probs, n):
     weights = list(block_weights(n, Spectrum(probs)).values())

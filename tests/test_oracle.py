@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from schurcompress import blocksim
+from schurcompress import blocksim, oracle
 from schurcompress.blocksim import (
     Block,
     BlochVector,
@@ -346,6 +346,16 @@ def test_character_projection_at_the_qudit_cap():
     ours = block_weights(7, sp)
     for lam, val in oracle_weights.items():
         assert ours[lam] == pytest.approx(val, abs=1e-10), lam
+
+
+def test_character_projection_past_seven_copies_raises_before_any_permutation(monkeypatch):
+    # 2^8 fits DENSE_DIM_CAP, but 8! = 40320 gathers would run for seconds (hours at 2^12)
+    def no_permutations(_):
+        raise AssertionError("permutations enumerated past the cap")
+
+    monkeypatch.setattr(oracle, "permutations", no_permutations)
+    with pytest.raises(ResourceLimitError):
+        character_projection_weights(Spectrum((0.75, 0.25)), 8)
 
 
 def test_character_projection_matches_schur_weights():

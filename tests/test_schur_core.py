@@ -303,6 +303,14 @@ def test_schur_uniform_spectrum_gives_dimension():
                 assert val == pytest.approx(irrep_dim(lam, d), rel=1e-11)
 
 
+def test_log_schur_uniform_spectrum_gives_dimension_at_scale():
+    # every ratio x_k / x_i is exactly 1, so no branching weight decays
+    rows = diagram_rows(100, 4)
+    logs = log_schur_polynomials(100, Spectrum((0.25,) * 4))
+    expected = np.log(irrep_dims(rows).astype(float)) - 100 * math.log(4)
+    np.testing.assert_allclose(logs, expected, rtol=0, atol=1e-12)
+
+
 def test_schur_symmetric_row_geometric_sum():
     for n in (3, 8, 15):
         for p in (0.6, 0.75, 0.97):

@@ -47,15 +47,12 @@ from .planner import (
 )
 from .schur_core import (
     Spectrum,
-    WignerRotation,
     YoungDiagram,
-    clebsch_gordan,
     diagram_rows,
     enumerate_diagrams,
     irrep_dim,
     irrep_dims,
     multiplicity_dim,
-    schur_polynomial,
     wigner_d_matrix,
 )
 
@@ -73,11 +70,9 @@ __all__ = [
     "ResourceLimitError",
     "Spectrum",
     "UnsupportedFeatureError",
-    "WignerRotation",
     "YoungDiagram",
     "block_weights",
     "circuit_resource_estimate",
-    "clebsch_gordan",
     "decode",
     "diagram_rows",
     "encode",
@@ -94,7 +89,6 @@ __all__ = [
     "qubit_error_upper_bound",
     "qubit_weight",
     "qudit_approx_plan",
-    "schur_polynomial",
     "spectrum_estimate",
     "trace_distance",
     "truncation_lower_bound",

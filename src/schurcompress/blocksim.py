@@ -43,7 +43,6 @@ from .errors import (
 from .schur_core import (
     Spectrum,
     YoungDiagram,
-    WignerRotation,
     _gt_level,
     diagram_array,
     diagram_rows,
@@ -101,14 +100,6 @@ class BlockState:
     def weight(self, diagram: YoungDiagram) -> float:
         blk = self.blocks.get(diagram)
         return blk.weight if blk is not None else 0.0
-
-    def weights(self) -> dict[YoungDiagram, float]:
-        return {lam: blk.weight for lam, blk in self.blocks.items()}
-
-    def weights_summary(self) -> list[dict]:
-        """JSON-friendly listing of (diagram, weight), heaviest first."""
-        items = sorted(self.blocks.items(), key=lambda kv: (-kv[1].weight, kv[0]))
-        return [{"diagram": list(lam.rows), "weight": blk.weight} for lam, blk in items]
 
 
 def validate_block_state(state: BlockState, tol: float = WEIGHT_SUM_TOL) -> None:
@@ -256,7 +247,7 @@ def _rotation(frame: BlochVector | None, dim: int) -> np.ndarray:
     into the given one (the identity for the lab frame)."""
     if frame is None:
         return np.eye(dim)
-    return wigner_d_matrix(WignerRotation(frame.phi, frame.theta, 0.0, dim - 1))
+    return wigner_d_matrix(dim - 1, frame.phi, frame.theta)
 
 
 def _rotated(mat: np.ndarray, source: BlochVector | None,

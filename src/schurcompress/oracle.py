@@ -1,22 +1,24 @@
 """Dense reference implementations for small copy counts.
 
 Everything here works in the full d^N-dimensional space: Kronecker powers,
-a Schur basis built by sequential angular-momentum coupling, block extraction
-by explicit projection, and the protocol error evaluated literally.  These
-paths share no code with the block-level simulator beyond the Clebsch-Gordan
-coefficients, so agreement between the two is a real cross-check.
+a Schur basis built by sequential angular-momentum coupling (with this
+module's own SU(2) Clebsch-Gordan coefficients), block extraction by explicit
+projection, and the protocol error evaluated literally.  These paths share no
+code with the block-level simulator beyond the data types, the diagram list
+(``enumerate_diagrams``), ``uniform_dump`` and ``multiplicity_dim``, so
+agreement between the two is a real cross-check.
 
-Hard size caps: d^N <= 4096, and N! <= 7! for the character projection.  The
-computation stays literal: a dense rho^{ox N} in the computational basis,
-explicit basis columns, projections by matrix products and the trace norm from
-a dense Hermitian eigendecomposition, with the same structure assertions
-whatever the input.  What is batched is the bookkeeping around it.  All
-copies of one spin are one (2^N, m, 2j+1) array, so a coupling step is two
-matrix products, a projection onto a spin is one Gram product V^T rho V, and
-the encode-decode map on a spin is one product back into the full space,
-instead of a few small products per copy.
-Tr[rho^{ox N} U_pi] is read as a gather of d^N entries of the dense state
-rather than through a built U_pi.  A real rho is held as a real array.
+Every entry point takes N >= 1 copies.  Hard size caps: d^N <= 4096, and
+N! <= 7! for the character projection.  The computation stays literal: a
+dense rho^{ox N} in the computational basis, explicit basis columns,
+projections by matrix products and the trace norm from a dense Hermitian
+eigendecomposition, with the same structure assertions whatever the input.
+What is batched is the bookkeeping around it.  All copies of one spin are one
+(2^N, m, 2j+1) array, so a coupling step is two matrix products, a projection
+onto a spin is one Gram product V^T rho V, and the encode-decode map on a spin
+is one product back into the full space, instead of a few small products per
+copy.  Tr[rho^{ox N} U_pi] is read as a gather of d^N entries of the dense
+state rather than through a built U_pi.  A real rho is held as a real array.
 """
 
 from __future__ import annotations
@@ -27,12 +29,16 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import OracleMismatchError, ResourceLimitError, UnsupportedFeatureError
+from .errors import (
+    OracleMismatchError,
+    ParameterError,
+    ResourceLimitError,
+    UnsupportedFeatureError,
+)
 from .blocksim import Block, BlockState, BlochVector, uniform_dump
 from .schur_core import (
     Spectrum,
     YoungDiagram,
-    clebsch_gordan,
     enumerate_diagrams,
     multiplicity_dim,
 )
@@ -43,6 +49,8 @@ STRUCTURE_TOL = 1e-10
 
 
 def _check_cap(d: int, n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"need at least one copy, got N={n}")
     if d ** n > DENSE_DIM_CAP:
         raise ResourceLimitError(f"dense path capped at dim {DENSE_DIM_CAP}, got {d}^{n}")
 
@@ -78,6 +86,80 @@ def dense_product_state(spectrum: Spectrum, n: int,
     for _ in range(n - 1):
         full = np.kron(full, rho)
     return full
+
+
+# ---------------------------------------------------------------------------
+# SU(2) Clebsch-Gordan coefficients (doubled-integer quantum numbers)
+# ---------------------------------------------------------------------------
+
+def _check_momentum(two_j: int, two_m: int, name: str) -> None:
+    if two_j < 0:
+        raise ParameterError(f"{name}: negative 2j={two_j}")
+    if abs(two_m) > two_j or (two_j - two_m) % 2:
+        raise ParameterError(f"{name}: invalid 2m={two_m} for 2j={two_j}")
+
+
+def _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt):
+    """Triangle checks plus the summation range of the Racah single-sum form."""
+    if (two_j1 + two_j2 + two_jt) % 2:
+        raise ParameterError("couplings 2j1+2j2+2J must be even")
+    if two_jt < abs(two_j1 - two_j2) or two_jt > two_j1 + two_j2:
+        raise ParameterError(f"triangle violated: 2j1={two_j1}, 2j2={two_j2}, 2J={two_jt}")
+    a = (two_j1 + two_j2 - two_jt) // 2
+    k_lo = max(0, (two_j2 - two_jt - two_m1) // 2, (two_j1 - two_jt + two_m2) // 2)
+    k_hi = min(a, (two_j1 - two_m1) // 2, (two_j2 + two_m2) // 2)
+    return a, k_lo, k_hi
+
+
+def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
+                   two_jt: int, two_mt: int) -> float:
+    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
+
+    Racah's single-sum factorial formula, evaluated in log space with sign
+    tracking; stable through 2j ~ 60.  Returns 0 when M != m1 + m2.
+    """
+    _check_momentum(two_j1, two_m1, "j1")
+    _check_momentum(two_j2, two_m2, "j2")
+    _check_momentum(two_jt, two_mt, "J")
+    if two_mt != two_m1 + two_m2:
+        return 0.0
+    a, k_lo, k_hi = _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt)
+    if k_lo > k_hi:
+        return 0.0
+
+    def lf(two_x: int) -> float:
+        return _log_factorial(two_x // 2)
+
+    log_pref = (
+        math.log(two_jt + 1)
+        + lf(two_j1 + two_j2 - two_jt) + lf(two_j1 - two_j2 + two_jt)
+        + lf(-two_j1 + two_j2 + two_jt) - lf(two_j1 + two_j2 + two_jt + 2)
+        + lf(two_j1 + two_m1) + lf(two_j1 - two_m1)
+        + lf(two_j2 + two_m2) + lf(two_j2 - two_m2)
+        + lf(two_jt + two_mt) + lf(two_jt - two_mt)
+    )
+    logs = []
+    for k in range(k_lo, k_hi + 1):
+        log_den = (
+            _log_factorial(k) + _log_factorial(a - k)
+            + _log_factorial((two_j1 - two_m1) // 2 - k)
+            + _log_factorial((two_j2 + two_m2) // 2 - k)
+            + _log_factorial((two_jt - two_j2 + two_m1) // 2 + k)
+            + _log_factorial((two_jt - two_j1 - two_m2) // 2 + k)
+        )
+        logs.append((k, -log_den))
+    peak = max(v for _, v in logs)
+    acc = 0.0
+    for k, v in logs:
+        acc += (-1.0) ** k * math.exp(v - peak)
+    if acc == 0.0:
+        return 0.0
+    return math.copysign(math.exp(0.5 * log_pref + peak + math.log(abs(acc))), acc)
+
+
+@lru_cache(maxsize=None)
+def _log_factorial(n: int) -> float:
+    return math.log(math.factorial(n)) if n > 1 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +437,7 @@ def _permuted_indices(perm: tuple[int, ...], d: int) -> np.ndarray:
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     """The unitary that permutes the N tensor factors of (C^d)^{ox N}."""
+    _check_cap(d, len(perm))
     dim = d ** len(perm)
     op = np.zeros((dim, dim))
     op[np.arange(dim), _permuted_indices(perm, d)] = 1.0

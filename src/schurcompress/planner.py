@@ -53,10 +53,6 @@ class CompressionPlan:
     hybrid_bits: int
     bound_qubits: float | None
 
-    def keep_two_j(self) -> list[int]:
-        """Spin labels of the kept blocks (two-row diagrams only)."""
-        return sorted(lam.two_j for lam in self.keep)
-
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -131,8 +127,9 @@ def qubit_approx_plan(n: int, p: float, epsilon: float,
             f"strip construction needs p > 1/2 (got p={p}); at p = 1/2 the ensemble is trivial")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+    log_two_over_eps = math.log(2.0) - math.log(epsilon)  # 2 / eps is inf for eps < 2 / DBL_MAX
     if half_width is None:
-        half_width = math.floor(math.sqrt(n * math.log(2.0 / epsilon)))
+        half_width = math.floor(math.sqrt(n * log_two_over_eps))
     parity = n % 2
     two_j0 = (2.0 * p - 1.0) * (n + 1)
     two_jc = parity + 2 * math.floor((two_j0 - parity) / 2.0)
@@ -141,7 +138,7 @@ def qubit_approx_plan(n: int, p: float, epsilon: float,
     hi = min(n, two_jc + 2 * half_width)
     keep = [YoungDiagram.from_two_j(n, two_j) for two_j in range(lo, hi + 1, 2)]
     bound = (1.5 * math.log2(n)
-             + math.log2(4.0 * (2.0 * p - 1.0) * math.sqrt(math.log(2.0 / epsilon)))
+             + math.log2(4.0 * (2.0 * p - 1.0) * math.sqrt(log_two_over_eps))
              + 1.0)
     return _finish_plan(n, 2, (p, 1.0 - p), epsilon, keep, bound)
 
@@ -155,24 +152,19 @@ def total_variation_radius(n: int, d: int, epsilon: float) -> float:
         raise ParameterError(f"need N >= 1, got {n}")
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError(f"need 0 < epsilon <= 1, got {epsilon}")
-    return math.sqrt((d * (d + 1) / 2.0 * math.log(n + 1) + math.log(1.0 / epsilon))
+    return math.sqrt((d * (d + 1) / 2.0 * math.log(n + 1) - math.log(epsilon))
                      / (2.0 * n))
 
 
 def _row_distances(rows: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    """``row_fraction_distance`` of every row of an (M, d) diagram array, summed
-    one column at a time so that each value is the one-diagram value exactly."""
+    """Total-variation distance between the normalized rows and the spectrum, for
+    every row of an (M, d) diagram array.  Summed one column at a time, so a row
+    gets the same value in any array."""
     n = rows.sum(axis=1)
     total = np.zeros(len(rows))
     for column, p in zip(rows.T, spectrum.probs):
         total += np.abs(column / n - p)
     return 0.5 * total
-
-
-def row_fraction_distance(lam: YoungDiagram, spectrum: Spectrum) -> float:
-    """Total-variation distance between the normalized rows and the spectrum."""
-    rows = np.array([lam.padded(spectrum.d).rows], dtype=np.int64)
-    return float(_row_distances(rows, spectrum)[0])
 
 
 def qudit_approx_plan(n: int, spectrum: Spectrum, epsilon: float) -> CompressionPlan:
@@ -193,7 +185,7 @@ def qudit_approx_plan(n: int, spectrum: Spectrum, epsilon: float) -> Compression
     keep = [YoungDiagram(row) for row in rows[_row_distances(rows, spectrum) <= x_eps].tolist()]
     if not keep:
         raise ParameterError("total-variation ball contains no diagram; N too small for this spectrum")
-    log_factor = 4.0 * d * (d + 1) * math.log(n + 1) + 8.0 * math.log(1.0 / epsilon)
+    log_factor = 4.0 * d * (d + 1) * math.log(n + 1) - 8.0 * math.log(epsilon)
     bound = ((2 * d * r - r * r - 1 - m) / 2.0 * math.log2(n + d - 1)
              + (r - 1) / 2.0 * math.log2(log_factor))
     return _finish_plan(n, d, spectrum, epsilon, keep, bound)

@@ -2,23 +2,20 @@
 
 Everything in here is a pure function of its arguments: Young diagrams,
 irrep and multiplicity dimensions (exact big integers; logs via lgamma), tableau
-contents and log Schur polynomials (Gelfand-Tsetlin branching), SU(2)
-Clebsch-Gordan coefficients and Wigner rotation matrices.  Half-integer
-angular momenta are passed around as doubled integers (2j, 2m) so they stay
-exact and hashable.
+contents and log Schur polynomials (Gelfand-Tsetlin branching) and Wigner
+rotation matrices.  Half-integer angular momenta are passed around as doubled
+integers (2j, 2m) so they stay exact and hashable.
 
 Whole families of diagrams travel as one (M, d) integer array of rows
 (``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
-array, and their one-diagram forms are views of them.
+array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -241,50 +238,9 @@ def multiplicity_dim(diagram: YoungDiagram) -> int:
     return q
 
 
-def qubit_multiplicity(n: int, two_j: int) -> int:
-    """m_j for two-row diagrams: C(N, (N-2j)/2) - C(N, (N-2j)/2 - 1)."""
-    k = (n - two_j) // 2
-    low = math.comb(n, k - 1) if k >= 1 else 0
-    return math.comb(n, k) - low
-
-
 # ---------------------------------------------------------------------------
-# Semistandard tableaux and Schur polynomials
+# Gelfand-Tsetlin branching: tableau contents and Schur polynomials
 # ---------------------------------------------------------------------------
-
-def semistandard_tableaux(diagram: YoungDiagram, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield all semistandard fillings with entries 1..d, in a fixed order.
-
-    Rows weakly increase, columns strictly increase.  The order is
-    lexicographic in the row-reading word; no other code relies on it.  This
-    walk is the test reference for ``gelfand_tsetlin_contents``, which block
-    construction uses instead.
-    """
-    lam = [r for r in diagram.rows if r > 0]
-    if not lam:
-        yield ()
-        return
-    if len(lam) > d:
-        return
-    rows: list[list[int]] = [[0] * r for r in lam]
-
-    def fill(i: int, j: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == len(lam):
-            yield tuple(tuple(row) for row in rows)
-            return
-        ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, d + 1):
-            rows[i][j] = v
-            yield from fill(ni, nj)
-        rows[i][j] = 0
-
-    yield from fill(0, 0)
-
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every integer lo[i]..hi[i] for every i, as (index i, value), grouped by i."""
@@ -314,30 +270,6 @@ def _gt_level(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sub, sub_owner = _gt_level(mu)
     owner = owner[sub_owner]
     return np.column_stack([sub, shapes.sum(axis=1)[owner] - sub.sum(axis=1)]), owner
-
-
-def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:
-    """Content vectors of all semistandard tableaux of the shape, entries 1..d.
-
-    Returns an integer array of shape (irrep_dim(diagram, d), d) whose row t
-    counts the entries 1..d of tableau t.  Tableaux come in Gelfand-Tsetlin
-    order, the canonical basis order of diagonal blocks: sorted by the shape
-    of their entries <= d - 1, then of their entries <= d - 2, and so on down
-    to <= 1, each shape compared lexicographically.  For two rows (a, b) the
-    contents are (c, a + b - c) for c = b..a, which is ascending m for spins.
-    """
-    rows = diagram.padded(d).rows
-    contents, _ = _gt_level(np.array([rows], dtype=np.int64))
-    return contents
-
-
-def tableau_content(tableau: Sequence[Sequence[int]], d: int) -> tuple[int, ...]:
-    """Count of each entry 1..d in the tableau."""
-    counts = [0] * d
-    for row in tableau:
-        for v in row:
-            counts[v - 1] += 1
-    return tuple(counts)
 
 
 def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.ndarray:
@@ -470,167 +402,9 @@ def log_multiplicities(rows: np.ndarray) -> np.ndarray:
     return (log_factorial[n] - factorials) + pairs
 
 
-def log_multiplicity(diagram: YoungDiagram) -> float:
-    """log multiplicity_dim from lgamma: ``log_multiplicities`` of one row."""
-    return float(log_multiplicities(diagram_array([diagram], len(diagram.rows)))[0])
-
-
-def schur_polynomial(diagram: YoungDiagram, spectrum: Spectrum) -> float:
-    """s_lambda evaluated at the spectrum: exp of ``log_schur_polynomials``, which
-    evaluates every diagram of the same size.  0 beyond the spectrum rank."""
-    n, d, r = diagram.boxes, spectrum.d, spectrum.rank
-    if diagram.num_rows > r:
-        return 0.0
-    target = diagram_array([diagram], d)[:, :r]
-    position = np.flatnonzero((diagram_rows(n, r) == target).all(axis=1))[0]
-    return math.exp(log_schur_polynomials(n, spectrum)[position])
-
-
-def schur_polynomial_brute(diagram: YoungDiagram, spectrum: Spectrum) -> float:
-    """Independent evaluation: sum the content monomial over all SSYT.
-
-    Exponential in the diagram size; meant as a test oracle, kept in the
-    package so the tableau order and the polynomial can be audited together.
-    """
-    d = spectrum.d
-    total = 0.0
-    for tab in semistandard_tableaux(diagram, d):
-        term = 1.0
-        for v, count in enumerate(tableau_content(tab, d)):
-            term *= spectrum.probs[v] ** count
-        total += term
-    return total
-
-
-# ---------------------------------------------------------------------------
-# SU(2) Clebsch-Gordan coefficients (doubled-integer quantum numbers)
-# ---------------------------------------------------------------------------
-
-def _check_momentum(two_j: int, two_m: int, name: str) -> None:
-    if two_j < 0:
-        raise ParameterError(f"{name}: negative 2j={two_j}")
-    if abs(two_m) > two_j or (two_j - two_m) % 2:
-        raise ParameterError(f"{name}: invalid 2m={two_m} for 2j={two_j}")
-
-
-def _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt):
-    """Triangle checks plus the summation range of the Racah single-sum form."""
-    if (two_j1 + two_j2 + two_jt) % 2:
-        raise ParameterError("couplings 2j1+2j2+2J must be even")
-    if two_jt < abs(two_j1 - two_j2) or two_jt > two_j1 + two_j2:
-        raise ParameterError(f"triangle violated: 2j1={two_j1}, 2j2={two_j2}, 2J={two_jt}")
-    a = (two_j1 + two_j2 - two_jt) // 2
-    k_lo = max(0, (two_j2 - two_jt - two_m1) // 2, (two_j1 - two_jt + two_m2) // 2)
-    k_hi = min(a, (two_j1 - two_m1) // 2, (two_j2 + two_m2) // 2)
-    return a, k_lo, k_hi
-
-
-def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
-                   two_jt: int, two_mt: int) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
-
-    Racah's single-sum factorial formula, evaluated in log space with sign
-    tracking; stable through 2j ~ 60.  Returns 0 when M != m1 + m2.
-    """
-    _check_momentum(two_j1, two_m1, "j1")
-    _check_momentum(two_j2, two_m2, "j2")
-    _check_momentum(two_jt, two_mt, "J")
-    if two_mt != two_m1 + two_m2:
-        return 0.0
-    a, k_lo, k_hi = _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt)
-    if k_lo > k_hi:
-        return 0.0
-
-    def lf(two_x: int) -> float:
-        return _log_factorial(two_x // 2)
-
-    log_pref = (
-        math.log(two_jt + 1)
-        + lf(two_j1 + two_j2 - two_jt) + lf(two_j1 - two_j2 + two_jt)
-        + lf(-two_j1 + two_j2 + two_jt) - lf(two_j1 + two_j2 + two_jt + 2)
-        + lf(two_j1 + two_m1) + lf(two_j1 - two_m1)
-        + lf(two_j2 + two_m2) + lf(two_j2 - two_m2)
-        + lf(two_jt + two_mt) + lf(two_jt - two_mt)
-    )
-    logs = []
-    for k in range(k_lo, k_hi + 1):
-        log_den = (
-            _log_factorial(k) + _log_factorial(a - k)
-            + _log_factorial((two_j1 - two_m1) // 2 - k)
-            + _log_factorial((two_j2 + two_m2) // 2 - k)
-            + _log_factorial((two_jt - two_j2 + two_m1) // 2 + k)
-            + _log_factorial((two_jt - two_j1 - two_m2) // 2 + k)
-        )
-        logs.append((k, -log_den))
-    peak = max(v for _, v in logs)
-    acc = 0.0
-    for k, v in logs:
-        acc += (-1.0) ** k * math.exp(v - peak)
-    if acc == 0.0:
-        return 0.0
-    return math.copysign(math.exp(0.5 * log_pref + peak + math.log(abs(acc))), acc)
-
-
-def clebsch_gordan_signed_square(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
-                                 two_jt: int, two_mt: int) -> Fraction:
-    """sign(CG) * CG^2 as an exact rational: the test oracle for the float path."""
-    _check_momentum(two_j1, two_m1, "j1")
-    _check_momentum(two_j2, two_m2, "j2")
-    _check_momentum(two_jt, two_mt, "J")
-    if two_mt != two_m1 + two_m2:
-        return Fraction(0)
-    a, k_lo, k_hi = _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt)
-    if k_lo > k_hi:
-        return Fraction(0)
-
-    def f(two_x: int) -> int:
-        return math.factorial(two_x // 2)
-
-    pref = Fraction(
-        (two_jt + 1)
-        * f(two_j1 + two_j2 - two_jt) * f(two_j1 - two_j2 + two_jt)
-        * f(-two_j1 + two_j2 + two_jt)
-        * f(two_j1 + two_m1) * f(two_j1 - two_m1)
-        * f(two_j2 + two_m2) * f(two_j2 - two_m2)
-        * f(two_jt + two_mt) * f(two_jt - two_mt),
-        f(two_j1 + two_j2 + two_jt + 2),
-    )
-    acc = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        den = (
-            math.factorial(k) * math.factorial(a - k)
-            * math.factorial((two_j1 - two_m1) // 2 - k)
-            * math.factorial((two_j2 + two_m2) // 2 - k)
-            * math.factorial((two_jt - two_j2 + two_m1) // 2 + k)
-            * math.factorial((two_jt - two_j1 - two_m2) // 2 + k)
-        )
-        acc += Fraction((-1) ** k, den)
-    square = pref * acc * acc
-    return square if acc >= 0 else -square
-
-
-@lru_cache(maxsize=None)
-def _log_factorial(n: int) -> float:
-    return math.log(math.factorial(n)) if n > 1 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Wigner rotation matrices
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WignerRotation:
-    """Euler angles (z-y-z) plus the doubled spin of the target irrep."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    two_j: int
-
-    def __post_init__(self):
-        if self.two_j < 0:
-            raise ParameterError(f"negative 2j={self.two_j}")
-
 
 def wigner_small_d(two_j: int, beta: float) -> np.ndarray:
     """The real rotation-about-y matrix d^j(beta) = exp(-i beta J_y), ascending m.
@@ -648,14 +422,13 @@ def wigner_small_d(two_j: int, beta: float) -> np.ndarray:
     return ((vecs * np.exp(-1j * beta * ms)) @ vecs.conj().T).real
 
 
-def wigner_d_matrix(rotation: WignerRotation) -> np.ndarray:
-    """Full (2j+1)-dimensional unitary D(alpha, beta, gamma), ascending m.
-
-    D = exp(-i alpha Jz) d(beta) exp(-i gamma Jz).
-    """
-    two_j = rotation.two_j
-    small = wigner_small_d(two_j, rotation.beta)
+def wigner_d_matrix(two_j: int, alpha: float, beta: float, gamma: float = 0.0) -> np.ndarray:
+    """Full (2j+1)-dimensional unitary D(alpha, beta, gamma) for the Euler angles
+    (z-y-z), ascending m: D = exp(-i alpha Jz) d(beta) exp(-i gamma Jz)."""
+    if two_j < 0:
+        raise ParameterError(f"negative 2j={two_j}")
+    small = wigner_small_d(two_j, beta)
     ms = np.arange(-two_j, two_j + 1, 2) / 2.0
-    left = np.exp(-1j * rotation.alpha * ms)
-    right = np.exp(-1j * rotation.gamma * ms)
+    left = np.exp(-1j * alpha * ms)
+    right = np.exp(-1j * gamma * ms)
     return left[:, None] * small * right[None, :]

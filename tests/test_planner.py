@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -25,7 +26,7 @@ from schurcompress.planner import (
     qubit_approx_plan,
     qubit_error_upper_bound,
     qudit_approx_plan,
-    row_fraction_distance,
+    _row_distances,
     simulate_mixed_prep,
     spectrum_estimate,
     spectrum_tail_mass,
@@ -36,6 +37,7 @@ from schurcompress.planner import (
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
+    diagram_array,
     diagram_rows,
     enumerate_diagrams,
     irrep_dim,
@@ -58,6 +60,11 @@ def reference_greedy(n, spectrum, budgets):
                 used += dims[lam]
         out.append(keep or [items[0][0]])
     return out
+
+
+def row_distance(lam, spectrum):
+    """``_row_distances`` of one diagram."""
+    return float(_row_distances(diagram_array([lam], spectrum.d), spectrum)[0])
 
 
 def random_probs(rng, d):
@@ -132,7 +139,7 @@ def test_qubit_approx_plan_headline():
 def test_qubit_approx_plan_wide_tolerance_strip():
     # eps -> 1 shrinks the half-width to floor(sqrt(N ln 2)) = 8
     plan = qubit_approx_plan(100, 0.9, 1.0 - 1e-12)
-    labels = plan.keep_two_j()
+    labels = sorted(lam.two_j for lam in plan.keep)
     assert len(labels) == 17
     assert labels[0] // 2 == 32 and labels[-1] // 2 == 48
 
@@ -212,8 +219,8 @@ def test_qudit_plan_keeps_ball_center():
     sp = spectrum_of(0.5, 0.3, 0.2)
     plan = qudit_approx_plan(10, sp, 1.0)
     assert plan.keep
-    best = min(row_fraction_distance(lam, sp) for lam in enumerate_diagrams(10, 3))
-    assert any(row_fraction_distance(lam, sp) == best for lam in plan.keep)
+    best = min(row_distance(lam, sp) for lam in enumerate_diagrams(10, 3))
+    assert any(row_distance(lam, sp) == best for lam in plan.keep)
 
 
 def test_qudit_plan_keep_set_is_ball():
@@ -223,7 +230,7 @@ def test_qudit_plan_keep_set_is_ball():
     x = total_variation_radius(n, 3, eps)
     kept = set(plan.keep)
     for lam in enumerate_diagrams(n, 3, sp.rank):
-        assert (row_fraction_distance(lam, sp) <= x) == (lam in kept)
+        assert (row_distance(lam, sp) <= x) == (lam in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +250,26 @@ def test_error_threshold_copies():
         n0 = error_threshold_copies(p, eps)
         assert qubit_error_upper_bound(n0, p, eps) < eps
         assert qubit_error_upper_bound(n0 - 1, p, eps) >= eps
+
+
+def test_the_smallest_epsilon_gives_finite_plans_and_bounds():
+    # 2 / eps and 1 / eps overflow to inf below 2 / DBL_MAX; their logs do not
+    def no_constants(name):
+        raise AssertionError(f"non-finite {name} in the plan")
+
+    tiny, small = 5e-324, 1e-300
+    qutrit = spectrum_of(0.5, 0.3, 0.2)
+    for make in (lambda eps: qubit_approx_plan(5, 0.75, eps),
+                 lambda eps: qudit_approx_plan(5, qutrit, eps)):
+        plan = make(tiny)
+        assert math.isfinite(plan.bound_qubits)
+        assert plan.bound_qubits > make(small).bound_qubits
+        json.loads(json.dumps(plan.as_dict()), parse_constant=no_constants)
+    radius = total_variation_radius(5, 3, tiny)
+    assert math.isfinite(radius) and radius > total_variation_radius(5, 3, small)
+    n0 = error_threshold_copies(0.75, tiny)
+    assert qubit_error_upper_bound(n0, 0.75, tiny) < tiny
+    assert qubit_error_upper_bound(n0 - 1, 0.75, tiny) >= tiny
 
 
 def test_exact_error_below_closed_form_bound():
@@ -330,7 +357,7 @@ def test_spectrum_tail_mass_matches_the_per_diagram_sum():
         n = int(rng.integers(1, 30))
         x = float(rng.uniform(0.0, 0.5))
         want = math.fsum(w for lam, w in block_weights(n, sp).items()
-                         if row_fraction_distance(lam, sp) > x)
+                         if row_distance(lam, sp) > x)
         assert spectrum_tail_mass(n, sp, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 

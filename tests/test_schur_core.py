@@ -9,30 +9,31 @@ from hypothesis import given, settings, strategies as st
 
 from schurcompress import schur_core
 from schurcompress.errors import ParameterError, ResourceLimitError
+from schurcompress.oracle import clebsch_gordan
 from schurcompress.schur_core import (
     Spectrum,
-    WignerRotation,
     YoungDiagram,
-    clebsch_gordan,
-    clebsch_gordan_signed_square,
     diagram_array,
     diagram_rows,
     enumerate_diagrams,
-    gelfand_tsetlin_contents,
     irrep_dim,
     irrep_dims,
     log_multiplicities,
-    log_multiplicity,
     log_schur_polynomials,
     multiplicity_dim,
-    qubit_multiplicity,
-    schur_polynomial,
-    schur_polynomial_brute,
-    semistandard_tableaux,
     spectrum_of,
-    tableau_content,
     wigner_d_matrix,
     wigner_small_d,
+)
+
+from reference import (
+    clebsch_gordan_signed_square,
+    gelfand_tsetlin_contents,
+    qubit_multiplicity,
+    schur_polynomial_brute,
+    schur_polynomials,
+    semistandard_tableaux,
+    tableau_content,
 )
 
 
@@ -290,7 +291,7 @@ def test_schur_polynomial_frozen_value():
     lam = YoungDiagram((2, 1, 0))
     sp = spectrum_of(0.5, 0.3, 0.2)
     assert schur_polynomial_brute(lam, sp) == pytest.approx(0.28, abs=1e-15)
-    assert schur_polynomial(lam, sp) == pytest.approx(0.28, abs=1e-12)
+    assert schur_polynomials(3, sp)[lam] == pytest.approx(0.28, abs=1e-12)
 
 
 def test_schur_uniform_spectrum_gives_dimension():
@@ -298,8 +299,8 @@ def test_schur_uniform_spectrum_gives_dimension():
     for d in (2, 3, 4):
         uniform = Spectrum((1.0 / d,) * d)
         for n in range(1, 7):
-            for lam in enumerate_diagrams(n, d):
-                val = schur_polynomial(lam, uniform) * d ** n
+            for lam, s_val in schur_polynomials(n, uniform).items():
+                val = s_val * d ** n
                 assert val == pytest.approx(irrep_dim(lam, d), rel=1e-11)
 
 
@@ -316,7 +317,8 @@ def test_schur_symmetric_row_geometric_sum():
         for p in (0.6, 0.75, 0.97):
             lam = YoungDiagram((n, 0))
             expected = (p ** (n + 1) - (1 - p) ** (n + 1)) / (2 * p - 1)
-            assert schur_polynomial(lam, spectrum_of(p, 1 - p)) == pytest.approx(expected, rel=1e-12)
+            assert schur_polynomials(n, spectrum_of(p, 1 - p))[lam] == pytest.approx(
+                expected, rel=1e-12)
 
 
 def test_schur_polynomial_matches_tableau_sum():
@@ -324,14 +326,13 @@ def test_schur_polynomial_matches_tableau_sum():
     for d in (2, 3, 4):
         for n in range(1, 9):
             sp = random_spectrum(rng, d)
-            for lam in enumerate_diagrams(n, d):
-                assert schur_polynomial(lam, sp) == pytest.approx(
-                    schur_polynomial_brute(lam, sp), abs=1e-12)
+            for lam, s_val in schur_polynomials(n, sp).items():
+                assert s_val == pytest.approx(schur_polynomial_brute(lam, sp), abs=1e-12)
 
 
 def test_schur_zero_beyond_rank():
     sp = Spectrum((0.7, 0.3, 0.0))
-    assert schur_polynomial(YoungDiagram((1, 1, 1)), sp) == 0.0
+    assert schur_polynomials(3, sp)[YoungDiagram((1, 1, 1))] == 0.0
 
 
 def test_schur_normalization_random_spectra():
@@ -339,8 +340,8 @@ def test_schur_normalization_random_spectra():
     for d in (2, 3, 4):
         for n in (5, 10, 17):
             sp = random_spectrum(rng, d)
-            total = sum(schur_polynomial(lam, sp) * multiplicity_dim(lam)
-                        for lam in enumerate_diagrams(n, d))
+            total = sum(s_val * multiplicity_dim(lam)
+                        for lam, s_val in schur_polynomials(n, sp).items())
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -374,9 +375,9 @@ def test_log_multiplicity_matches_exact_count():
     for d in (2, 3, 4):
         for n in range(13):
             for lam in enumerate_diagrams(n, d):
-                assert log_multiplicity(lam) == pytest.approx(
+                assert log_multiplicities(diagram_array([lam], d))[0] == pytest.approx(
                     math.log(multiplicity_dim(lam)), abs=1e-12)
-    assert log_multiplicity(YoungDiagram((40, 0, 0))) == 0.0
+    assert log_multiplicities(np.array([[40, 0, 0]]))[0] == 0.0
 
 
 def test_log_multiplicities_match_exact_counts():
@@ -387,7 +388,7 @@ def test_log_multiplicities_match_exact_counts():
             lam = YoungDiagram(row)
             want = math.log(multiplicity_dim(lam))
             assert value == pytest.approx(want, rel=1e-12, abs=1e-14), (n, row)
-            assert value == log_multiplicity(lam)  # the scalar is a view of the array form
+            assert value == log_multiplicities(np.array([row]))[0]  # one row alone: the same value
     single = np.array([[40, 0, 0], [7, 0, 0], [0, 0, 0]])
     assert log_multiplicities(single).tolist() == [0.0, 0.0, 0.0]
     assert log_multiplicities(np.array([[12]])).tolist() == [0.0]
@@ -428,7 +429,7 @@ def test_tableau_order_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan
+# Clebsch-Gordan (the oracle's own, for its coupled basis)
 # ---------------------------------------------------------------------------
 
 def test_cg_frozen_values():
@@ -498,16 +499,21 @@ def test_cg_larger_momenta_stay_normalized():
 # ---------------------------------------------------------------------------
 
 def test_wigner_identity_rotation():
-    mat = wigner_d_matrix(WignerRotation(0.0, 0.0, 0.0, 1))
+    mat = wigner_d_matrix(1, 0.0, 0.0, 0.0)
     assert np.allclose(mat, np.eye(2))
-    mat5 = wigner_d_matrix(WignerRotation(0.0, 0.0, 0.0, 5))
+    mat5 = wigner_d_matrix(5, 0.0, 0.0, 0.0)
     assert np.allclose(mat5, np.eye(6))
+
+
+def test_wigner_d_matrix_rejects_a_negative_spin():
+    with pytest.raises(ParameterError):
+        wigner_d_matrix(-1, 0.0, 0.0)
 
 
 def test_wigner_highest_weight_overlap():
     for two_j in (1, 4, 9, 16):
         for beta in (0.3, 1.1, 2.7):
-            mat = wigner_d_matrix(WignerRotation(0.4, beta, 1.3, two_j))
+            mat = wigner_d_matrix(two_j, 0.4, beta, 1.3)
             overlap = abs(mat[-1, -1]) ** 2
             assert overlap == pytest.approx(math.cos(beta / 2) ** (2 * two_j), abs=1e-12)
 
@@ -516,7 +522,7 @@ def test_wigner_unitarity_random_angles():
     rng = np.random.default_rng(3)
     for two_j in (1, 2, 7, 20, 33, 40):
         angles = rng.uniform(0, 2 * math.pi, size=3)
-        mat = wigner_d_matrix(WignerRotation(angles[0], angles[1], angles[2], two_j))
+        mat = wigner_d_matrix(two_j, angles[0], angles[1], angles[2])
         err = np.max(np.abs(mat @ mat.conj().T - np.eye(two_j + 1)))
         assert err < 1e-10
 

@@ -53,6 +53,7 @@ from .schur_core import (
     irrep_dim,
     irrep_dims,
     multiplicity_dim,
+    multiplicity_dims,
     wigner_d_matrix,
 )
 
@@ -83,6 +84,7 @@ __all__ = [
     "keyl_werner_tail_bound",
     "mixed_prep_cost",
     "multiplicity_dim",
+    "multiplicity_dims",
     "product_state",
     "pure_state_lower_bound",
     "qubit_approx_plan",

@@ -29,6 +29,7 @@ from .blocksim import (
     block_weights,
     exact_protocol_error,
     product_state,
+    weight_table,
 )
 from .errors import (
     NotApplicableError,
@@ -56,11 +57,10 @@ from .planner import (
 )
 from .schur_core import (
     Spectrum,
-    YoungDiagram,
     diagram_array,
-    enumerate_diagrams,
+    diagram_rows,
     irrep_dims,
-    multiplicity_dim,
+    multiplicity_dims,
 )
 
 ORACLE_TOL = 1e-8
@@ -155,11 +155,12 @@ def tabulate(headers: list[str], rows: list[list[str]], out_format: str,
     return table + [rule, *footer] if footer else table
 
 
-def diagram_label(lam: YoungDiagram, d: int) -> str:
+def diagram_label(row: list[int], d: int) -> str:
+    """The spin j of a two-row diagram row, else the row as (l_1,..,l_d)."""
     if d == 2:
-        two_j = lam.two_j
+        two_j = row[0] - row[1]
         return str(two_j // 2) if two_j % 2 == 0 else f"{two_j}/2"
-    return "(" + ",".join(str(r) for r in lam.rows) + ")"
+    return "(" + ",".join(map(str, row)) + ")"
 
 
 def orientation(args, spectrum: Spectrum) -> BlochVector | None:
@@ -179,15 +180,12 @@ def cmd_dims(args):
     if args.n is None or args.d is None:
         raise ParameterError("dims requires --n and --d")
     n, d, r = args.n, args.d, args.r
-    diagrams = enumerate_diagrams(n, d, r)
-    dims = irrep_dims(diagram_array(diagrams, d)).tolist()
-    mults = [multiplicity_dim(lam) for lam in diagrams]
-    rows = []
-    total = 0
-    for lam, dim, mult in zip(diagrams, dims, mults):
-        total += dim * mult
-        rows.append([diagram_label(lam, d) if d == 2 else str(list(lam.rows)),
-                     str(dim), str(mult), str(dim * mult)])
+    diagrams = diagram_rows(n, d, r)
+    dims, mults = irrep_dims(diagrams).tolist(), multiplicity_dims(diagrams).tolist()
+    diagrams = diagrams.tolist()
+    total = sum(dim * mult for dim, mult in zip(dims, mults))
+    rows = [[diagram_label(row, d) if d == 2 else str(row), str(dim), str(mult), str(dim * mult)]
+            for row, dim, mult in zip(diagrams, dims, mults)]
     full = d ** n if (r is None or r == d) else None
     headers = ["j" if d == 2 else "diagram", "irrep_dim", "mult_dim", "product"]
     footer = [f"sum of irrep_dim*mult_dim = {total}"]
@@ -195,8 +193,8 @@ def cmd_dims(args):
         footer.append(f"d^N = {full}" + ("  (match)" if full == total else "  (MISMATCH)"))
     if args.format == "csv":
         rows.append(["TOTAL", "", "", str(total)])
-    results = {"rows": [{"diagram": list(lam.rows), "irrep_dim": dim, "mult_dim": mult}
-                        for lam, dim, mult in zip(diagrams, dims, mults)],
+    results = {"rows": [{"diagram": row, "irrep_dim": dim, "mult_dim": mult}
+                        for row, dim, mult in zip(diagrams, dims, mults)],
                "total": total, "full_space": full}
     return 0, {"n": n, "d": d, "r": r}, results, tabulate(headers, rows, args.format, footer)
 
@@ -205,16 +203,16 @@ def cmd_qdist(args):
     if args.n is None or args.spectrum is None:
         raise ParameterError("qdist requires --n and --spectrum")
     spectrum = parse_spectrum(args.spectrum)
-    weights = block_weights(args.n, spectrum)
-    ordered = sorted(weights.items(), key=lambda kv: kv[0], reverse=True)
+    table = weight_table(args.n, spectrum)
+    diagrams, weights = table.rows.tolist(), table.weights.tolist()
     rows = []
     cum = 0.0
-    for lam, w in ordered:
+    for row, w in zip(diagrams, weights):
         cum += w
-        rows.append([diagram_label(lam, spectrum.d), fmt(w), fmt(cum)])
+        rows.append([diagram_label(row, spectrum.d), fmt(w), fmt(cum)])
     headers = ["j" if spectrum.d == 2 else "diagram", "weight", "cumulative"]
-    total = sum(weights.values())
-    results = {"rows": [{"diagram": list(lam.rows), "weight": w} for lam, w in ordered],
+    total = sum(weights)
+    results = {"rows": [{"diagram": row, "weight": w} for row, w in zip(diagrams, weights)],
                "total": total}
     lines = tabulate(headers, rows, args.format, [f"total = {fmt(total)}"])
     return 0, {"n": args.n, "spectrum": list(spectrum.probs)}, results, lines
@@ -253,14 +251,14 @@ def cmd_plan(args):
     params = {"n": n, "spectrum": list(spectrum.probs), "epsilon": epsilon,
               "zero_error": zero_error}
 
-    keep = plan.keep
+    largest, smallest = plan.rows[[0, -1]].tolist()
     lines = [f"plan: N={plan.n} d={plan.d} "
              + ("zero-error" if plan.epsilon is None else f"epsilon={fmt(plan.epsilon)}")]
     if plan.d == 2:
-        labels = [diagram_label(lam, 2) for lam in sorted(keep)]
-        lines.append(f"keep {len(keep)} blocks: j = {labels[0]} .. {labels[-1]}")
+        lines.append(f"keep {len(plan.rows)} blocks: "
+                     f"j = {diagram_label(smallest, 2)} .. {diagram_label(largest, 2)}")
     else:
-        lines.append(f"keep {len(keep)} blocks (largest {list(keep[0].rows)})")
+        lines.append(f"keep {len(plan.rows)} blocks (largest {largest})")
     lines += [f"d_enc = {plan.d_enc}",
               f"qubits = {plan.qubit_count}",
               f"hybrid = ({plan.hybrid_qubits} qubits, {plan.hybrid_bits} bits)"]
@@ -364,24 +362,18 @@ def cmd_sweep(args):
         for eps in epsilons:
             if budget_exponent is not None:
                 keep = greedy_budget_keep(n, spectrum, _dimension_budget(n, budget_exponent))
-                d_enc = int(irrep_dims(diagram_array(keep, spectrum.d)).sum())
-                qubits = ceil_log2(d_enc)
-                bound = None
+                kept, bound = diagram_array(keep, spectrum.d), None
+                d_enc = int(irrep_dims(kept).sum())
             else:
                 plan = _build_plan(n, spectrum, eps, zero_error)
-                keep = plan.keep
-                d_enc = plan.d_enc
-                qubits = plan.qubit_count
-                bound = plan.bound_qubits
-            lower = truncation_lower_bound(n, spectrum, keep)
-            tail = 2.0 * lower
-            exact = (fmt(exact_protocol_error(n, spectrum, keep).exact_error)
-                     if n <= args.exact_cap else "")
-            rows.append([str(n),
-                         "" if eps is None else fmt(eps),
-                         str(d_enc), str(qubits),
-                         "" if bound is None else fmt(bound),
-                         exact, fmt(tail), fmt(lower)])
+                kept, d_enc, bound = plan.rows, plan.d_enc, plan.bound_qubits
+            lower = truncation_lower_bound(n, spectrum, kept)
+            exact = ""
+            if n <= args.exact_cap:  # the simulator keys its blocks by YoungDiagram
+                keep = keep if budget_exponent is not None else plan.keep
+                exact = fmt(exact_protocol_error(n, spectrum, keep).exact_error)
+            rows.append([str(n), "" if eps is None else fmt(eps), str(d_enc), str(ceil_log2(d_enc)),
+                         "" if bound is None else fmt(bound), exact, fmt(2.0 * lower), fmt(lower)])
     params = {"spectrum": list(spectrum.probs), "n_values": n_values,
               "epsilons": [e for e in epsilons if e is not None],
               "zero_error": zero_error, "budget_exponent": budget_exponent}

@@ -1,8 +1,11 @@
 """Truncation-set selection, qubit counts, and every closed-form bound.
 
-Plans pick which Schur-Weyl blocks to keep and turn the kept dimension into
-qubit counts.  Dimensions are exact big integers throughout; qubit counts are
-integer ceilings obtained by bit-length comparison, never floating logs.
+Plans pick which Schur-Weyl blocks to keep, as one read-only (K, d) int64
+array of diagram rows in ``diagram_rows`` order, and turn the kept dimension
+into qubit counts; the YoungDiagrams of ``CompressionPlan.keep``, which the
+block simulator takes, are built on first use.  Dimensions are exact big
+integers throughout; qubit counts are integer ceilings obtained by bit-length
+comparison, never floating logs.
 Log convention: qubit counts and bound formulas use log base 2; the single
 entropy-style term eta(x) = -x ln x is natural log, as is conventional.
 """
@@ -10,9 +13,9 @@ entropy-style term eta(x) = -x ln x is natural log, as is conventional.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -21,9 +24,7 @@ from .errors import NotApplicableError, ParameterError
 from .schur_core import (
     Spectrum,
     YoungDiagram,
-    diagram_array,
     diagram_rows,
-    enumerate_diagrams,
     irrep_dims,
     log_multiplicities,
 )
@@ -40,18 +41,24 @@ def ceil_log2(x: int) -> int:
 # Plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressionPlan:
+    """Kept diagram ``rows`` (compared by identity: an array field), d_enc and qubit counts."""
+
     n: int
     d: int
     spectrum: tuple[float, ...] | None
     epsilon: float | None
-    keep: tuple[YoungDiagram, ...]
+    rows: np.ndarray
     d_enc: int
     qubit_count: int
     hybrid_qubits: int
     hybrid_bits: int
     bound_qubits: float | None
+
+    @cached_property
+    def keep(self) -> tuple[YoungDiagram, ...]:
+        return tuple(YoungDiagram(row) for row in self.rows.tolist())
 
     def as_dict(self) -> dict:
         return {
@@ -59,7 +66,7 @@ class CompressionPlan:
             "d": self.d,
             "spectrum": list(self.spectrum) if self.spectrum is not None else None,
             "epsilon": self.epsilon,
-            "keep": [list(lam.rows) for lam in self.keep],
+            "keep": self.rows.tolist(),
             "d_enc": self.d_enc,
             "qubit_count": self.qubit_count,
             "hybrid_qubits": self.hybrid_qubits,
@@ -68,22 +75,23 @@ class CompressionPlan:
         }
 
 
-def _finish_plan(n: int, d: int, spectrum, epsilon, keep: Sequence[YoungDiagram],
+def _finish_plan(n: int, d: int, spectrum, epsilon, rows: np.ndarray,
                  bound_qubits: float | None) -> CompressionPlan:
-    keep = tuple(sorted(set(keep), key=operator.attrgetter("rows"), reverse=True))
-    if not keep:
+    """The plan keeping ``rows``, distinct (K, d) diagram rows in ``diagram_rows`` order."""
+    if not len(rows):
         raise ParameterError("plan would keep no blocks")
-    dims = irrep_dims(diagram_array(keep, d))
+    rows.flags.writeable = False
+    dims = irrep_dims(rows)
     d_enc = int(dims.sum())
     return CompressionPlan(
         n=n, d=d,
         spectrum=tuple(spectrum.probs) if isinstance(spectrum, Spectrum) else spectrum,
         epsilon=epsilon,
-        keep=keep,
+        rows=rows,
         d_enc=d_enc,
         qubit_count=ceil_log2(d_enc),
-        hybrid_qubits=ceil_log2(max(dims)),
-        hybrid_bits=ceil_log2(len(keep)),
+        hybrid_qubits=ceil_log2(int(dims.max())),
+        hybrid_bits=ceil_log2(len(rows)),
         bound_qubits=bound_qubits,
     )
 
@@ -98,7 +106,7 @@ def zero_error_plan(n: int, d: int, r: int | None = None) -> CompressionPlan:
     """
     if n < 1:
         raise ParameterError(f"need N >= 1, got {n}")
-    plan = _finish_plan(n, d, None, None, enumerate_diagrams(n, d, r), None)
+    plan = _finish_plan(n, d, None, None, diagram_rows(n, d, r), None)
     if d == 2 and n % 2 == 0:
         assert plan.d_enc == (n // 2 + 1) ** 2
     return plan
@@ -136,11 +144,12 @@ def qubit_approx_plan(n: int, p: float, epsilon: float,
     two_jc = min(max(two_jc, parity), n)
     lo = max(parity, two_jc - 2 * half_width)
     hi = min(n, two_jc + 2 * half_width)
-    keep = [YoungDiagram.from_two_j(n, two_j) for two_j in range(lo, hi + 1, 2)]
+    two_j = np.arange(hi, lo - 1, -2)  # descending, as diagram_rows
     bound = (1.5 * math.log2(n)
              + math.log2(4.0 * (2.0 * p - 1.0) * math.sqrt(log_two_over_eps))
              + 1.0)
-    return _finish_plan(n, 2, (p, 1.0 - p), epsilon, keep, bound)
+    return _finish_plan(n, 2, (p, 1.0 - p), epsilon,
+                        np.column_stack([(n + two_j) // 2, (n - two_j) // 2]), bound)
 
 
 def total_variation_radius(n: int, d: int, epsilon: float) -> float:
@@ -182,13 +191,11 @@ def qudit_approx_plan(n: int, spectrum: Spectrum, epsilon: float) -> Compression
     m = spectrum.degeneracy_m
     x_eps = total_variation_radius(n, d, epsilon)
     rows = diagram_rows(n, d, r)
-    keep = [YoungDiagram(row) for row in rows[_row_distances(rows, spectrum) <= x_eps].tolist()]
-    if not keep:
-        raise ParameterError("total-variation ball contains no diagram; N too small for this spectrum")
     log_factor = 4.0 * d * (d + 1) * math.log(n + 1) - 8.0 * math.log(epsilon)
     bound = ((2 * d * r - r * r - 1 - m) / 2.0 * math.log2(n + d - 1)
              + (r - 1) / 2.0 * math.log2(log_factor))
-    return _finish_plan(n, d, spectrum, epsilon, keep, bound)
+    return _finish_plan(n, d, spectrum, epsilon, rows[_row_distances(rows, spectrum) <= x_eps],
+                        bound)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +212,19 @@ def qubit_error_upper_bound(n: int, p: float, epsilon: float) -> float:
     return main + hoeffding
 
 
-def error_threshold_copies(p: float, epsilon: float, cap: int = 1 << 30) -> int:
+def error_threshold_copies(p: float, epsilon: float) -> int:
     """Smallest N with qubit_error_upper_bound(N, p, eps) < eps.
 
-    The bound is strictly decreasing in N, so a doubling search followed by
-    bisection is exact.
+    The bound is strictly decreasing in N and falls below any 0 < eps < 1, so
+    a doubling search followed by bisection is exact; it takes about 110
+    doublings at the p and eps closest to 1/2 and 0.
     """
-    if qubit_error_upper_bound(1, p, epsilon) < epsilon:
-        return 1
-    hi = 2
+    if not 0.0 < epsilon < 1.0:
+        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+    hi = 1
     while qubit_error_upper_bound(hi, p, epsilon) >= epsilon:
         hi *= 2
-        if hi > cap:
-            raise ParameterError("no threshold below the search cap")
-    lo = hi // 2  # bound(lo) >= eps, bound(hi) < eps
+    lo = hi // 2  # bound(lo) >= eps (bound(0) > 1), bound(hi) < eps
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if qubit_error_upper_bound(mid, p, epsilon) < epsilon:
@@ -229,19 +235,23 @@ def error_threshold_copies(p: float, epsilon: float, cap: int = 1 << 30) -> int:
 
 
 def truncation_lower_bound(n: int, spectrum: Spectrum,
-                           keep: Iterable[YoungDiagram]) -> float:
+                           keep: Iterable[YoungDiagram] | np.ndarray) -> float:
     """Half the discarded weight: the error floor for any protocol that is
-    covariant and preserves the block label.
+    covariant and preserves the block label.  ``keep`` holds diagrams (those
+    without d rows keep nothing) or is a (K, d) row array such as a plan's ``rows``.
 
     The discarded weights are summed directly; 1 - (kept mass) would turn the
     roundoff of the kept weights into a spurious floor when little is dropped.
     """
     table = weight_table(n, spectrum)
     m, d = table.rows.shape
-    kept = np.array([lam.rows for lam in set(keep) if len(lam.rows) == d], dtype=np.int64)
+    if not isinstance(keep, np.ndarray):
+        keep = np.array([lam.rows for lam in keep if len(lam.rows) == d], dtype=np.int64)
+        keep = keep.reshape(-1, d)
+    if keep.ndim != 2 or keep.shape[1] != d:
+        raise ParameterError(f"keep rows need {d} columns, got an array of shape {keep.shape}")
     # a table row is kept when np.unique gives it the id of a kept row
-    _, ids = np.unique(np.concatenate([table.rows, kept.reshape(-1, d)]), axis=0,
-                       return_inverse=True)
+    _, ids = np.unique(np.concatenate([table.rows, keep]), axis=0, return_inverse=True)
     dropped = ~np.isin(ids.ravel()[:m], ids.ravel()[m:])
     return 0.5 * float(table.weights[dropped].sum())
 
@@ -369,15 +379,7 @@ class ResourceEstimate:
     decoding_ops_order: str
 
     def as_dict(self) -> dict:
-        return {
-            "index_register_qubits": self.index_register_qubits,
-            "representation_register_qubits": self.representation_register_qubits,
-            "multiplicity_register_qubits": self.multiplicity_register_qubits,
-            "ancilla_qubits": self.ancilla_qubits,
-            "coherent_qubits": self.coherent_qubits,
-            "encoding_ops_order": self.encoding_ops_order,
-            "decoding_ops_order": self.decoding_ops_order,
-        }
+        return asdict(self)
 
 
 def _max_qubit_multiplicity(n: int) -> int:

@@ -178,12 +178,7 @@ def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
 
 
 def enumerate_diagrams(n: int, d: int, r: int | None = None) -> list[YoungDiagram]:
-    """All partitions of n into at most r parts, padded to d rows: the rows of
-    ``diagram_rows`` as YoungDiagrams.
-
-    Output is in lexicographically decreasing order; the count equals the
-    number of partitions of n into at most r parts.
-    """
+    """The rows of ``diagram_rows(n, d, r)`` as YoungDiagrams, in its order."""
     return [YoungDiagram(row) for row in diagram_rows(n, d, r).tolist()]
 
 
@@ -218,24 +213,31 @@ def irrep_dim(diagram: YoungDiagram, d: int) -> int:
     return irrep_dims(diagram_array([diagram], d))[0]
 
 
-def multiplicity_dim(diagram: YoungDiagram) -> int:
-    """Dimension of the symmetric-group multiplicity space (exact integer).
+def multiplicity_dims(rows: np.ndarray) -> np.ndarray:
+    """Dimension of the symmetric-group multiplicity space of every row of an
+    (M, d) diagram array, as exact Python ints (an object array).
 
-    Equals the number of standard Young tableaux of the shape: over its ell
-    nonzero rows, N! * prod_{i<j} (l_i - l_j + j - i) / prod_i (l_i + ell - 1 - i)!.
+    The number of standard Young tableaux of the shape, over any L >= its
+    nonzero rows: N! * prod_{i<j<L} (l_i - l_j + j - i) / prod_{i<L} (l_i + L - 1 - i)!.
+    L is the most nonzero rows of any diagram, as in ``irrep_dims``.
     """
-    lam = [r for r in diagram.rows if r > 0]
-    ell = len(lam)
-    num = math.factorial(sum(lam))
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            num *= lam[i] - lam[j] + j - i
-    den = 1
-    for i in range(ell):
-        den *= math.factorial(lam[i] + ell - 1 - i)
-    q, rem = divmod(num, den)
-    assert rem == 0, "multiplicity formula must divide exactly"
-    return q
+    top = int((rows > 0).sum(axis=1).max(initial=0))
+    lam = rows[:, :top]
+    i, j = np.nonzero(np.arange(top)[:, None] < np.arange(top))  # every pair i < j < L
+    n = rows.sum(axis=1)
+    size = int(n.max(initial=0)) + top + 1  # above N and every hook l_i + L - 1 - i
+    factorial = np.multiply.accumulate(np.arange(size, dtype=object).clip(1))  # k! at k
+    pairs = (lam[:, i] - lam[:, j] + (j - i)).astype(object)
+    num = factorial[n] * np.multiply.reduce(pairs, axis=1)
+    den = np.multiply.reduce(factorial[lam + np.arange(top - 1, -1, -1)], axis=1)
+    assert not (num % den).any(), "multiplicity formula must divide exactly"
+    return num // den
+
+
+def multiplicity_dim(diagram: YoungDiagram) -> int:
+    """Dimension of the symmetric-group multiplicity space (exact integer):
+    ``multiplicity_dims`` of one row."""
+    return multiplicity_dims(np.array([diagram.rows], dtype=np.int64))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from schurcompress import blocksim, cli, schur_core
+from schurcompress import blocksim, cli, planner, schur_core
 from schurcompress.cli import main
 
 
@@ -210,6 +210,38 @@ def test_plan_not_applicable_exit_3(capsys):
                            "--epsilon", "0.01")
     assert code == 3
     assert "not applicable" in err
+
+
+def test_plan_just_above_half_reports_its_threshold(capsys):
+    # the threshold search used to give up past 2^30 copies and exit 2 on this valid plan
+    argv = ["plan", "--n", "10", "--spectrum", "0.50001,0.49999", "--epsilon", "0.01"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert "threshold_copies = " in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    n0 = doc["results"]["extras"]["threshold_copies"]
+    assert n0 == planner.error_threshold_copies(doc["params"]["spectrum"][0], 0.01)
+    assert n0 > 2 ** 30
+
+
+def test_plan_dims_and_qdist_build_no_young_diagram(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the command built a YoungDiagram")
+
+    monkeypatch.setattr(schur_core.YoungDiagram, "__post_init__", refuse)
+    plans = [["--n", "60", "--spectrum", "0.4,0.3,0.2,0.1", "--epsilon", "0.01"],
+             ["--n", "60", "--spectrum", "0.5,0.3,0.2,0", "--zero-error"],
+             ["--n", "64", "--spectrum", "0.75,0.25", "--epsilon", "0.01"],
+             ["--n", "21", "--spectrum", "0.75,0.25", "--zero-error"]]
+    runs = [["plan", *argv, "--format", form] for argv in plans for form in ("table", "json")]
+    for form in ("table", "csv", "json"):
+        runs += [["dims", "--n", "12", "--d", d, "--format", form] for d in ("2", "4")]
+        runs += [["qdist", "--n", "13", "--spectrum", spectrum, "--format", form]
+                 for spectrum in ("0.75,0.25", "0.5,0.3,0.2,0")]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out, (argv, err)
 
 
 def test_simulate_headline_passes(capsys):

@@ -172,6 +172,8 @@ def test_qubit_approx_plan_half_width_override():
     assert len(narrow.keep) == 5
     assert len(wide.keep) == 21
     assert narrow.d_enc < wide.d_enc
+    with pytest.raises(ParameterError, match="no blocks"):
+        qubit_approx_plan(10, 0.75, 0.1, half_width=-1)  # an empty strip
 
 
 def test_qubit_approx_plan_odd_n():
@@ -223,14 +225,41 @@ def test_qudit_plan_keeps_ball_center():
     assert any(row_distance(lam, sp) == best for lam in plan.keep)
 
 
+def assert_plan_rows(plan):
+    """The plan's rows are read-only int64 (K, d), strictly lexicographically
+    decreasing, and ``keep`` holds their YoungDiagrams in that order."""
+    rows = plan.rows
+    assert not rows.flags.writeable and rows.dtype == np.int64
+    assert rows.ndim == 2 and rows.shape[1] == plan.d and len(rows) >= 1
+    step = rows[:-1] - rows[1:]  # its first nonzero entry is positive
+    assert (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
+    assert [lam.rows for lam in plan.keep] == list(map(tuple, rows.tolist()))
+    assert all(type(lam) is YoungDiagram for lam in plan.keep)
+    assert plan.as_dict()["keep"] == rows.tolist()
+
+
 def test_qudit_plan_keep_set_is_ball():
-    sp = spectrum_of(0.6, 0.3, 0.1)
-    n, eps = 12, 0.2
-    plan = qudit_approx_plan(n, sp, eps)
-    x = total_variation_radius(n, 3, eps)
-    kept = set(plan.keep)
-    for lam in enumerate_diagrams(n, 3, sp.rank):
-        assert (row_distance(lam, sp) <= x) == (lam in kept)
+    # a diagram is kept exactly when its rows over N lie within x_eps of the
+    # spectrum in total variation, summed here row by row in plain Python
+    rng = np.random.default_rng(5)
+    spectra = [(0.6, 0.3, 0.1), (0.5, 0.5, 0.0), (0.4, 0.4, 0.2), (1.0, 0.0, 0.0)]
+    spectra += [random_probs(rng, int(rng.integers(2, 6))) for _ in range(6)]
+    for probs in spectra:
+        sp = Spectrum(probs)
+        for n in (1, 7, 20, 40):
+            diagrams = enumerate_diagrams(n, sp.d, sp.rank)
+            distances = [0.5 * sum(abs(r / n - p) for r, p in zip(lam.rows, probs))
+                         for lam in diagrams]
+            for eps in (1.0, 0.2, 0.01):
+                x = total_variation_radius(n, sp.d, eps)
+                want = [lam for lam, dist in zip(diagrams, distances) if dist <= x]
+                if not want:
+                    with pytest.raises(ParameterError):
+                        qudit_approx_plan(n, sp, eps)
+                    continue
+                plan = qudit_approx_plan(n, sp, eps)
+                assert_plan_rows(plan)
+                assert plan.keep == tuple(want), (probs, n, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +275,17 @@ def test_qubit_error_upper_bound_value():
 
 
 def test_error_threshold_copies():
-    for p, eps in [(0.6, 0.01), (0.75, 0.1), (0.9, 0.01)]:
+    near_half = 0.5 + 2.0 ** -52
+    for p, eps in [(0.6, 0.01), (0.75, 0.1), (0.9, 0.01), (0.50001, 0.01), (1.0, 0.5),
+                   (near_half, 5e-324), (near_half, 0.5), (near_half, 1.0 - 2.0 ** -53)]:
+        start = time.perf_counter()
         n0 = error_threshold_copies(p, eps)
+        assert time.perf_counter() - start < 0.1, (p, eps)  # about 110 doublings at most
         assert qubit_error_upper_bound(n0, p, eps) < eps
         assert qubit_error_upper_bound(n0 - 1, p, eps) >= eps
+    for eps in (0.0, 1.0, math.nan):
+        with pytest.raises(ParameterError):
+            error_threshold_copies(0.75, eps)
 
 
 def test_the_smallest_epsilon_gives_finite_plans_and_bounds():
@@ -293,6 +329,40 @@ def test_truncation_lower_bound_is_zero_when_every_block_is_kept():
     keep = qubit_approx_plan(40, 0.75, 0.01).keep
     assert len(keep) == len(enumerate_diagrams(40, 2))
     assert truncation_lower_bound(40, sp, keep) == 0.0
+
+
+def test_truncation_lower_bound_takes_rows_or_diagrams():
+    for n, sp, rows in [(200, spectrum_of(0.75, 0.25), qubit_approx_plan(200, 0.75, 0.1).rows),
+                        (20, spectrum_of(0.5, 0.3, 0.2), diagram_rows(20, 3)[::3])]:
+        keep = [YoungDiagram(row) for row in rows.tolist()]
+        by_rows = truncation_lower_bound(n, sp, rows)
+        assert by_rows > 0.0
+        assert by_rows == truncation_lower_bound(n, sp, keep)
+        assert by_rows == truncation_lower_bound(n, sp, keep[::-1] * 2)
+    # a diagram with other than d rows keeps nothing, as does an empty row array
+    sp = spectrum_of(0.5, 0.3, 0.2)
+    nothing = truncation_lower_bound(4, sp, [])
+    assert nothing == pytest.approx(0.5, abs=1e-12)
+    assert truncation_lower_bound(4, sp, [YoungDiagram((4,)), YoungDiagram((4, 0))]) == nothing
+    assert truncation_lower_bound(4, sp, np.zeros((0, 3), dtype=np.int64)) == nothing
+    with pytest.raises(ParameterError):
+        truncation_lower_bound(4, sp, np.array([[4, 0], [3, 1], [2, 2]]))  # qubit rows
+
+
+def test_plans_build_no_young_diagram(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a plan built a YoungDiagram")
+
+    monkeypatch.setattr(YoungDiagram, "__post_init__", refuse)
+    plans = [qudit_approx_plan(100, Spectrum((0.4, 0.3, 0.2, 0.1)), 0.01),
+             qudit_approx_plan(30, spectrum_of(0.5, 0.5, 0.0), 0.1), zero_error_plan(60, 4),
+             zero_error_plan(21, 3, 2), zero_error_plan(64, 2), qubit_approx_plan(4096, 0.75, 0.01),
+             qubit_approx_plan(21, 0.8, 0.05)]
+    for plan in plans:
+        plan.as_dict()
+    monkeypatch.undo()
+    for plan in plans:
+        assert_plan_rows(plan)
 
 
 @pytest.mark.parametrize("n", [50, 60])

@@ -21,6 +21,7 @@ from schurcompress.schur_core import (
     log_multiplicities,
     log_schur_polynomials,
     multiplicity_dim,
+    multiplicity_dims,
     spectrum_of,
     wigner_d_matrix,
     wigner_small_d,
@@ -233,8 +234,7 @@ def test_dims_at_wide_d_match_the_hook_formulas():
                 lam = YoungDiagram(row)
                 assert type(dim) is int and dim == hook_content_dim(lam.rows, d), (d, lam)
                 assert multiplicity_dim(lam) == count_standard_tableaux(lam.rows), (d, lam)
-            assert sum(dims * np.array([multiplicity_dim(YoungDiagram(r))
-                                        for r in rows.tolist()], dtype=object)) == d ** n
+            assert sum(dims * multiplicity_dims(rows)) == d ** n
     mixed = np.zeros((3, 600), dtype=np.int64)
     mixed[0, :1], mixed[1, :3], mixed[2, :5] = 7, (4, 2, 1), (3, 1, 1, 1, 1)
     assert irrep_dims(mixed).tolist() == [hook_content_dim(tuple(row), 600)
@@ -258,10 +258,19 @@ def test_multiplicity_examples():
 
 
 def test_multiplicity_counts_standard_tableaux():
-    for d in (2, 3, 4):
-        for n in range(1, 9):
-            for lam in enumerate_diagrams(n, d):
-                assert multiplicity_dim(lam) == count_standard_tableaux(lam.rows)
+    for d in (2, 3, 4, 6):
+        for n in range(0, 9):
+            rows = diagram_rows(n, d)
+            want = [count_standard_tableaux(tuple(row)) for row in rows.tolist()]
+            mults = multiplicity_dims(rows)
+            assert mults.tolist() == want, (d, n)
+            assert all(type(m) is int for m in mults)
+            assert [multiplicity_dim(YoungDiagram(row)) for row in rows.tolist()] == want
+    # rows of different sizes in one array, and an empty one
+    mixed = np.array([[5, 2, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0], [7, 0, 0, 0], [3, 3, 0, 0]])
+    assert multiplicity_dims(mixed).tolist() == [count_standard_tableaux(tuple(row))
+                                                 for row in mixed.tolist()]
+    assert multiplicity_dims(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 def test_qubit_multiplicity_binomial_difference():
@@ -359,6 +368,57 @@ def test_log_schur_polynomials_follow_enumerate_diagrams_within_the_rank():
             for lam, value in zip(diagrams, logs):
                 assert math.exp(value) == pytest.approx(
                     schur_polynomial_brute(lam, sp), rel=1e-13), (probs, lam)
+
+
+# Two closed forms that need no partitions or branching check the engine at the
+# frontier sizes, each to LOG_IDENTITY_TOL in log (measured residuals: below 1e-13).
+LOG_IDENTITY_TOL = 1e-12
+
+
+def _log_sum_exp(logs: np.ndarray) -> float:
+    top = logs.max()
+    return float(top + math.log(np.exp(logs - top).sum()))
+
+
+@pytest.mark.parametrize("probs, n", [
+    ((0.5, 0.3, 0.2), 400),
+    ((0.4, 0.3, 0.2, 0.1), 100),
+    ((0.5, 0.3, 0.2 - 1e-9, 1e-9), 100),
+])
+def test_log_schur_polynomials_satisfy_the_cauchy_identity(probs, n):
+    # sum over lambda of dim(lambda) s_lambda(p) = [t^N] prod_i (1 - p_i t)^(-d)
+    # (Macdonald I (4.3)); dim(lambda), not m_lambda, weights the blocks, so the
+    # multiplicities take no part.  The right side is a convolution of positive
+    # terms: (1 - x t)^(-d) = sum_k C(k + d - 1, d - 1) x^k t^k, with x = p_i / p_1.
+    sp = Spectrum(probs)
+    d = sp.d
+    rows = diagram_rows(n, d)
+    lhs = _log_sum_exp(np.log(irrep_dims(rows).astype(float)) + log_schur_polynomials(n, sp))
+    k = np.arange(n + 1)
+    binomials = np.array([float(math.comb(j + d - 1, d - 1)) for j in range(n + 1)])
+    series = np.ones(1)
+    for p in probs:
+        series = np.convolve(series, binomials * (p / probs[0]) ** k)[: n + 1]
+    rhs = n * math.log(probs[0]) + math.log(series[n])
+    assert abs(lhs - rhs) <= LOG_IDENTITY_TOL, (probs, n, lhs - rhs)
+
+
+@pytest.mark.parametrize("d, n, q", [(3, 100, 0.5), (3, 200, 0.9), (4, 100, 0.999), (5, 40, 0.7)])
+def test_log_schur_polynomials_match_the_principal_specialisation(d, n, q):
+    # s_lambda(1, q, .., q^(d-1))
+    #   = q^n(lambda) prod_{i<j} (1 - q^(l_i - l_j + j - i)) / (1 - q^(j - i)),
+    # n(lambda) = sum_i i l_i (Macdonald I.3 ex. 1); p is that point over its sum Z
+    weights = q ** np.arange(d)
+    sp = Spectrum(tuple((weights / weights.sum()).tolist()))
+    rows = diagram_rows(n, d)
+    log_q = math.log(q)
+    want = rows @ np.arange(d) * log_q - n * math.log(weights.sum())
+    for i in range(d):
+        for j in range(i + 1, d):
+            want += (np.log(-np.expm1((rows[:, i] - rows[:, j] + j - i) * log_q))
+                     - math.log(-math.expm1((j - i) * log_q)))
+    got = log_schur_polynomials(n, sp)
+    assert np.abs(got - want).max() <= LOG_IDENTITY_TOL, (d, n, q, np.abs(got - want).max())
 
 
 def test_log_schur_polynomials_table_cap_raises_before_allocating(monkeypatch):

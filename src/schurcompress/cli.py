@@ -181,6 +181,11 @@ def cmd_dims(args):
         raise ParameterError("dims requires --n and --d")
     n, d, r = args.n, args.d, args.r
     diagrams = diagram_rows(n, d, r)
+    # every number printed is at most d^N; str() of a longer int raises ValueError
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and n * math.log10(d) >= limit:
+        raise ResourceLimitError(f"d^N = {d}^{n} has more than {limit} decimal digits, "
+                                 "the most this interpreter converts to text")
     dims, mults = irrep_dims(diagrams).tolist(), multiplicity_dims(diagrams).tolist()
     diagrams = diagrams.tolist()
     total = sum(dim * mult for dim, mult in zip(dims, mults))

@@ -1,12 +1,12 @@
 """Dense reference implementations for small copy counts.
 
 Everything here works in the full d^N-dimensional space: Kronecker powers,
-a Schur basis built by sequential angular-momentum coupling (with this
-module's own SU(2) Clebsch-Gordan coefficients), block extraction by explicit
-projection, and the protocol error evaluated literally.  These paths share no
-code with the block-level simulator beyond the data types, the diagram list
-(``enumerate_diagrams``), ``uniform_dump`` and ``multiplicity_dim``, so
-agreement between the two is a real cross-check.
+a Schur basis built one qubit at a time by coupling a spin j with a spin 1/2
+(the two-term Condon-Shortley j x 1/2 rule, written out here), block
+extraction by explicit projection, and the protocol error evaluated literally.
+These paths share no code with the block-level simulator beyond the data
+types, the diagram list (``enumerate_diagrams``), ``uniform_dump`` and
+``multiplicity_dim``, so agreement between the two is a real cross-check.
 
 Every entry point takes N >= 1 copies.  Hard size caps: d^N <= 4096, and
 N! <= 7! for the character projection.  The computation stays literal: a
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations
+from typing import Iterable
 
 import numpy as np
 
@@ -89,91 +90,24 @@ def dense_product_state(spectrum: Spectrum, n: int,
 
 
 # ---------------------------------------------------------------------------
-# SU(2) Clebsch-Gordan coefficients (doubled-integer quantum numbers)
-# ---------------------------------------------------------------------------
-
-def _check_momentum(two_j: int, two_m: int, name: str) -> None:
-    if two_j < 0:
-        raise ParameterError(f"{name}: negative 2j={two_j}")
-    if abs(two_m) > two_j or (two_j - two_m) % 2:
-        raise ParameterError(f"{name}: invalid 2m={two_m} for 2j={two_j}")
-
-
-def _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt):
-    """Triangle checks plus the summation range of the Racah single-sum form."""
-    if (two_j1 + two_j2 + two_jt) % 2:
-        raise ParameterError("couplings 2j1+2j2+2J must be even")
-    if two_jt < abs(two_j1 - two_j2) or two_jt > two_j1 + two_j2:
-        raise ParameterError(f"triangle violated: 2j1={two_j1}, 2j2={two_j2}, 2J={two_jt}")
-    a = (two_j1 + two_j2 - two_jt) // 2
-    k_lo = max(0, (two_j2 - two_jt - two_m1) // 2, (two_j1 - two_jt + two_m2) // 2)
-    k_hi = min(a, (two_j1 - two_m1) // 2, (two_j2 + two_m2) // 2)
-    return a, k_lo, k_hi
-
-
-def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
-                   two_jt: int, two_mt: int) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
-
-    Racah's single-sum factorial formula, evaluated in log space with sign
-    tracking; stable through 2j ~ 60.  Returns 0 when M != m1 + m2.
-    """
-    _check_momentum(two_j1, two_m1, "j1")
-    _check_momentum(two_j2, two_m2, "j2")
-    _check_momentum(two_jt, two_mt, "J")
-    if two_mt != two_m1 + two_m2:
-        return 0.0
-    a, k_lo, k_hi = _cg_bounds(two_j1, two_m1, two_j2, two_m2, two_jt)
-    if k_lo > k_hi:
-        return 0.0
-
-    def lf(two_x: int) -> float:
-        return _log_factorial(two_x // 2)
-
-    log_pref = (
-        math.log(two_jt + 1)
-        + lf(two_j1 + two_j2 - two_jt) + lf(two_j1 - two_j2 + two_jt)
-        + lf(-two_j1 + two_j2 + two_jt) - lf(two_j1 + two_j2 + two_jt + 2)
-        + lf(two_j1 + two_m1) + lf(two_j1 - two_m1)
-        + lf(two_j2 + two_m2) + lf(two_j2 - two_m2)
-        + lf(two_jt + two_mt) + lf(two_jt - two_mt)
-    )
-    logs = []
-    for k in range(k_lo, k_hi + 1):
-        log_den = (
-            _log_factorial(k) + _log_factorial(a - k)
-            + _log_factorial((two_j1 - two_m1) // 2 - k)
-            + _log_factorial((two_j2 + two_m2) // 2 - k)
-            + _log_factorial((two_jt - two_j2 + two_m1) // 2 + k)
-            + _log_factorial((two_jt - two_j1 - two_m2) // 2 + k)
-        )
-        logs.append((k, -log_den))
-    peak = max(v for _, v in logs)
-    acc = 0.0
-    for k, v in logs:
-        acc += (-1.0) ** k * math.exp(v - peak)
-    if acc == 0.0:
-        return 0.0
-    return math.copysign(math.exp(0.5 * log_pref + peak + math.log(abs(acc))), acc)
-
-
-@lru_cache(maxsize=None)
-def _log_factorial(n: int) -> float:
-    return math.log(math.factorial(n)) if n > 1 else 0.0
-
-
-# ---------------------------------------------------------------------------
 # Schur basis for qubits, by iterated coupling
 # ---------------------------------------------------------------------------
 
 def _coupling_matrix(two_j: int, two_s: int, two_jt: int) -> np.ndarray:
-    """<j m; 1/2 s | j' m'> for one s, rows ascending m and columns ascending m'."""
-    c = np.zeros((two_j + 1, two_jt + 1))
-    for i, two_m in enumerate(range(-two_j, two_j + 1, 2)):
-        two_mt = two_m + two_s
-        if abs(two_mt) <= two_jt:
-            c[i, (two_mt + two_jt) // 2] = clebsch_gordan(two_j, two_m, 1, two_s, two_jt, two_mt)
-    return c
+    """<j m; 1/2 s | j' m'> for one s and j' = j +- 1/2, rows ascending m and
+    columns ascending m'.
+
+    The Condon-Shortley j x 1/2 rule: with sigma = 2s = +-1 and M = 2m' = 2m + sigma,
+    the entry is sqrt((2j+1 + sigma M) / (2(2j+1))) going up and
+    -sigma sqrt((2j+1 - sigma M) / (2(2j+1))) going down, and only the diagonal
+    m' = m + s is nonzero.
+    """
+    two_mt = np.arange(-two_j, two_j + 1, 2) + two_s
+    if two_jt == two_j + 1:
+        coeff = np.sqrt((two_j + 1 + two_s * two_mt) / (2 * (two_j + 1)))
+    else:
+        coeff = -two_s * np.sqrt((two_j + 1 - two_s * two_mt) / (2 * (two_j + 1)))
+    return coeff[:, None] * np.eye(two_j + 1, two_jt + 1, (two_s + two_jt - two_j) // 2)
 
 
 @lru_cache(maxsize=2)
@@ -258,8 +192,12 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
     blocks vanish and the multiplicity marginal is exactly maximally mixed,
     both within 1e-10.  Raises OracleMismatchError otherwise, which signals
     a bug upstream rather than bad input; the message names the first
-    offending copies.
+    offending copies.  A ``dense`` that is not 2^N x 2^N raises ParameterError.
     """
+    _check_cap(2, n)
+    if dense.shape != (2 ** n, 2 ** n):
+        raise ParameterError(f"a dense state of {n} qubits is {2 ** n} x {2 ** n}, "
+                             f"got shape {dense.shape}")
     blocks: dict[YoungDiagram, Block] = {}
     for two_j, w in sorted(_spin_bases(n).items(), reverse=True):
         lam = YoungDiagram.from_two_j(n, two_j)
@@ -328,7 +266,8 @@ def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -
 # ---------------------------------------------------------------------------
 
 def dense_protocol_error(n: int, spectrum: Spectrum,
-                         keep, orientation: BlochVector | None = None,
+                         keep: Iterable[YoungDiagram],
+                         orientation: BlochVector | None = None,
                          dump_state: BlockState | None = None) -> float:
     """(1/2) || rho - decode(encode(rho)) ||_1 evaluated in the full space.
 
@@ -336,11 +275,13 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
     per spin one block B_j, the kept sum_a V_a^T rho V_a plus the tail mass
     spread over the dump block, goes back as sum_a V_a (B_j / m_j) V_a^T.  The
     trace norm comes from a dense Hermitian eigendecomposition.  Qubits only
-    (the qudit oracle validates weights, not channels).
+    (the qudit oracle validates weights, not channels): a spectrum with d != 2
+    raises UnsupportedFeatureError.
     """
     _check_cap(2, n)
-    kept = {lam if isinstance(lam, YoungDiagram) else YoungDiagram.from_two_j(n, lam)
-            for lam in keep}
+    if spectrum.d != 2:
+        raise UnsupportedFeatureError(f"the dense protocol error is for qubits, got d={spectrum.d}")
+    kept = set(keep)
     if dump_state is None:
         dump_state = uniform_dump(n, 2, kept)
     if dump_state.orientation is not None:

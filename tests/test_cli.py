@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -51,6 +52,22 @@ def test_dims_at_wide_d_is_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert "d^N = 360000  (match)" in out
+
+
+@pytest.mark.parametrize("form", ["table", "csv", "json"])
+def test_dims_above_the_int_digit_limit_exits_4(capsys, form):
+    # d^N bounds every printed number; past the interpreter's int-to-text digit
+    # limit the command stops before building any of them
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length to text")
+    n = math.ceil(limit / math.log10(2))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dims", "--n", str(n), "--d", "2", "--format", form)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert err.startswith("resource limit: ") and str(limit) in err
+    assert out == ""
 
 
 def test_dims_usage_error_exit_2(capsys):

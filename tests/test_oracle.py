@@ -43,6 +43,8 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
+from reference import clebsch_gordan_signed_square
+
 
 def test_dense_product_state_basics():
     sp = spectrum_of(0.75, 0.25)
@@ -101,6 +103,24 @@ def test_schur_isometry_unitary():
     for n in range(2, 8):
         b = schur_isometry(n)
         assert np.max(np.abs(b.T @ b - np.eye(2 ** n))) < 1e-10
+
+
+def test_coupling_matrix_matches_exact_rationals():
+    # every entry of the j x 1/2 rule for 2j <= 40 against sign * sqrt of Racah's
+    # formula in exact rationals, zeros included; the reference vanishes off the
+    # diagonal M = 2m + 2s, so only that diagonal is looked up
+    for two_j in range(41):
+        for two_s in (1, -1):
+            for two_jt in [t for t in (two_j + 1, two_j - 1) if t >= 0]:
+                expected = np.zeros((two_j + 1, two_jt + 1))
+                for i, two_m in enumerate(range(-two_j, two_j + 1, 2)):
+                    two_mt = two_m + two_s
+                    if abs(two_mt) <= two_jt:
+                        sq = clebsch_gordan_signed_square(two_j, two_m, 1, two_s, two_jt, two_mt)
+                        expected[i, (two_mt + two_jt) // 2] = math.copysign(math.sqrt(abs(sq)), sq)
+                got = oracle._coupling_matrix(two_j, two_s, two_jt)
+                assert np.array_equal(got != 0, expected != 0), (two_j, two_s, two_jt)
+                assert np.max(np.abs(got - expected)) <= 1e-15, (two_j, two_s, two_jt)
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -192,6 +212,11 @@ def test_extract_blocks_rejects_states_that_are_not_permutation_invariant(bits, 
     # all of its spin-1/2 weight on the copy coupled down from spin 1
     with pytest.raises(OracleMismatchError, match=f"^{message}$"):
         extract_blocks(_basis_state(bits), len(bits))
+
+
+def test_extract_blocks_rejects_a_qudit_array():
+    with pytest.raises(ParameterError, match="8 x 8"):
+        extract_blocks(dense_product_state(Spectrum((0.5, 0.3, 0.2)), 3), 3)
 
 
 def test_extract_blocks_names_the_first_offending_copies():
@@ -308,6 +333,11 @@ def test_dense_protocol_error_rejects_an_oriented_dump():
     oriented = encode(product_state(sp, 3, BlochVector(1.0, 0.5)), keep)
     with pytest.raises(UnsupportedFeatureError):
         dense_protocol_error(3, sp, keep, dump_state=oriented)
+
+
+def test_dense_protocol_error_rejects_a_qudit_spectrum():
+    with pytest.raises(UnsupportedFeatureError):
+        dense_protocol_error(3, Spectrum((0.5, 0.3, 0.2)), enumerate_diagrams(3, 2))
 
 
 def test_dense_protocol_error_random_keeps():

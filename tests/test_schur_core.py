@@ -1,15 +1,13 @@
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from schurcompress import schur_core
 from schurcompress.errors import ParameterError, ResourceLimitError
-from schurcompress.oracle import clebsch_gordan
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
@@ -28,7 +26,6 @@ from schurcompress.schur_core import (
 )
 
 from reference import (
-    clebsch_gordan_signed_square,
     gelfand_tsetlin_contents,
     qubit_multiplicity,
     schur_polynomial_brute,
@@ -489,70 +486,9 @@ def test_tableau_order_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan (the oracle's own, for its coupled basis)
+# Clebsch-Gordan: the oracle's j x 1/2 coefficients are checked against the
+# exact-rational reference in test_oracle.py
 # ---------------------------------------------------------------------------
-
-def test_cg_frozen_values():
-    assert clebsch_gordan(1, 1, 1, -1, 0, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
-    assert clebsch_gordan(1, -1, 1, 1, 0, 0) == pytest.approx(-1 / math.sqrt(2), abs=1e-14)
-    assert clebsch_gordan(1, 1, 1, 1, 2, 2) == pytest.approx(1.0, abs=1e-14)
-    # M != m1 + m2 vanishes
-    assert clebsch_gordan(2, 2, 1, 1, 3, 1) == 0.0
-
-
-def test_cg_rejects_malformed_numbers():
-    with pytest.raises(ParameterError):
-        clebsch_gordan(1, 2, 1, -1, 0, 0)   # |m| > j
-    with pytest.raises(ParameterError):
-        clebsch_gordan(2, 1, 1, 1, 3, 2)    # parity of (j, m)
-    with pytest.raises(ParameterError):
-        clebsch_gordan(2, 0, 2, 0, 8, 0)    # triangle
-
-
-def test_cg_orthogonality_spin1_spin_half():
-    two_j1, two_j2 = 2, 1
-    ms1 = range(-two_j1, two_j1 + 1, 2)
-    ms2 = range(-two_j2, two_j2 + 1, 2)
-    for m1 in ms1:
-        for m2 in ms2:
-            for m1p in ms1:
-                for m2p in ms2:
-                    total = 0.0
-                    for two_jt in (1, 3):
-                        for mt in range(-two_jt, two_jt + 1, 2):
-                            total += (clebsch_gordan(two_j1, m1, two_j2, m2, two_jt, mt)
-                                      * clebsch_gordan(two_j1, m1p, two_j2, m2p, two_jt, mt))
-                    expected = 1.0 if (m1 == m1p and m2 == m2p) else 0.0
-                    assert total == pytest.approx(expected, abs=1e-12)
-
-
-@settings(deadline=None, max_examples=150)
-@given(data=st.data())
-def test_cg_matches_exact_rational(data):
-    two_j1 = data.draw(st.integers(0, 10))
-    two_j2 = data.draw(st.integers(0, 10))
-    lo, hi = abs(two_j1 - two_j2), two_j1 + two_j2
-    two_jt = data.draw(st.sampled_from(range(lo, hi + 1, 2)))
-    two_m1 = data.draw(st.sampled_from(range(-two_j1, two_j1 + 1, 2) or [0]))
-    two_m2 = data.draw(st.sampled_from(range(-two_j2, two_j2 + 1, 2) or [0]))
-    two_mt = two_m1 + two_m2
-    if abs(two_mt) > two_jt:
-        return
-    exact = clebsch_gordan_signed_square(two_j1, two_m1, two_j2, two_m2, two_jt, two_mt)
-    expected = math.copysign(math.sqrt(abs(Fraction(exact))), exact) if exact else 0.0
-    approx = clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_jt, two_mt)
-    assert approx == pytest.approx(expected, abs=1e-12)
-
-
-def test_cg_larger_momenta_stay_normalized():
-    # column normalization sum_{m1} <j1 m1 j2 M-m1|J M>^2 = 1 at 2j = 40
-    two_j1 = two_j2 = 20
-    two_jt, two_mt = 40, 0
-    total = sum(clebsch_gordan(two_j1, m1, two_j2, two_mt - m1, two_jt, two_mt) ** 2
-                for m1 in range(-two_j1, two_j1 + 1, 2)
-                if abs(two_mt - m1) <= two_j2)
-    assert total == pytest.approx(1.0, abs=1e-11)
-
 
 # ---------------------------------------------------------------------------
 # Wigner matrices

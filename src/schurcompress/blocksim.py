@@ -2,11 +2,15 @@
 
 A permutation-invariant state on (C^d)^{ox N} decomposes as a direct sum over
 Young diagrams of weight * (block matrix ox maximally-mixed multiplicity
-factor).  ``BlockState`` stores the weights and the block matrices; the
-multiplicity factor is implied.  Encoding drops the multiplicity factors and
-reroutes the weight of discarded blocks into a dump state; decoding re-appends
-the multiplicity factors.  Because both sides share the same implied factors,
-trace distances between full-form states are exact block-by-block sums.
+factor).  ``BlockState`` stores the weights and the block matrices in the
+order of the rows of ``diagram_rows(N, d)``; the multiplicity factor is
+implied.  Keep sets are (K, d) row arrays or YoungDiagrams, read by
+``keep_mask``, so the channels walk that one index and never build, hash or
+sort diagrams; ``BlockState.blocks``, a {YoungDiagram: Block} view, is built
+on first use.  Encoding drops the multiplicity factors and reroutes the
+weight of discarded blocks into a dump state; decoding re-appends them.
+Because both sides share the same implied factors, trace distances between
+full-form states are exact block-by-block sums.
 
 A block that is diagonal in its basis (Gelfand-Tsetlin order, which is
 ascending m for qubits) is stored as the 1-D real vector of its diagonal; only
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,10 +48,9 @@ from .schur_core import (
     Spectrum,
     YoungDiagram,
     _gt_level,
-    diagram_array,
     diagram_rows,
-    enumerate_diagrams,
     irrep_dims,
+    keep_mask,
     log_multiplicities,
     log_schur_polynomials,
     wigner_d_matrix,
@@ -85,41 +88,52 @@ class BlochVector:
 class BlockState:
     """Weights and blocks of a permutation-invariant N-copy state.
 
-    ``orientation`` names the frame the blocks are held in: None is the lab
-    frame, a Bloch vector the frame turned by the N-fold qubit rotation that
-    takes the lab z axis to it, where an oriented product state is diagonal.
-    Spectra, traces and weights do not depend on the frame.
+    ``weights`` (read-only) and ``matrices`` follow the rows of
+    ``diagram_rows(n, d)``; a matrix is None, and its weight 0, where the
+    state holds no block.  ``orientation`` names the frame the blocks are held
+    in: None is the lab frame, a Bloch vector the frame turned by the N-fold
+    qubit rotation that takes the lab z axis to it, where an oriented product
+    state is diagonal.  Spectra, traces and weights do not depend on the frame.
     """
 
     n: int
     d: int
-    blocks: Mapping[YoungDiagram, Block]
+    weights: np.ndarray
+    matrices: tuple[np.ndarray | None, ...]
     multiplicity_free: bool = False
     orientation: BlochVector | None = None
 
-    def weight(self, diagram: YoungDiagram) -> float:
-        blk = self.blocks.get(diagram)
-        return blk.weight if blk is not None else 0.0
+    def __post_init__(self):
+        self.weights.flags.writeable = False
+
+    @cached_property
+    def blocks(self) -> dict[YoungDiagram, Block]:
+        """The blocks the state holds, keyed by YoungDiagram in ``diagram_rows`` order."""
+        rows = diagram_rows(self.n, self.d).tolist()
+        return {YoungDiagram(row): Block(w, mat)
+                for row, w, mat in zip(rows, self.weights.tolist(), self.matrices)
+                if mat is not None}
 
 
-def validate_block_state(state: BlockState, tol: float = WEIGHT_SUM_TOL) -> None:
+def validate_block_state(state: BlockState) -> None:
     """Assert the ensemble invariants: weights sum to 1, blocks PSD with unit trace."""
-    total = sum(blk.weight for blk in state.blocks.values())
-    if abs(total - 1.0) > tol:
+    total = sum(state.weights.tolist())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ContractViolationError(f"block weights sum to {total!r}")
-    for lam, (w, mat) in state.blocks.items():
-        if w < 0:
-            raise ContractViolationError(f"negative weight {w} on {lam}")
-        if w == 0.0 and not np.any(mat):
-            continue  # underflowed block, stored as an explicit zero
+    rows = diagram_rows(state.n, state.d).tolist()
+    for row, w, mat in zip(rows, state.weights.tolist(), state.matrices):
+        if w < 0 or (mat is None and w):
+            raise ContractViolationError(f"weight {w} on block {row}")
+        if mat is None or (w == 0.0 and not np.any(mat)):
+            continue  # no block, or an underflowed one stored as an explicit zero
         if mat.ndim == 2 and np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ContractViolationError(f"block {lam} not Hermitian")
+            raise ContractViolationError(f"block {row} not Hermitian")
         trace = np.trace(mat).real if mat.ndim == 2 else mat.sum()
-        if abs(trace - 1.0) > tol:
-            raise ContractViolationError(f"block {lam} trace {trace!r}")
+        if abs(trace - 1.0) > WEIGHT_SUM_TOL:
+            raise ContractViolationError(f"block {row} trace {trace!r}")
         eigs = np.linalg.eigvalsh(mat) if mat.ndim == 2 else mat
         if eigs.min() < -PSD_TOL:
-            raise ContractViolationError(f"block {lam} not PSD")
+            raise ContractViolationError(f"block {row} not PSD")
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +190,18 @@ def qubit_weights(n: int, p: float) -> dict[int, float]:
 
 def block_weights(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
     """Weights q_lambda = m_lambda s_lambda(p) of every block of the N-copy state:
-    ``weight_table`` as a mapping, in the order of ``enumerate_diagrams``."""
+    ``weight_table`` as a mapping, in the order of ``diagram_rows``."""
     table = weight_table(n, spectrum)
-    return dict(zip(table.diagrams, table.weights.tolist()))
+    return dict(zip(map(YoungDiagram, table.rows.tolist()), table.weights.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
     """Every block of the N-copy state: the (M, d) ``diagram_rows`` and the weight
-    of each row, both read-only.  The YoungDiagrams are built on first use."""
+    of each row, both read-only."""
 
     rows: np.ndarray
     weights: np.ndarray
-
-    @cached_property
-    def diagrams(self) -> tuple[YoungDiagram, ...]:
-        return tuple(YoungDiagram(row) for row in self.rows.tolist())
 
 
 @lru_cache(maxsize=1)  # callers ask for the same (N, spectrum) several times in a row
@@ -268,17 +278,16 @@ def _in_frame(state: BlockState, frame: BlochVector | None) -> BlockState:
     """
     if state.orientation == frame:
         return state
-    moved = [lam for lam, (_, mat) in state.blocks.items()
-             if mat.ndim == 2 or (mat != mat[0]).any()]
-    entries = sum(len(state.blocks[lam].matrix) ** 2 for lam in moved)
+    matrices = list(state.matrices)
+    moved = [i for i, mat in enumerate(matrices)
+             if mat is not None and (mat.ndim == 2 or (mat != mat[0]).any())]
+    entries = sum(len(matrices[i]) ** 2 for i in moved)
     if entries > BLOCK_ENTRY_CAP:
         raise ResourceLimitError(
             f"rotated blocks capped at {BLOCK_ENTRY_CAP} entries, N={state.n} needs {entries}")
-    blocks = dict(state.blocks)
-    for lam in moved:
-        w, mat = blocks[lam]
-        blocks[lam] = Block(w, _rotated(mat, state.orientation, frame))
-    return replace(state, blocks=blocks, orientation=frame)
+    for i in moved:
+        matrices[i] = _rotated(matrices[i], state.orientation, frame)
+    return replace(state, matrices=tuple(matrices), orientation=frame)
 
 
 def product_state(spectrum: Spectrum, n: int,
@@ -307,10 +316,9 @@ def product_state(spectrum: Spectrum, n: int,
             f"product state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
     live = table.weights >= UNDERFLOW
     diagonals = iter(_block_diagonals(table.rows[live], spectrum))
-    blocks = {lam: Block(w, next(diagonals)) if alive else Block(0.0, np.zeros(dim))
-              for lam, w, dim, alive in zip(table.diagrams, table.weights.tolist(), dims,
-                                            live.tolist())}
-    return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=False,
+    matrices = tuple(next(diagonals) if alive else np.zeros(dim)
+                     for dim, alive in zip(dims.tolist(), live.tolist()))
+    return BlockState(n=n, d=d, weights=np.where(live, table.weights, 0.0), matrices=matrices,
                       orientation=orientation if rotated else None)
 
 
@@ -318,79 +326,81 @@ def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
     """A random permutation-invariant state: random weights, random PSD blocks.
     Raises ResourceLimitError, before allocating any block, when the dense
     blocks would hold more than BLOCK_ENTRY_CAP entries."""
-    diagrams = enumerate_diagrams(n, d)
-    dims = irrep_dims(diagram_array(diagrams, d))
-    entries = int((dims ** 2).sum())
+    dims = irrep_dims(diagram_rows(n, d)).tolist()
+    entries = sum(dim ** 2 for dim in dims)
     if entries > BLOCK_ENTRY_CAP:
         raise ResourceLimitError(
             f"random state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
-    raw = rng.random(len(diagrams)) + 1e-3
-    weights = raw / raw.sum()
-    blocks = {}
-    for lam, w, dim in zip(diagrams, weights, dims):
+    raw = rng.random(len(dims)) + 1e-3
+    matrices = []
+    for dim in dims:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = g @ g.conj().T
-        mat /= np.trace(mat).real
-        blocks[lam] = Block(float(w), mat)
-    return BlockState(n=n, d=d, blocks=blocks)
+        matrices.append(mat / np.trace(mat).real)
+    return BlockState(n=n, d=d, weights=raw / raw.sum(), matrices=tuple(matrices))
 
 
 # ---------------------------------------------------------------------------
 # Channels
 # ---------------------------------------------------------------------------
 
-def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram]) -> BlockState:
-    """The default dump state: maximally mixed over the kept representation spaces."""
-    kept = sorted(set(keep), reverse=True)
-    if not kept:
-        raise ParameterError("keep set must not be empty")
-    dims = irrep_dims(diagram_array(kept, d)).tolist()
+def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram] | np.ndarray) -> BlockState:
+    """The default dump state: maximally mixed over the kept representation spaces.
+    ``keep`` is a (K, d) row array or YoungDiagrams."""
+    rows = diagram_rows(n, d)
+    kept = keep_mask(keep, rows)
+    if not kept.any():
+        raise ParameterError("keep set holds no block of the state")
+    dims = irrep_dims(rows[kept]).tolist()
     d_enc = sum(dims)
-    blocks = {lam: Block(dim / d_enc, np.full(dim, 1.0 / dim)) for lam, dim in zip(kept, dims)}
-    return BlockState(n=n, d=d, blocks=blocks, multiplicity_free=True)
+    weights, matrices = np.zeros(len(rows)), [None] * len(rows)
+    for i, dim in zip(np.flatnonzero(kept).tolist(), dims):
+        weights[i], matrices[i] = dim / d_enc, np.full(dim, 1.0 / dim)
+    return BlockState(n, d, weights, tuple(matrices), multiplicity_free=True)
 
 
-def encode(state: BlockState, keep: Iterable[YoungDiagram],
+def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray,
            dump_state: BlockState | None = None) -> BlockState:
     """Keep the selected blocks, drop multiplicity factors, reroute the tail.
 
-    The weight of every discarded block is added to the kept blocks according
-    to the dump state's distribution.  The result is flagged multiplicity-free
-    and held in the frame of ``state``; a dump block that does not fit that
-    frame is turned into it.
+    ``keep`` is a (K, d) row array or YoungDiagrams.  The weight of every
+    discarded block is added to the kept blocks according to the dump state's
+    distribution.  The result is flagged multiplicity-free and held in the
+    frame of ``state``; a dump block that does not fit that frame is turned
+    into it.
     """
-    kept = set(keep)
-    if not kept:
-        raise ParameterError("keep set must not be empty")
+    rows = diagram_rows(state.n, state.d)
+    kept = keep_mask(keep, rows)
+    if not kept.any():
+        raise ParameterError("keep set holds no block of the state")
     if dump_state is None:
-        dump_state = uniform_dump(state.n, state.d, kept)
-    for lam, blk in dump_state.blocks.items():
-        if blk.weight > 0 and lam not in kept:
-            raise ContractViolationError(f"dump state has weight on discarded block {lam}")
+        dump_state = uniform_dump(state.n, state.d, rows[kept])
+    if (dump_state.n, dump_state.d) != (state.n, state.d):
+        raise ContractViolationError("dump state must share N and d with the state")
+    stray = (dump_state.weights > 0) & ~kept
+    if stray.any():
+        raise ContractViolationError(
+            f"dump state has weight on discarded block {rows[stray][0].tolist()}")
     dump_state = _in_frame(dump_state, state.orientation)
-    tail = sum(blk.weight for lam, blk in state.blocks.items() if lam not in kept)
-    blocks: dict[YoungDiagram, Block] = {}
-    for lam in sorted(kept, reverse=True):
-        blk_in = state.blocks.get(lam)
-        w_in, mat_in = blk_in if blk_in is not None else (0.0, None)
-        dump_blk = dump_state.blocks.get(lam)
-        w_dump = tail * dump_blk.weight if dump_blk is not None else 0.0
+    weights_in, weights_dump = state.weights.tolist(), dump_state.weights.tolist()
+    tail = sum(state.weights[~kept].tolist())
+    weights, matrices = np.zeros(len(rows)), [None] * len(rows)
+    for i in np.flatnonzero(kept).tolist():
+        w_in, mat_in = weights_in[i], state.matrices[i]
+        w_dump, mat_dump = tail * weights_dump[i], dump_state.matrices[i]
         w_out = w_in + w_dump
         if w_out == 0.0:
-            sized = blk_in or dump_blk  # a block neither input holds has weight 0 already
-            if sized is not None:
-                blocks[lam] = Block(0.0, np.zeros(len(sized.matrix)))
-            continue
-        if w_dump == 0.0:
-            blocks[lam] = Block(w_in, mat_in)  # untouched block passes through exactly
-            continue
-        if w_in > 0.0:
-            mat_in, mat_dump = _promoted(mat_in, dump_blk.matrix)
-            acc = w_in * mat_in + w_dump * mat_dump
+            sized = mat_in if mat_in is not None else mat_dump
+            if sized is not None:  # else neither input holds the block: it stays absent
+                matrices[i] = np.zeros(len(sized))
+        elif w_dump == 0.0:
+            weights[i], matrices[i] = w_in, mat_in  # untouched block passes through exactly
+        elif w_in > 0.0:
+            mat_in, mat_dump = _promoted(mat_in, mat_dump)
+            weights[i], matrices[i] = w_out, (w_in * mat_in + w_dump * mat_dump) / w_out
         else:
-            acc = w_dump * dump_blk.matrix
-        blocks[lam] = Block(w_out, acc / w_out)
-    return BlockState(n=state.n, d=state.d, blocks=blocks, multiplicity_free=True,
+            weights[i], matrices[i] = w_out, w_dump * mat_dump / w_out
+    return BlockState(state.n, state.d, weights, tuple(matrices), multiplicity_free=True,
                       orientation=state.orientation)
 
 
@@ -398,7 +408,7 @@ def decode(encoded: BlockState) -> BlockState:
     """Re-append the implied maximally mixed multiplicity factor per block."""
     if not encoded.multiplicity_free:
         raise ParameterError("decode expects a multiplicity-free (encoded) state")
-    return replace(encoded, blocks=dict(encoded.blocks), multiplicity_free=False)
+    return replace(encoded, multiplicity_free=False)
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +442,15 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
         raise ParameterError("trace distance is defined between decoded (full) states")
     b = _in_frame(b, a.orientation)
     total = 0.0
-    for lam in sorted(set(a.blocks) | set(b.blocks), reverse=True):
-        blk_a = a.blocks.get(lam)
-        blk_b = b.blocks.get(lam)
-        if blk_a is None:
-            total += blk_b.weight
+    for w_a, mat_a, w_b, mat_b in zip(a.weights.tolist(), a.matrices,
+                                      b.weights.tolist(), b.matrices):
+        if mat_a is None or mat_b is None:
+            total += w_a + w_b  # a side without the block has weight 0 on it
             continue
-        if blk_b is None:
-            total += blk_a.weight
-            continue
-        mat_a, mat_b = _promoted(blk_a.matrix, blk_b.matrix)
-        diff = blk_a.weight * mat_a - blk_b.weight * mat_b
-        if not np.any(diff):
-            continue
-        total += trace_norm(diff)
+        mat_a, mat_b = _promoted(mat_a, mat_b)
+        diff = w_a * mat_a - w_b * mat_b
+        if np.any(diff):
+            total += trace_norm(diff)
     return 0.5 * total
 
 
@@ -461,22 +466,16 @@ class ErrorReport:
     tail_mass: float
     lower_bound: float  # tail_mass / 2, valid for any block-truncation protocol
 
-    def as_dict(self) -> dict:
-        return {
-            "exact_error": self.exact_error,
-            "tail_mass": self.tail_mass,
-            "lower_bound": self.lower_bound,
-        }
-
 
 def exact_protocol_error(n: int, spectrum: Spectrum,
-                         keep: Iterable[YoungDiagram],
+                         keep: Iterable[YoungDiagram] | np.ndarray,
                          orientation: BlochVector | None = None,
                          dump_state: BlockState | None = None) -> ErrorReport:
-    """Exact encode-decode error plus the tail-mass bounds around it."""
+    """Exact encode-decode error plus the tail-mass bounds around it; ``keep``
+    is a (K, d) row array, such as a plan's ``rows``, or YoungDiagrams."""
     state = product_state(spectrum, n, orientation)
-    kept = set(keep)
-    restored = decode(encode(state, kept, dump_state))
-    err = trace_distance(state, restored)
-    tail = sum((blk.weight for lam, blk in state.blocks.items() if lam not in kept), 0.0)
+    rows = weight_table(n, spectrum).rows  # diagram_rows(n, d), cached by product_state
+    kept = keep_mask(keep, rows)  # encode raises if it names no block
+    err = trace_distance(state, decode(encode(state, rows[kept], dump_state)))
+    tail = sum(state.weights[~kept].tolist(), 0.0)
     return ErrorReport(exact_error=err, tail_mass=tail, lower_bound=0.5 * tail)

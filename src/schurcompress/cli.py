@@ -24,13 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blocksim import (
-    BlochVector,
-    block_weights,
-    exact_protocol_error,
-    product_state,
-    weight_table,
-)
+from .blocksim import BlochVector, exact_protocol_error, product_state, weight_table
 from .errors import (
     NotApplicableError,
     ParameterError,
@@ -48,20 +42,14 @@ from .planner import (
     ceil_log2,
     circuit_resource_estimate,
     error_threshold_copies,
-    greedy_budget_keep,
+    greedy_budget_plan,
     qubit_approx_plan,
     qubit_error_upper_bound,
     qudit_approx_plan,
     truncation_lower_bound,
     zero_error_plan,
 )
-from .schur_core import (
-    Spectrum,
-    diagram_array,
-    diagram_rows,
-    irrep_dims,
-    multiplicity_dims,
-)
+from .schur_core import Spectrum, YoungDiagram, diagram_rows, irrep_dims, multiplicity_dims
 
 ORACLE_TOL = 1e-8
 EXACT_ERROR_CAP = 256  # largest N for which sweeps evaluate the exact error
@@ -288,7 +276,7 @@ def cmd_simulate(args):
     spectrum = parse_spectrum(args.spectrum)
     rotation = orientation(args, spectrum)
     plan = _build_plan(n, spectrum, epsilon, zero_error)
-    report = exact_protocol_error(n, spectrum, plan.keep, rotation)
+    report = exact_protocol_error(n, spectrum, plan.rows, rotation)
     target = epsilon if epsilon is not None else 0.0
     passed = report.exact_error <= target + 1e-12
     results = {
@@ -366,19 +354,15 @@ def cmd_sweep(args):
     for n in n_values:
         for eps in epsilons:
             if budget_exponent is not None:
-                keep = greedy_budget_keep(n, spectrum, _dimension_budget(n, budget_exponent))
-                kept, bound = diagram_array(keep, spectrum.d), None
-                d_enc = int(irrep_dims(kept).sum())
+                plan = greedy_budget_plan(n, spectrum, _dimension_budget(n, budget_exponent))
             else:
                 plan = _build_plan(n, spectrum, eps, zero_error)
-                kept, d_enc, bound = plan.rows, plan.d_enc, plan.bound_qubits
-            lower = truncation_lower_bound(n, spectrum, kept)
-            exact = ""
-            if n <= args.exact_cap:  # the simulator keys its blocks by YoungDiagram
-                keep = keep if budget_exponent is not None else plan.keep
-                exact = fmt(exact_protocol_error(n, spectrum, keep).exact_error)
-            rows.append([str(n), "" if eps is None else fmt(eps), str(d_enc), str(ceil_log2(d_enc)),
-                         "" if bound is None else fmt(bound), exact, fmt(2.0 * lower), fmt(lower)])
+            lower = truncation_lower_bound(n, spectrum, plan.rows)
+            exact = (fmt(exact_protocol_error(n, spectrum, plan.rows).exact_error)
+                     if n <= args.exact_cap else "")
+            bound = "" if plan.bound_qubits is None else fmt(plan.bound_qubits)
+            rows.append([str(n), "" if eps is None else fmt(eps), str(plan.d_enc),
+                         str(plan.qubit_count), bound, exact, fmt(2.0 * lower), fmt(lower)])
     params = {"spectrum": list(spectrum.probs), "n_values": n_values,
               "epsilons": [e for e in epsilons if e is not None],
               "zero_error": zero_error, "budget_exponent": budget_exponent}
@@ -400,21 +384,19 @@ def cmd_oracle_check(args):
         dense = dense_product_state(spectrum, n, rotation)
         oracle_state = extract_blocks(dense, n)
         block_state = product_state(spectrum, n, rotation)
-        weight_diff = max(abs(oracle_state.weight(lam) - blk.weight)
-                          for lam, blk in block_state.blocks.items())
+        weight_diff = float(np.abs(oracle_state.weights - block_state.weights).max())
         checks.append(("weights", weight_diff))
         checks.append(("block spectra", block_spectrum_mismatch(block_state, oracle_state)))
-        rng = np.random.default_rng(seed)
-        grid = sorted(block_state.blocks, reverse=True)
-        mask = rng.random(len(grid)) < 0.5
-        keep = [lam for lam, m in zip(grid, mask) if m] or [grid[0]]
+        rows = diagram_rows(n, 2)
+        mask = np.random.default_rng(seed).random(len(rows)) < 0.5  # one draw per row
+        keep = rows[mask] if mask.any() else rows[:1]
         exact = exact_protocol_error(n, spectrum, keep, rotation).exact_error
-        dense_err = dense_protocol_error(n, spectrum, keep, rotation)
+        dense_err = dense_protocol_error(n, spectrum, list(map(YoungDiagram, keep.tolist())),
+                                         rotation)  # the oracle takes diagrams
         checks.append(("protocol error", abs(exact - dense_err)))
     else:
-        oracle_weights = character_projection_weights(spectrum, n)
-        ours = block_weights(n, spectrum)
-        weight_diff = max(abs(oracle_weights[lam] - ours[lam]) for lam in oracle_weights)
+        theirs = np.fromiter(character_projection_weights(spectrum, n).values(), float)
+        weight_diff = float(np.abs(theirs - weight_table(n, spectrum).weights).max())  # row order
         checks.append(("weights (character projection)", weight_diff))
 
     ok = all(diff < ORACLE_TOL for _, diff in checks)

@@ -5,8 +5,9 @@ a Schur basis built one qubit at a time by coupling a spin j with a spin 1/2
 (the two-term Condon-Shortley j x 1/2 rule, written out here), block
 extraction by explicit projection, and the protocol error evaluated literally.
 These paths share no code with the block-level simulator beyond the data
-types, the diagram list (``enumerate_diagrams``), ``uniform_dump`` and
-``multiplicity_dim``, so agreement between the two is a real cross-check.
+types (a ``BlockState`` follows the rows of ``diagram_rows``, descending 2j),
+``enumerate_diagrams``, ``uniform_dump`` and ``multiplicity_dim``, so
+agreement between the two is a real cross-check.
 
 Every entry point takes N >= 1 copies.  Hard size caps: d^N <= 4096, and
 N! <= 7! for the character projection.  The computation stays literal: a
@@ -36,7 +37,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedFeatureError,
 )
-from .blocksim import Block, BlockState, BlochVector, uniform_dump
+from .blocksim import BlockState, BlochVector, uniform_dump
 from .schur_core import (
     Spectrum,
     YoungDiagram,
@@ -198,8 +199,8 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
     if dense.shape != (2 ** n, 2 ** n):
         raise ParameterError(f"a dense state of {n} qubits is {2 ** n} x {2 ** n}, "
                              f"got shape {dense.shape}")
-    blocks: dict[YoungDiagram, Block] = {}
-    for two_j, w in sorted(_spin_bases(n).items(), reverse=True):
+    blocks = []
+    for two_j, w in sorted(_spin_bases(n).items(), reverse=True):  # diagram_rows order
         lam = YoungDiagram.from_two_j(n, two_j)
         mult = w.shape[1]
         if mult != multiplicity_dim(lam):
@@ -215,7 +216,7 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
         traces = np.einsum("akak->a", gram).real
         weight = float(traces.sum())
         if weight <= STRUCTURE_TOL ** 2:
-            blocks[lam] = Block(max(weight, 0.0), np.zeros((two_j + 1, two_j + 1), complex))
+            blocks.append((max(weight, 0.0), np.zeros((two_j + 1, two_j + 1), complex)))
             continue
         marg = traces / weight
         bad = np.flatnonzero(np.abs(marg - 1.0 / mult) > STRUCTURE_TOL)
@@ -223,8 +224,9 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
             a = bad[0]
             raise OracleMismatchError(
                 f"multiplicity marginal of 2j={two_j} copy {a} is {marg[a]}, not 1/{mult}")
-        blocks[lam] = Block(weight, np.einsum("akal->kl", gram) / weight)
-    return BlockState(n=n, d=2, blocks=blocks)
+        blocks.append((weight, np.einsum("akal->kl", gram) / weight))
+    weights, matrices = zip(*blocks)
+    return BlockState(n=n, d=2, weights=np.array(weights), matrices=matrices)
 
 
 def dense_weights(dense: np.ndarray, n: int) -> dict[int, float]:
@@ -244,20 +246,17 @@ def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -
     Basis independent, which is the point: the coupled basis fixes the
     multiplicity convention arbitrarily, so entrywise comparison would test
     a convention, not the physics.  For the same reason it reads a block
-    state in whatever frame it is held.
+    state in whatever frame it is held.  Both states share N; their blocks
+    are compared row by row, and a block one side lacks counts its weight.
     """
     worst = 0.0
-    for lam, blk in block_state.blocks.items():
-        other = oracle_state.blocks.get(lam)
-        if other is None:
-            worst = max(worst, blk.weight)
-            continue
-        mine = _block_spectrum(blk.matrix) if blk.weight > 0 else None
-        theirs = _block_spectrum(other.matrix) if other.weight > 0 else None
-        if mine is None or theirs is None:
-            worst = max(worst, abs(blk.weight - other.weight))
-            continue
-        worst = max(worst, float(np.max(np.abs(mine - theirs))))
+    for w, mat, w_other, other in zip(block_state.weights.tolist(), block_state.matrices,
+                                      oracle_state.weights.tolist(), oracle_state.matrices):
+        if w > 0 and w_other > 0:
+            diff = np.abs(_block_spectrum(mat) - _block_spectrum(other))
+            worst = max(worst, float(np.max(diff)))
+        else:
+            worst = max(worst, abs(w - w_other))
     return worst
 
 

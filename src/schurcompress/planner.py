@@ -26,6 +26,7 @@ from .schur_core import (
     YoungDiagram,
     diagram_rows,
     irrep_dims,
+    keep_mask,
     log_multiplicities,
 )
 
@@ -237,23 +238,14 @@ def error_threshold_copies(p: float, epsilon: float) -> int:
 def truncation_lower_bound(n: int, spectrum: Spectrum,
                            keep: Iterable[YoungDiagram] | np.ndarray) -> float:
     """Half the discarded weight: the error floor for any protocol that is
-    covariant and preserves the block label.  ``keep`` holds diagrams (those
-    without d rows keep nothing) or is a (K, d) row array such as a plan's ``rows``.
+    covariant and preserves the block label.  ``keep`` is a (K, d) row array,
+    such as a plan's ``rows``, or YoungDiagrams (read by ``keep_mask``).
 
     The discarded weights are summed directly; 1 - (kept mass) would turn the
     roundoff of the kept weights into a spurious floor when little is dropped.
     """
     table = weight_table(n, spectrum)
-    m, d = table.rows.shape
-    if not isinstance(keep, np.ndarray):
-        keep = np.array([lam.rows for lam in keep if len(lam.rows) == d], dtype=np.int64)
-        keep = keep.reshape(-1, d)
-    if keep.ndim != 2 or keep.shape[1] != d:
-        raise ParameterError(f"keep rows need {d} columns, got an array of shape {keep.shape}")
-    # a table row is kept when np.unique gives it the id of a kept row
-    _, ids = np.unique(np.concatenate([table.rows, keep]), axis=0, return_inverse=True)
-    dropped = ~np.isin(ids.ravel()[:m], ids.ravel()[m:])
-    return 0.5 * float(table.weights[dropped].sum())
+    return 0.5 * float(table.weights[~keep_mask(keep, table.rows)].sum())
 
 
 def keyl_werner_tail_bound(n: int, d: int, x: float) -> float:
@@ -295,13 +287,8 @@ def pure_state_lower_bound(n: int, epsilon: float) -> float:
 # Budgeted (greedy) truncation, for the covariant lower-bound trend
 # ---------------------------------------------------------------------------
 
-def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[YoungDiagram]:
-    """Largest-mass keep set under a dimension budget.
-
-    Blocks are added in order of decreasing weight density q / d_lambda,
-    which minimizes the discarded mass among block truncations at this
-    budget.  At least one block is always kept.
-    """
+def _greedy_keep(n: int, spectrum: Spectrum, dim_budget: float) -> tuple[np.ndarray, list[int]]:
+    """The ``weight_table`` rows and the indices of those ``greedy_budget_keep`` keeps."""
     if math.isnan(dim_budget):
         raise ParameterError("dimension budget is NaN")
     table = weight_table(n, spectrum)
@@ -314,7 +301,24 @@ def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[Yo
         if used + dim <= dim_budget:
             keep.append(i)
             used += dim
-    return [YoungDiagram(row) for row in table.rows[keep or order[:1]].tolist()]
+    return table.rows, keep or order[:1].tolist()
+
+
+def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[YoungDiagram]:
+    """Largest-mass keep set under a dimension budget.
+
+    Blocks are added in order of decreasing weight density q / d_lambda,
+    which minimizes the discarded mass among block truncations at this
+    budget.  At least one block is always kept.
+    """
+    rows, keep = _greedy_keep(n, spectrum, dim_budget)
+    return [YoungDiagram(row) for row in rows[keep].tolist()]
+
+
+def greedy_budget_plan(n: int, spectrum: Spectrum, dim_budget: float) -> CompressionPlan:
+    """The plan keeping the blocks of ``greedy_budget_keep``, in ``diagram_rows`` order."""
+    rows, keep = _greedy_keep(n, spectrum, dim_budget)
+    return _finish_plan(n, spectrum.d, spectrum, None, rows[sorted(keep)], None)
 
 
 # ---------------------------------------------------------------------------

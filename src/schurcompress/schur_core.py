@@ -8,14 +8,14 @@ integers (2j, 2m) so they stay exact and hashable.
 
 Whole families of diagrams travel as one (M, d) integer array of rows
 (``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
-array.
+array, and ``keep_mask`` reads a keep set against one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -189,6 +189,21 @@ def diagram_array(diagrams: Sequence[YoungDiagram], d: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), d)
 
 
+def keep_mask(keep: Iterable[YoungDiagram] | np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which rows of an (M, d) diagram array a keep set names, as a boolean mask:
+    ``keep`` is a (K, d) row array or YoungDiagrams, and a diagram without d rows,
+    like a row not in ``rows``, names nothing.  One dict of the rows per call."""
+    d = rows.shape[1]
+    array = isinstance(keep, np.ndarray)
+    if array and (keep.ndim != 2 or keep.shape[1] != d):
+        raise ParameterError(f"keep rows need {d} columns, got an array of shape {keep.shape}")
+    keys = map(tuple, keep.tolist()) if array else (lam.rows for lam in keep)
+    index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[[i for i in map(index.get, keys) if i is not None]] = True
+    return mask
+
+
 def irrep_dims(rows: np.ndarray) -> np.ndarray:
     """Dimension of the GL(d) irrep of every row of an (M, d) diagram array, as
     exact Python ints (an object array).
@@ -217,19 +232,18 @@ def multiplicity_dims(rows: np.ndarray) -> np.ndarray:
     """Dimension of the symmetric-group multiplicity space of every row of an
     (M, d) diagram array, as exact Python ints (an object array).
 
-    The number of standard Young tableaux of the shape, over any L >= its
-    nonzero rows: N! * prod_{i<j<L} (l_i - l_j + j - i) / prod_{i<L} (l_i + L - 1 - i)!.
-    L is the most nonzero rows of any diagram, as in ``irrep_dims``.
+    The number of standard Young tableaux of the shape, over any L >= its nonzero
+    rows (the most of any diagram, as in ``irrep_dims``): multinomial(N; l_0..l_{L-1})
+    * prod_{i<j<L} (l_i - l_j + j - i) / (l_i + L - j).  The multinomial is a product
+    of ``math.comb``, at most d^N, and no k! up to N is built.
     """
     top = int((rows > 0).sum(axis=1).max(initial=0))
     lam = rows[:, :top]
     i, j = np.nonzero(np.arange(top)[:, None] < np.arange(top))  # every pair i < j < L
-    n = rows.sum(axis=1)
-    size = int(n.max(initial=0)) + top + 1  # above N and every hook l_i + L - 1 - i
-    factorial = np.multiply.accumulate(np.arange(size, dtype=object).clip(1))  # k! at k
-    pairs = (lam[:, i] - lam[:, j] + (j - i)).astype(object)
-    num = factorial[n] * np.multiply.reduce(pairs, axis=1)
-    den = np.multiply.reduce(factorial[lam + np.arange(top - 1, -1, -1)], axis=1)
+    binomials = np.frompyfunc(math.comb, 2, 1)(lam.cumsum(axis=1), lam).astype(object)
+    num = (np.multiply.reduce(binomials, axis=1)
+           * np.multiply.reduce((lam[:, i] - lam[:, j] + (j - i)).astype(object), axis=1))
+    den = np.multiply.reduce((lam[:, i] + top - j).astype(object), axis=1)
     assert not (num % den).any(), "multiplicity formula must divide exactly"
     return num // den
 

@@ -4,7 +4,9 @@ None of this is on a package path: a direct walk over semistandard tableaux,
 the Schur polynomial summed over it, the binomial-difference qubit
 multiplicity and the Clebsch-Gordan square in exact rationals.  The
 one-shape Gelfand-Tsetlin contents and the Schur polynomial of each diagram
-are thin lookups into the package's batched engines.
+are thin lookups into the package's batched engines, and ``block_state``
+lays out a hand-written {YoungDiagram: (weight, matrix)} mapping on the
+rows a ``BlockState`` is indexed by.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from schurcompress import schur_core
+from schurcompress.blocksim import BlockState
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
@@ -87,6 +90,17 @@ def schur_polynomials(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
     for row, log_s in zip(inside, log_schur_polynomials(n, spectrum).tolist()):
         values[YoungDiagram(row)] = math.exp(log_s)
     return values
+
+
+def block_state(n: int, d: int, blocks: dict, multiplicity_free: bool = False) -> BlockState:
+    """The BlockState holding {YoungDiagram: (weight, matrix)}, each block on its
+    row of ``diagram_rows(n, d)``, and no block elsewhere."""
+    index = {row: i for i, row in enumerate(map(tuple, diagram_rows(n, d).tolist()))}
+    weights, matrices = np.zeros(len(index)), [None] * len(index)
+    for lam, (w, mat) in blocks.items():
+        i = index[lam.padded(d).rows]
+        weights[i], matrices[i] = w, mat
+    return BlockState(n, d, weights, tuple(matrices), multiplicity_free)
 
 
 def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:

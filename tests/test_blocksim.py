@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from schurcompress import blocksim, schur_core
 from schurcompress.blocksim import (
-    Block,
     BlochVector,
     BlockState,
     block_weights,
@@ -31,7 +30,7 @@ from schurcompress.errors import (
     ResourceLimitError,
     UnsupportedFeatureError,
 )
-from schurcompress.planner import qubit_approx_plan
+from schurcompress.planner import qubit_approx_plan, qudit_approx_plan, zero_error_plan
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
@@ -41,7 +40,12 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
-from reference import gelfand_tsetlin_contents, qubit_multiplicity, schur_polynomial_brute
+from reference import (
+    block_state,
+    gelfand_tsetlin_contents,
+    qubit_multiplicity,
+    schur_polynomial_brute,
+)
 
 
 def two_row(n, two_j):
@@ -121,7 +125,10 @@ def test_weight_views_share_one_read_only_table():
     sp = spectrum_of(0.6, 0.3, 0.1)
     table = blocksim.weight_table(12, sp)
     assert not table.rows.flags.writeable and not table.weights.flags.writeable
-    assert [lam.rows for lam in table.diagrams] == [tuple(r) for r in table.rows.tolist()]
+    rows = list(map(tuple, table.rows.tolist()))
+    state = product_state(sp, 12)
+    assert [lam.rows for lam in state.blocks] == rows  # the view follows the rows
+    assert not state.weights.flags.writeable
     assert block_weights(12, sp) == dict(zip(enumerate_diagrams(12, 3), table.weights.tolist()))
     qubits = qubit_weights(12, 0.75)
     assert list(qubits) == list(range(0, 13, 2))
@@ -228,13 +235,13 @@ def test_random_and_turned_blocks_count_against_the_cap(monkeypatch):
 def test_product_state_weights_and_invariants():
     state = product_state(spectrum_of(0.75, 0.25), 4)
     validate_block_state(state)
-    assert state.weight(two_row(4, 4)) == pytest.approx(0.47265625, abs=1e-12)
-    assert state.weight(two_row(4, 0)) == pytest.approx(0.0703125, abs=1e-12)
+    assert state.blocks[two_row(4, 4)].weight == pytest.approx(0.47265625, abs=1e-12)
+    assert state.blocks[two_row(4, 0)].weight == pytest.approx(0.0703125, abs=1e-12)
 
 
 def test_product_state_pure_lives_in_symmetric_block():
     state = product_state(Spectrum((1.0, 0.0)), 6)
-    assert state.weight(two_row(6, 6)) == 1.0
+    assert state.blocks[two_row(6, 6)].weight == 1.0
     assert all(blk.weight == 0.0 for lam, blk in state.blocks.items() if lam.two_j != 6)
 
 
@@ -356,6 +363,29 @@ def test_encode_rejects_dump_outside_keep():
     bad_dump = uniform_dump(4, 2, list(state.blocks))  # supported everywhere
     with pytest.raises(ContractViolationError):
         encode(state, keep, bad_dump)
+    with pytest.raises(ContractViolationError, match="share N and d"):
+        encode(state, keep, uniform_dump(5, 2, [two_row(5, 5)]))  # as many rows, other N
+
+
+def test_keep_sets_that_name_no_block_raise():
+    # a one-row diagram is no qubit block: the whole mass used to go to its dump,
+    # and the error read 1.0 where the same partition as (4, 0) reads 0.527
+    sp = Spectrum((0.75, 0.25))
+    state = product_state(sp, 4)
+    for keep in ([YoungDiagram((4,))], [YoungDiagram((3, 0))], np.zeros((0, 2), dtype=np.int64)):
+        for call in (lambda: exact_protocol_error(4, sp, keep), lambda: encode(state, keep),
+                     lambda: uniform_dump(4, 2, keep)):
+            with pytest.raises(ParameterError, match="holds no block"):
+                call()
+    report = exact_protocol_error(4, sp, [YoungDiagram((4, 0))])
+    assert report.exact_error == pytest.approx(0.52734375, abs=1e-12)
+    assert report.tail_mass == pytest.approx(0.52734375, abs=1e-12)
+
+
+def test_validate_rejects_weight_where_no_block_is_held():
+    state = BlockState(2, 2, np.array([0.5, 0.5]), (np.full(3, 1.0 / 3), None))
+    with pytest.raises(ContractViolationError, match=r"weight 0\.5 on block \[1, 1\]"):
+        validate_block_state(state)
 
 
 def test_encode_reroutes_tail_mass():
@@ -400,25 +430,20 @@ def test_trace_distance_zero_on_self():
     assert trace_distance(state, state) == 0.0
 
 
-def _single_block_state(n, weights_and_mats):
-    blocks = {lam: Block(w, m) for lam, (w, m) in weights_and_mats.items()}
-    return BlockState(n=n, d=2, blocks=blocks)
-
-
 def test_trace_distance_classical_total_variation():
     one = np.eye(1, dtype=complex)
-    a = _single_block_state(2, {two_row(2, 2): (0.8, np.eye(3, dtype=complex) / 3),
-                                two_row(2, 0): (0.2, one)})
-    b = _single_block_state(2, {two_row(2, 2): (0.6, np.eye(3, dtype=complex) / 3),
-                                two_row(2, 0): (0.4, one)})
+    a = block_state(2, 2, {two_row(2, 2): (0.8, np.eye(3, dtype=complex) / 3),
+                           two_row(2, 0): (0.2, one)})
+    b = block_state(2, 2, {two_row(2, 2): (0.6, np.eye(3, dtype=complex) / 3),
+                           two_row(2, 0): (0.4, one)})
     assert trace_distance(a, b) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_trace_distance_two_diagonal_blocks():
     m1 = np.diag([0.8, 0.2]).astype(complex)
     m2 = np.diag([0.6, 0.4]).astype(complex)
-    a = _single_block_state(1, {two_row(1, 1): (1.0, m1)})
-    b = _single_block_state(1, {two_row(1, 1): (1.0, m2)})
+    a = block_state(1, 2, {two_row(1, 1): (1.0, m1)})
+    b = block_state(1, 2, {two_row(1, 1): (1.0, m2)})
     assert trace_distance(a, b) == pytest.approx(0.2, abs=1e-12)
 
 
@@ -532,11 +557,23 @@ def test_exact_error_monotone_in_keep_set():
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
 
 
+@pytest.mark.parametrize("n, sp, orient, plan", [
+    (64, spectrum_of(0.75, 0.25), None, qubit_approx_plan(64, 0.75, 0.01)),
+    (41, spectrum_of(0.8, 0.2), BlochVector(1.2, 0.4), qubit_approx_plan(41, 0.8, 0.05)),
+    (20, spectrum_of(0.5, 0.3, 0.2), None, qudit_approx_plan(20, spectrum_of(0.5, 0.3, 0.2), 0.1)),
+    (9, Spectrum((0.6, 0.4, 0.0)), None, zero_error_plan(9, 3, 2)),
+])
+def test_plan_rows_and_diagrams_give_identical_reports(n, sp, orient, plan):
+    by_rows = exact_protocol_error(n, sp, plan.rows, orient)
+    assert by_rows == exact_protocol_error(n, sp, plan.keep, orient)
+    assert by_rows == exact_protocol_error(n, sp, list(plan.keep)[::-1] * 2, orient)
+
+
 def test_exact_error_custom_dump():
     sp = spectrum_of(0.75, 0.25)
     keep = [two_row(4, 4)]
-    dump = BlockState(n=4, d=2, blocks={two_row(4, 4): Block(1.0, np.eye(5, dtype=complex) / 5)},
-                      multiplicity_free=True)
+    dump = block_state(4, 2, {two_row(4, 4): (1.0, np.eye(5, dtype=complex) / 5)},
+                       multiplicity_free=True)
     report = exact_protocol_error(4, sp, keep, dump_state=dump)
     assert report.exact_error == pytest.approx(report.tail_mass, abs=1e-12)
 

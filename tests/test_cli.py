@@ -261,6 +261,31 @@ def test_plan_dims_and_qdist_build_no_young_diagram(capsys, monkeypatch):
         assert code == 0 and out, (argv, err)
 
 
+def test_simulate_and_sweep_build_no_young_diagram(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the simulator built a YoungDiagram")
+
+    qubit, qutrit = schur_core.Spectrum((0.75, 0.25)), schur_core.Spectrum((0.5, 0.3, 0.2))
+    cases = [(64, qubit, None, planner.qubit_approx_plan(64, 0.75, 0.01)),
+             (40, qubit, blocksim.BlochVector(1.0, 0.5), planner.qubit_approx_plan(40, 0.75, 0.01)),
+             (20, qutrit, None, planner.qudit_approx_plan(20, qutrit, 0.1))]
+    monkeypatch.setattr(schur_core.YoungDiagram, "__post_init__", refuse)
+    for n, spectrum, orient, plan in cases:
+        report = blocksim.exact_protocol_error(n, spectrum, plan.rows, orient)
+        assert report.exact_error == pytest.approx(report.tail_mass, abs=1e-12)
+    runs = [["simulate", "--n", "40", "--spectrum", "0.75,0.25", "--epsilon", "0.01"],
+            ["simulate", "--n", "40", "--spectrum", "0.75,0.25", "--epsilon", "0.01",
+             "--theta", "1", "--phi", "0.5"],
+            ["simulate", "--n", "20", "--spectrum", "0.5,0.3,0.2", "--epsilon", "0.1"]]
+    runs = [[*argv, "--format", form] for argv in runs for form in ("table", "json")]
+    runs += [["sweep", "--n-list", "10,31", "--spectrum", spectrum, "--epsilon-list", "0.1,0.01",
+              "--format", form]
+             for spectrum in ("0.75,0.25", "0.5,0.3,0.2") for form in ("csv", "json")]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and out and not err, (argv, err)
+
+
 def test_simulate_headline_passes(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "20", "--spectrum", "0.6,0.4",
                            "--epsilon", "0.01", "--format", "json")

@@ -7,7 +7,6 @@ import pytest
 
 from schurcompress import blocksim, oracle
 from schurcompress.blocksim import (
-    Block,
     BlochVector,
     BlockState,
     block_weights,
@@ -43,7 +42,7 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
-from reference import clebsch_gordan_signed_square
+from reference import block_state, clebsch_gordan_signed_square
 
 
 def test_dense_product_state_basics():
@@ -238,7 +237,7 @@ def test_block_and_dense_weights_agree():
         oracle_state = extract_blocks(dense, n)
         ours = product_state(sp, n, orient)
         for lam, blk in ours.blocks.items():
-            assert oracle_state.weight(lam) == pytest.approx(blk.weight, abs=1e-10)
+            assert oracle_state.blocks[lam].weight == pytest.approx(blk.weight, abs=1e-10)
         assert block_spectrum_mismatch(ours, oracle_state) < 1e-10
 
 
@@ -264,8 +263,8 @@ def _dense_dump(keep, rng) -> BlockState:
         dim = lam.two_j + 1
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = g @ g.conj().T
-        blocks[lam] = Block(float(w), mat / np.trace(mat).real)
-    return BlockState(n=keep[0].boxes, d=2, blocks=blocks, multiplicity_free=True)
+        blocks[lam] = (float(w), mat / np.trace(mat).real)
+    return block_state(keep[0].boxes, 2, blocks, multiplicity_free=True)
 
 
 def test_materialised_frames_agree_with_the_label_and_the_oracle():

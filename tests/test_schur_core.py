@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -268,6 +269,19 @@ def test_multiplicity_counts_standard_tableaux():
     assert multiplicity_dims(mixed).tolist() == [count_standard_tableaux(tuple(row))
                                                  for row in mixed.tolist()]
     assert multiplicity_dims(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
+def test_multiplicity_dims_of_one_long_row_is_immediate():
+    # every k! up to N used to be built as a big integer, which ran out of memory here
+    start = time.perf_counter()
+    assert multiplicity_dims(np.array([[2_000_000]])).tolist() == [1]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_multiplicity_dims_match_the_binomial_difference_at_large_n():
+    rows = diagram_rows(301, 2)
+    want = [qubit_multiplicity(301, a - b) for a, b in rows.tolist()]
+    assert multiplicity_dims(rows).tolist() == want
 
 
 def test_qubit_multiplicity_binomial_difference():

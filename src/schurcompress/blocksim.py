@@ -2,28 +2,38 @@
 
 A permutation-invariant state on (C^d)^{ox N} decomposes as a direct sum over
 Young diagrams of weight * (block matrix ox maximally-mixed multiplicity
-factor).  ``BlockState`` stores the weights and the block matrices in the
-order of the rows of ``diagram_rows(N, d)``; the multiplicity factor is
-implied.  Keep sets are (K, d) row arrays or YoungDiagrams, read by
-``keep_mask``, so the channels walk that one index and never build, hash or
-sort diagrams; ``BlockState.blocks``, a {YoungDiagram: Block} view, is built
-on first use.  Encoding drops the multiplicity factors and reroutes the
-weight of discarded blocks into a dump state; decoding re-appends them.
-Because both sides share the same implied factors, trace distances between
-full-form states are exact block-by-block sums.
+factor).  ``BlockState`` follows the rows of ``diagram_rows(N, d)``: one
+weight per row, and the blocks on one flat layout.  A diagonal block is a run
+of (eigenvalue, multiplicity) pairs in the flat ``values`` and ``counts``
+arrays, row i's run being ``offsets[i]:offsets[i + 1]``; only blocks that are
+not diagonal (random states, blocks turned into another frame, user-supplied
+matrices) are held per row as dense Hermitian matrices.  A block of one pair
+is a multiple of the identity: the uniform dump and an underflowed zero block
+are one value with count dim lambda.  Keep sets are (K, d) row arrays or
+YoungDiagrams, read by ``keep_mask``.  Encoding drops the multiplicity factors
+and reroutes the weight of discarded blocks into a dump state; decoding
+re-appends them.  Because both sides share the same implied factors, trace
+distances between full-form states are exact block-by-block sums.
 
-A block that is diagonal in its basis (Gelfand-Tsetlin order, which is
-ascending m for qubits) is stored as the 1-D real vector of its diagonal; only
-blocks that are not diagonal (random or user-supplied blocks) are 2-D
-Hermitian matrices.  A qubit product state turned to a Bloch orientation
-keeps the same vectors: the orientation is a label on the state, and its
-blocks are diagonal in the frame turned by U^{ox N}.  Encode, decode and the
-trace distance compare blocks directly whenever both states share a frame,
-and a vector with all entries equal (such as the uniform dump's) fits every
-frame.  Only where a block meets one held in another frame is it turned into
-that frame as a dense matrix by the Wigner rotation.  So diagonal and oriented
-product states, the uniform dump and everything encoded from them stay
-vectors, and their trace distances are plain sums of absolute values.
+The diagonal of the product-state block of lambda is p^c / s_lambda(p) over
+the contents c of its semistandard tableaux, so it is stored once per
+distinct content c with the Kostka number K_lambda,c as its count.  The
+Kostka numbers come from Kostant's multiplicity formula (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, par. 24); for qubits
+every count is 1 and the run is the diagonal itself, in ascending m.  Encode,
+decode, the trace distance and ``validate_block_state`` are whole-array passes
+over the pairs (the trace norm of a diagonal difference is
+sum |w_a v_a - w_b v_b| * count), and states derived from one another share
+their layout, so those passes need no gather.  Only a row that holds a dense
+block on either side goes through a per-row path.  ``BlockState.blocks`` is
+the {YoungDiagram: Block} view, built on first use: each diagonal block
+expanded to its vector in Gelfand-Tsetlin order (ascending m for qubits).
+
+A qubit product state turned to a Bloch orientation keeps the same pairs: the
+orientation is a label on the state, and its blocks are diagonal in the frame
+turned by U^{ox N}.  A block with all eigenvalues equal fits every frame;
+only where a block meets one held in another frame is it turned into that
+frame as a dense matrix by the Wigner rotation.
 
 BlockStates are immutable after construction; channels return new values, so
 independent (N, spectrum, epsilon) points can be evaluated in parallel.
@@ -32,9 +42,9 @@ independent (N, spectrum, epsilon) points can be evaluated in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,6 +58,7 @@ from .schur_core import (
     Spectrum,
     YoungDiagram,
     _gt_level,
+    _ranges,
     diagram_rows,
     irrep_dims,
     keep_mask,
@@ -59,8 +70,8 @@ from .schur_core import (
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
 UNDERFLOW = 1e-300
-BLOCK_ENTRY_CAP = 2 ** 25  # entries held by the blocks of one state: dim, or dim^2 if dense
-GT_BATCH = 4096  # tableaux per batch of shapes when building product-state diagonals
+BLOCK_ENTRY_CAP = 2 ** 25  # entries one state stores: a (value, count) pair, or dim^2 per dense block
+KOSTKA_CAP = 2 ** 26  # partial Kostant terms walked, or Kostant partition-function table entries
 
 
 class Block(NamedTuple):
@@ -88,52 +99,128 @@ class BlochVector:
 class BlockState:
     """Weights and blocks of a permutation-invariant N-copy state.
 
-    ``weights`` (read-only) and ``matrices`` follow the rows of
-    ``diagram_rows(n, d)``; a matrix is None, and its weight 0, where the
-    state holds no block.  ``orientation`` names the frame the blocks are held
-    in: None is the lab frame, a Bloch vector the frame turned by the N-fold
-    qubit rotation that takes the lab z axis to it, where an oriented product
-    state is diagonal.  Spectra, traces and weights do not depend on the frame.
+    Every array is read-only and follows the rows of ``diagram_rows(n, d)``:
+    ``weights``, and ``held``, the rows that hold a block (weight 0 elsewhere).
+    Row i's diagonal block is the pairs ``values[k]``, ``counts[k]`` for k in
+    ``offsets[i]:offsets[i + 1]``: an eigenvalue and its multiplicity, so the
+    counts of a block sum to its dimension.  ``dense`` maps a row to its block
+    when that is a full Hermitian matrix; such a row's pairs are unused.  A
+    block of several pairs lists its diagonal in Gelfand-Tsetlin order, count 1
+    each; with ``by_content`` (the product states of d > 2 and what is encoded
+    from them) it has one pair per content c with Kostka number K_lambda,c > 0
+    instead, in the order of ``_content_pairs``.  ``orientation`` names the
+    frame the blocks are held in: None is the lab frame, a Bloch vector the
+    frame turned by the N-fold qubit rotation that takes the lab z axis to it,
+    where an oriented product state is diagonal.  Spectra, traces and weights
+    do not depend on the frame.
     """
 
     n: int
     d: int
     weights: np.ndarray
-    matrices: tuple[np.ndarray | None, ...]
+    held: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+    dense: Mapping[int, np.ndarray] = field(default_factory=dict)
+    by_content: bool = False
     multiplicity_free: bool = False
     orientation: BlochVector | None = None
 
     def __post_init__(self):
-        self.weights.flags.writeable = False
+        for array in (self.weights, self.held, self.values, self.counts, self.offsets):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_matrices(cls, n: int, d: int, weights: np.ndarray,
+                      matrices: Iterable[np.ndarray | None],
+                      multiplicity_free: bool = False) -> "BlockState":
+        """The state holding, on each row of ``diagram_rows(n, d)``, the given
+        block: None for no block, the 1-D diagonal of a diagonal block in
+        Gelfand-Tsetlin order, or a 2-D Hermitian matrix.  A diagonal with all
+        entries equal is stored as one pair."""
+        held, dense, runs, counts = [], {}, [], []
+        for i, mat in enumerate(matrices):
+            held.append(mat is not None)
+            run, count = np.zeros(0), []
+            if mat is not None and mat.ndim == 2:
+                dense[i] = mat
+            elif mat is not None and (mat == mat[0]).all():  # a multiple of the identity
+                run, count = mat[:1], [len(mat)]
+            elif mat is not None:
+                run, count = mat, [1] * len(mat)
+            runs.append(run)
+            counts += count
+        return cls(n, d, np.asarray(weights, float), np.array(held, dtype=bool),
+                   np.concatenate([np.zeros(0)] + runs).astype(float),
+                   np.array(counts, dtype=np.int64),
+                   np.concatenate([[0], np.cumsum([len(run) for run in runs], dtype=np.int64)]),
+                   dense, multiplicity_free=multiplicity_free)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Pairs per row."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def pair_rows(self) -> np.ndarray:
+        """Rows that hold a diagonal block, as pairs."""
+        mask = self.held.copy()
+        mask[list(self.dense)] = False
+        return mask
 
     @cached_property
     def blocks(self) -> dict[YoungDiagram, Block]:
-        """The blocks the state holds, keyed by YoungDiagram in ``diagram_rows`` order."""
+        """The blocks the state holds, keyed by YoungDiagram in ``diagram_rows``
+        order: a dense block as its matrix, a diagonal one as its diagonal in
+        Gelfand-Tsetlin order."""
         rows = diagram_rows(self.n, self.d).tolist()
-        return {YoungDiagram(row): Block(w, mat)
-                for row, w, mat in zip(rows, self.weights.tolist(), self.matrices)
-                if mat is not None}
+        held = np.flatnonzero(self.held).tolist()
+        diagonals = _diagonals(self, np.flatnonzero(self.pair_rows))
+        weights = self.weights.tolist()
+        return {YoungDiagram(rows[i]): Block(weights[i], self.dense.get(i, diagonals.get(i)))
+                for i in held}
+
+
+def _row_reduce(offsets: np.ndarray, pairs: np.ndarray, ufunc=np.add) -> np.ndarray:
+    """``ufunc`` over the pairs of each row of a layout (0 for a row without any)."""
+    sizes = np.diff(offsets)
+    out = np.zeros(len(sizes))
+    if sizes.any():
+        out[sizes > 0] = ufunc.reduceat(pairs, offsets[:-1][sizes > 0])
+    return out
 
 
 def validate_block_state(state: BlockState) -> None:
-    """Assert the ensemble invariants: weights sum to 1, blocks PSD with unit trace."""
+    """Assert the ensemble invariants: weights sum to 1, blocks PSD with unit
+    trace.  Raises for the first row, in ``diagram_rows`` order, that breaks one."""
     total = sum(state.weights.tolist())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ContractViolationError(f"block weights sum to {total!r}")
-    rows = diagram_rows(state.n, state.d).tolist()
-    for row, w, mat in zip(rows, state.weights.tolist(), state.matrices):
-        if w < 0 or (mat is None and w):
-            raise ContractViolationError(f"weight {w} on block {row}")
-        if mat is None or (w == 0.0 and not np.any(mat)):
-            continue  # no block, or an underflowed one stored as an explicit zero
-        if mat.ndim == 2 and np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ContractViolationError(f"block {row} not Hermitian")
-        trace = np.trace(mat).real if mat.ndim == 2 else mat.sum()
-        if abs(trace - 1.0) > WEIGHT_SUM_TOL:
-            raise ContractViolationError(f"block {row} trace {trace!r}")
-        eigs = np.linalg.eigvalsh(mat) if mat.ndim == 2 else mat
-        if eigs.min() < -PSD_TOL:
-            raise ContractViolationError(f"block {row} not PSD")
+    w = state.weights
+    trace = _row_reduce(state.offsets, state.values * state.counts)
+    largest = _row_reduce(state.offsets, np.abs(state.values), np.maximum)
+    checked = state.pair_rows & ~((w == 0.0) & (largest == 0.0))  # not an underflowed zero block
+    psd = checked & (_row_reduce(state.offsets, state.values, np.minimum) < -PSD_TOL)
+    hermitian = np.zeros(len(w), dtype=bool)
+    for i, mat in state.dense.items():
+        if w[i] == 0.0 and not np.any(mat):
+            continue
+        checked[i], trace[i] = True, np.trace(mat).real
+        hermitian[i] = np.max(np.abs(mat - mat.conj().T)) > 1e-12
+        psd[i] = not hermitian[i] and np.linalg.eigvalsh(mat).min() < -PSD_TOL
+    checks = {"weight": (w < 0) | (~state.held & (w != 0)), "Hermitian": hermitian,
+              "trace": checked & (np.abs(trace - 1.0) > WEIGHT_SUM_TOL), "PSD": psd}
+    failing = np.flatnonzero(np.logical_or.reduce(list(checks.values())))
+    if len(failing):
+        i = failing[0]
+        row = diagram_rows(state.n, state.d)[i].tolist()
+        raise ContractViolationError({
+            "weight": f"weight {w[i]} on block {row}",
+            "Hermitian": f"block {row} not Hermitian",
+            "trace": f"block {row} trace {trace[i]!r}",
+            "PSD": f"block {row} not PSD",
+        }[next(name for name, mask in checks.items() if mask[i])])
 
 
 # ---------------------------------------------------------------------------
@@ -224,32 +311,289 @@ def weight_table(n: int, spectrum: Spectrum) -> WeightTable:
 # Product-state construction
 # ---------------------------------------------------------------------------
 
-def _block_diagonals(rows: np.ndarray, spectrum: Spectrum) -> list[np.ndarray]:
-    """Normalized diagonal of the block of every shape in ``rows`` for a diagonal
-    state, each in Gelfand-Tsetlin order.
+def _kostant_table(n: int, r: int) -> np.ndarray:
+    """The Kostant partition function of A_{r-1} on every point it is read at
+    for weights of n boxes: P(a), the number of ways to write sum_k a_k alpha_k
+    as a sum of positive roots, for 0 <= a_k <= n - ceil(k n / r).
 
-    Diagonal entries are the content monomials p^{content(T)} over the
-    semistandard tableaux of the shape, normalized per shape via a stable
-    softmax so that deep tails do not lose the normalization.  A letter of
-    probability 0 that a tableau does not use contributes a factor 1; one it
-    uses, 0.  The shapes go through the branching rule together, in batches
-    of consecutive shapes that start within GT_BATCH tableaux of each other.
+    A positive root e_i - e_j is the run of simple roots alpha_i..alpha_{j-1},
+    so P is a coin-change count, one running sum per root.  Raises
+    ResourceLimitError, before allocating it, when the table would hold more
+    than KOSTKA_CAP entries.
     """
-    rank = spectrum.rank  # the zero eigenvalues come last
-    log_p = np.log(spectrum.probs[:rank])
-    dims = irrep_dims(rows).astype(np.int64)
-    offsets = np.cumsum(dims) - dims
-    cuts = np.flatnonzero(np.diff(offsets // GT_BATCH)) + 1
-    out: list[np.ndarray] = []
-    for batch in np.split(np.arange(len(rows)), cuts):
-        contents, owner = _gt_level(rows[batch])
-        logs = contents[:, :rank] @ log_p
-        if rank < spectrum.d:
-            logs[contents[:, rank:].any(axis=1)] = -np.inf
-        starts = offsets[batch] - offsets[batch[0]]
-        rel = np.exp(logs - np.maximum.reduceat(logs, starts)[owner])
-        out += np.split(rel / np.add.reduceat(rel, starts)[owner], starts[1:])
+    shape = tuple(n - -(-k * n // r) + 1 for k in range(1, r))
+    if math.prod(shape) > KOSTKA_CAP:
+        raise ResourceLimitError(
+            f"Kostant table capped at {KOSTKA_CAP} entries, N={n} with {r} rows needs "
+            f"{math.prod(shape)}")
+    table = np.zeros(shape, dtype=np.int64)
+    table[(0,) * len(shape)] = 1
+    for i in range(r - 1):
+        for j in range(i + 1, r):  # the root alpha_i + .. + alpha_{j-1}
+            run = range(i + 1, j)
+            to = [slice(1, None) if k in run else slice(None) for k in range(r - 1)]
+            frm = [slice(None, -1) if k in run else slice(None) for k in range(r - 1)]
+            for x in range(1, shape[i]):  # ascending, so the root can be used again
+                to[i], frm[i] = x, x - 1
+                table[tuple(to)] += table[tuple(frm)]
+    return table
+
+
+def _kostant_terms(lam: np.ndarray, floor: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms (lambda, w) of Kostant's formula that can count: those whose
+    prefix sums of w(lambda + rho) (rows of ``lam``) reach ``floor`` at every
+    position.  A depth-first walk over w, one position at a time, drops a
+    prefix as soon as it falls short.  Returns each term's shape, w as a
+    base-r number, its prefix sums (without the last, the total) and whether
+    w is odd, grouped by shape.  Raises ResourceLimitError, before a step,
+    when the walk would hold more than KOSTKA_CAP partial terms.
+    """
+    r = lam.shape[1]
+    shape, key = np.arange(len(lam)), np.zeros(len(lam), dtype=np.int64)
+    used, odd = np.zeros(len(lam), dtype=np.int64), np.zeros(len(lam), dtype=bool)
+    prefix = np.zeros((len(lam), 0), dtype=np.int32)
+    for k in range(r):
+        if len(shape) * r > KOSTKA_CAP:
+            raise ResourceLimitError(
+                f"Kostant's sum capped at {KOSTKA_CAP} partial terms, which {len(lam)} shapes "
+                f"with {r} rows pass")
+        parent, j = np.repeat(np.arange(len(shape)), r), np.tile(np.arange(r), len(shape))
+        total = (prefix[parent, -1] if k else 0) + lam[shape[parent], j]
+        keep = (used[parent] >> j & 1) == 0
+        if k < r - 1:
+            keep &= total >= floor[k]
+        parent, j, total = parent[keep], j[keep], total[keep]
+        later = used[parent] >> (j + 1)  # the placed entries above j, each an inversion
+        flips = sum(((later >> b) & 1 for b in range(r)), np.zeros(len(j), dtype=np.int64))
+        odd = odd[parent] ^ (flips & 1).astype(bool)
+        used, key, shape = used[parent] | 1 << j, key[parent] * r + j, shape[parent]
+        if k < r - 1:
+            prefix = np.column_stack([prefix[parent], total])
+    return shape, key, prefix, odd
+
+
+def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """K[i, j], the number of semistandard tableaux of shape ``lams[i]`` and
+    content ``mus[j]``, for rows of partitions of one n in ``diagram_rows`` order.
+
+    Kostant's multiplicity formula in GL(r), r the most nonzero rows any
+    partition of n can have: K = sum over w in S_r of sgn(w) P(w(lambda + rho)
+    - (mu + rho)), with P read at the simple-root coordinates a_k, the prefix
+    sums of that weight, and zero unless every a_k >= 0.  For r = 3,
+    P = min(a_1, a_2) + 1; otherwise it is ``_kostant_table``.  Only the terms
+    of ``_kostant_terms`` are summed, and only over the mu from lambda's block
+    of shapes on in lexicographic order (K = 0 unless mu <= lambda in
+    dominance), one w at a time.
+    """
+    n = int(mus[0].sum())
+    r = max(1, min(n, lams.shape[1]))
+    rho = np.arange(r - 1, -1, -1, dtype=np.int32)
+    lower = np.cumsum(mus[:, :r] + rho, axis=1, dtype=np.int32)[:, :-1]
+    shape, key, upper, odd = _kostant_terms(lams[:, :r].astype(np.int32) + rho,
+                                            lower.min(axis=0))
+    if r != 3:
+        table = _kostant_table(n, r)
+        strides = np.cumprod((1,) + table.shape[:0:-1])[::-1].astype(np.int32)
+        table = table.ravel()
+    ranks = _lex_ranks(mus, n)[::-1]  # ascending
+    out = np.zeros((len(lams), len(mus)), dtype=np.int64)
+    for block in np.array_split(np.arange(len(lams)), min(len(lams), 1 + out.size // 2 ** 17)):
+        lo = len(mus) - np.searchsorted(ranks, _lex_ranks(lams[block[:1]], n), "right")[0]
+        terms = np.arange(*np.searchsorted(shape, [block[0], block[-1] + 1]))
+        terms = terms[np.argsort(key[terms], kind="stable")]
+        for w in np.split(terms, np.flatnonzero(np.diff(key[terms])) + 1):
+            rows = shape[w]
+            a = [upper[w, k, None] - lower[lo:, k] for k in range(r - 1)]
+            if r == 3:  # min(a_1, a_2) + 1, which is <= 0 unless both are >= 0
+                term = np.minimum(a[0], a[1], out=a[0])
+                term += 1
+                np.maximum(term, 0, out=term)
+            else:
+                inside = np.logical_and.reduce([x >= 0 for x in a]) if a else np.True_
+                flat = sum((x * s for x, s in zip(a, strides)), np.int32(0))
+                term = np.where(inside, table[np.where(inside, flat, 0)], 0)
+            if odd[w[0]]:
+                out[rows, lo:] -= term
+            else:
+                out[rows, lo:] += term
     return out
+
+
+def _lex_ranks(contents: np.ndarray, n: int) -> np.ndarray:
+    """The position of each composition of n (a row of ``contents``) among all
+    compositions of n into as many parts, in lexicographic order: before
+    position k come the ones that agree up to k and are smaller at k,
+    C(l + m, m) - C(l - c_k + m, m) of them, with l = n - (c_0 + .. + c_{k-1})
+    and m the parts after k."""
+    d = contents.shape[1]
+    ways = np.array([[math.comb(left + m, m) for m in range(d)] for left in range(n + 1)],
+                    dtype=np.int64)
+    left = n - np.cumsum(contents, axis=1) + contents
+    rank = np.zeros(len(contents), dtype=np.int64)
+    for k in range(d - 1):
+        rank += ways[left[:, k], d - 1 - k] - ways[left[:, k] - contents[:, k], d - 1 - k]
+    return rank
+
+
+def _compositions(n: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every composition of n into d parts, grouped by the partition ``mus``
+    row it sorts to (in row order, lexicographic within a group): the (C, d)
+    contents, the start of each row's group (M + 1), and the grouped position
+    of the composition of each lexicographic rank."""
+    d = mus.shape[1]
+    contents, left = np.zeros((1, 0), dtype=np.int64), np.array([n])
+    for _ in range(d - 1):
+        owner, value = _ranges(np.zeros_like(left), left)
+        contents = np.column_stack([contents[owner], value])
+        left = left[owner] - value
+    contents = np.column_stack([contents, left])
+    ranks = _lex_ranks(mus, n)  # descending, as diagram_rows is
+    part = len(mus) - 1 - np.searchsorted(ranks[::-1], _lex_ranks(-np.sort(-contents), n))
+    order = np.argsort(part, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    starts = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=len(mus)))])
+    return contents[order], starts, position
+
+
+def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (content, Kostka number) pairs of every shape in ``lams`` (rows of
+    partitions of n, ``mus`` being all of them): each content c with
+    K_lambda,c > 0, grouped by shape.  Returns the (C, d) contents, the
+    content index of each pair, its count, and the pairs per shape.
+
+    For two rows the contents are (c, n - c) for c = lambda_2..lambda_1, each
+    once, which is ascending m.  Otherwise K_lambda,c = K_lambda,sort(c), so
+    ``_kostka_numbers`` over partitions suffices, and each (lambda, mu) with
+    K > 0 expands to the compositions that sort to mu, in ``_compositions``
+    order.  Raises ResourceLimitError, before the pairs are built, when they
+    and ``extra`` more would be more than BLOCK_ENTRY_CAP.
+    """
+    n = int(mus[0].sum())
+    if lams.shape[1] == 2:
+        sizes = lams[:, 0] - lams[:, 1] + 1
+        _check_pairs(int(sizes.sum()) + extra, n)
+        _, index = _ranges(lams[:, 1], lams[:, 0])
+        contents = np.column_stack([np.arange(n + 1), np.arange(n, -1, -1)])
+        return contents, index, np.ones(len(index), dtype=np.int64), sizes
+    kostka = _kostka_numbers(lams, mus)
+    contents, starts, _ = _compositions(n, mus)
+    shape, mu = np.nonzero(kostka)
+    runs = np.diff(starts)[mu]
+    sizes = np.bincount(shape, weights=runs, minlength=len(lams)).astype(np.int64)
+    _check_pairs(int(sizes.sum()) + extra, n)
+    index = np.repeat(starts[mu] - (np.cumsum(runs) - runs), runs)
+    index += np.arange(len(index))  # each (lambda, mu) runs over the compositions of mu
+    return contents, index, np.repeat(kostka[shape, mu], runs), sizes
+
+
+def _check_pairs(pairs: int, n: int) -> None:
+    if pairs > BLOCK_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"product state capped at {BLOCK_ENTRY_CAP} pairs, N={n} needs {pairs}")
+
+
+def _dims(rows: np.ndarray) -> np.ndarray:
+    """``irrep_dims`` as int64; ResourceLimitError for a dimension past 2^62."""
+    dims = irrep_dims(rows)
+    if len(dims) and dims.max() >= 2 ** 62:
+        raise ResourceLimitError(f"block dimension {dims.max()} does not fit a 64-bit count")
+    return dims.astype(np.int64)
+
+
+def product_state(spectrum: Spectrum, n: int,
+                  orientation: BlochVector | None = None) -> BlockState:
+    """Block decomposition of the N-fold product of a single-copy state.
+
+    The block of lambda is diagonal with eigenvalue p^c / s_lambda(p) on each
+    content c, K_lambda,c times: one pair per distinct content
+    (``_content_pairs``), normalized per shape by a stable log-space softmax
+    so that deep tails do not lose the normalization.  A letter of
+    probability 0 that a content does not use contributes a factor 1; one it
+    uses, 0.  A block whose weight underflows is one zero pair.  For qubits
+    any orientation is accepted: it becomes the state's frame label, and the
+    blocks are the same as the unrotated state's.  For d > 2 only diagonal
+    states are supported (rotating a qudit block needs irrep machinery this
+    package deliberately omits, and every error formula is orientation
+    independent).  Raises ResourceLimitError, before allocating any block,
+    when the state would hold more than BLOCK_ENTRY_CAP pairs.
+    """
+    d = spectrum.d
+    if n < 1:
+        raise ParameterError(f"need at least one copy, got N={n}")
+    rotated = orientation is not None and bool(orientation.theta or orientation.phi)
+    if d > 2 and rotated:
+        raise UnsupportedFeatureError("rotated states are only supported for qubits")
+    table = weight_table(n, spectrum)
+    live = table.weights >= UNDERFLOW
+    dead = np.flatnonzero(~live)
+    contents, index, counts, sizes = _content_pairs(table.rows[live], table.rows, len(dead))
+    rank = spectrum.rank  # the zero eigenvalues come last
+    logs = contents[:, :rank] @ np.log(spectrum.probs[:rank])
+    if rank < d:
+        logs[contents[:, rank:].any(axis=1)] = -np.inf
+    logs = logs[index]
+    starts = np.cumsum(sizes) - sizes
+    logs -= np.repeat(np.maximum.reduceat(logs, starts), sizes)
+    values = np.exp(logs, out=logs)
+    values /= np.repeat(np.add.reduceat(values * counts, starts), sizes)
+    row_sizes = np.ones(len(live), dtype=np.int64)
+    row_sizes[live] = sizes
+    if len(dead):  # one zero pair of count dim lambda per underflowed block
+        slot = np.repeat(live, row_sizes)
+        values, live_values = np.zeros(len(slot)), values
+        values[slot] = live_values
+        counts, live_counts = np.empty(len(slot), dtype=np.int64), counts
+        counts[slot], counts[~slot] = live_counts, _dims(table.rows[dead])
+    return BlockState(n, d, np.where(live, table.weights, 0.0), np.ones(len(live), dtype=bool),
+                      values, counts, np.concatenate([[0], np.cumsum(row_sizes)]),
+                      by_content=d > 2, orientation=orientation if rotated else None)
+
+
+def _diagonals(state: BlockState, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """The diagonal of the block of each given row that holds pairs, in
+    Gelfand-Tsetlin order.  A run of one pair is constant; a run of
+    several is the diagonal itself, unless the state is ``by_content``: then
+    each tableau of the shape (``_gt_level``) reads the pair of its content."""
+    sizes, first = state.sizes[rows].tolist(), state.offsets[rows].tolist()
+    out = {i: (state.values[k:k + s] if s > 1 else np.full(state.counts[k], state.values[k]))
+           for i, k, s in zip(rows.tolist(), first, sizes)}
+    keyed = rows[state.sizes[rows] > 1] if state.by_content else rows[:0]
+    if len(keyed):
+        shapes = diagram_rows(state.n, state.d)
+        contents, owner = _gt_level(shapes[keyed])
+        _, index, _, sizes = _content_pairs(shapes[keyed], shapes)
+        assert np.array_equal(sizes, state.sizes[keyed]), "pairs do not follow the content layout"
+        _, _, position = _compositions(state.n, shapes)
+        width = position.size
+        runs = np.repeat(np.arange(len(keyed)), sizes) * width + index  # ascending
+        found = np.searchsorted(runs, owner * width + position[_lex_ranks(contents, state.n)])
+        found += (state.offsets[keyed] - (np.cumsum(sizes) - sizes))[owner]
+        ends = np.cumsum(np.bincount(owner, minlength=len(keyed)))[:-1]
+        out.update(zip(keyed.tolist(), np.split(state.values[found], ends)))
+    return out
+
+
+def _ordered(state: BlockState) -> BlockState:
+    """The state with every block of several pairs listed in Gelfand-Tsetlin
+    order, count 1 each, rather than by content."""
+    if not state.by_content:
+        return state
+    diagonals = _diagonals(state, np.flatnonzero(state.pair_rows))
+    runs, counts = [], []
+    for i, (k, s) in enumerate(zip(state.offsets[:-1].tolist(), state.sizes.tolist())):
+        if s > 1 and i in diagonals:
+            runs.append(diagonals[i])
+            counts.append(np.ones(len(diagonals[i]), dtype=np.int64))
+        else:
+            runs.append(state.values[k:k + s])
+            counts.append(state.counts[k:k + s])
+    sizes = [len(run) for run in runs]
+    return replace(state, values=np.concatenate(runs), counts=np.concatenate(counts),
+                   offsets=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+                   by_content=False)
 
 
 def _rotation(frame: BlochVector | None, dim: int) -> np.ndarray:
@@ -268,58 +612,35 @@ def _rotated(mat: np.ndarray, source: BlochVector | None,
     return (out + out.conj().T) / 2.0
 
 
+def _constant(state: BlockState, rows: np.ndarray) -> np.ndarray:
+    """Whether the diagonal block of each given row (all holding pairs) has all
+    eigenvalues equal."""
+    high = _row_reduce(state.offsets, state.values, np.maximum)
+    return high[rows] == _row_reduce(state.offsets, state.values, np.minimum)[rows]
+
+
 def _in_frame(state: BlockState, frame: BlochVector | None) -> BlockState:
     """The state with its blocks held in the given frame.
 
-    A diagonal block with all entries equal is a multiple of the identity and
-    fits every frame, so it passes through; every other block is turned into
-    a dense matrix.  Raises ResourceLimitError, before allocating any, when
-    those matrices would hold more than BLOCK_ENTRY_CAP entries.
+    A diagonal block with all eigenvalues equal is a multiple of the identity
+    and fits every frame, so it passes through; every other block is turned
+    into a dense matrix.  Raises ResourceLimitError, before allocating any,
+    when those matrices would hold more than BLOCK_ENTRY_CAP entries.
     """
     if state.orientation == frame:
         return state
-    matrices = list(state.matrices)
-    moved = [i for i, mat in enumerate(matrices)
-             if mat is not None and (mat.ndim == 2 or (mat != mat[0]).any())]
-    entries = sum(len(matrices[i]) ** 2 for i in moved)
+    pairs = np.flatnonzero(state.pair_rows)
+    moved = pairs[~_constant(state, pairs)]
+    dims = [int(state.counts[k:k + s].sum())
+            for k, s in zip(state.offsets[moved].tolist(), state.sizes[moved].tolist())]
+    entries = sum(dim ** 2 for dim in dims) + sum(len(mat) ** 2 for mat in state.dense.values())
     if entries > BLOCK_ENTRY_CAP:
         raise ResourceLimitError(
             f"rotated blocks capped at {BLOCK_ENTRY_CAP} entries, N={state.n} needs {entries}")
-    for i in moved:
-        matrices[i] = _rotated(matrices[i], state.orientation, frame)
-    return replace(state, matrices=tuple(matrices), orientation=frame)
-
-
-def product_state(spectrum: Spectrum, n: int,
-                  orientation: BlochVector | None = None) -> BlockState:
-    """Block decomposition of the N-fold product of a single-copy state.
-
-    For qubits any orientation is accepted: it becomes the state's frame
-    label, and the blocks are the same diagonals as the unrotated state's.
-    For d > 2 only diagonal states are supported (rotating a qudit block needs
-    irrep machinery this package deliberately omits, and every error formula
-    is orientation independent).  Raises ResourceLimitError, before
-    allocating any block, when the blocks would hold more than
-    BLOCK_ENTRY_CAP floats: one per basis state of every irrep.
-    """
-    d = spectrum.d
-    if n < 1:
-        raise ParameterError(f"need at least one copy, got N={n}")
-    rotated = orientation is not None and bool(orientation.theta or orientation.phi)
-    if d > 2 and rotated:
-        raise UnsupportedFeatureError("rotated states are only supported for qubits")
-    table = weight_table(n, spectrum)
-    dims = irrep_dims(table.rows)
-    entries = int(dims.sum())
-    if entries > BLOCK_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"product state capped at {BLOCK_ENTRY_CAP} block entries, N={n} needs {entries}")
-    live = table.weights >= UNDERFLOW
-    diagonals = iter(_block_diagonals(table.rows[live], spectrum))
-    matrices = tuple(next(diagonals) if alive else np.zeros(dim)
-                     for dim, alive in zip(dims.tolist(), live.tolist()))
-    return BlockState(n=n, d=d, weights=np.where(live, table.weights, 0.0), matrices=matrices,
-                      orientation=orientation if rotated else None)
+    dense = {i: _rotated(mat, state.orientation, frame)
+             for i, mat in _diagonals(state, moved).items()}
+    dense.update((i, _rotated(mat, state.orientation, frame)) for i, mat in state.dense.items())
+    return replace(state, dense=dense, orientation=frame)
 
 
 def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
@@ -337,26 +658,103 @@ def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = g @ g.conj().T
         matrices.append(mat / np.trace(mat).real)
-    return BlockState(n=n, d=d, weights=raw / raw.sum(), matrices=tuple(matrices))
+    return BlockState.from_matrices(n, d, raw / raw.sum(), matrices)
 
 
 # ---------------------------------------------------------------------------
 # Channels
 # ---------------------------------------------------------------------------
 
-def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram] | np.ndarray) -> BlockState:
-    """The default dump state: maximally mixed over the kept representation spaces.
-    ``keep`` is a (K, d) row array or YoungDiagrams."""
-    rows = diagram_rows(n, d)
+def _several(state: BlockState) -> bool:
+    """Whether some diagonal block of the state has more than one pair."""
+    return bool((state.sizes[state.pair_rows] > 1).any())
+
+
+def _single(state: BlockState, pairs: np.ndarray) -> np.ndarray | None:
+    """``pairs`` (one entry per pair of the state) at the one pair of each row
+    (0 where it holds no diagonal block), when every diagonal block of the
+    state is one pair; else None."""
+    own = np.where(state.pair_rows, state.sizes, 0)
+    if (own > 1).any():
+        return None
+    first = np.zeros(len(own), dtype=pairs.dtype)
+    first[own == 1] = pairs[state.offsets[:-1][own == 1]]
+    return first
+
+
+def _spread(state: BlockState, pairs: np.ndarray, offsets: np.ndarray,
+            sizes: np.ndarray) -> np.ndarray:
+    """``pairs`` (one entry per pair of the state) on a layout of ``sizes``
+    pairs per row: a row's own run where it has as many pairs, its one pair
+    repeated where it has one.  Where the state holds no diagonal block the
+    entries are 0, or what it stores there when the layout is its own; callers
+    weigh such rows by 0 or skip them."""
+    if state.offsets is offsets or np.array_equal(state.offsets, offsets):
+        return pairs
+    single = _single(state, pairs)
+    if single is not None:
+        return np.repeat(single, sizes)
+    own = np.where(state.pair_rows, state.sizes, 0)
+    row = np.repeat(np.arange(len(own)), sizes)
+    pos = np.arange(len(row)) - offsets[:-1][row]
+    source = state.offsets[:-1][row] + np.where(own[row] == sizes[row], pos, 0)
+    return np.where(own[row] > 0, pairs[np.minimum(source, len(pairs) - 1)], 0)
+
+
+def _common(a: BlockState, b: BlockState
+            ) -> tuple[BlockState, BlockState, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """One layout for the diagonal blocks of two states of one (N, d): the two
+    states (put in Gelfand-Tsetlin order where one lists blocks of several
+    pairs by content and the other does not, ``_ordered``), the layout's
+    offsets, counts and pairs per row, and whether it is ``by_content``.
+
+    In each row the layout is the larger of the two runs, the other being the
+    same run or one pair (``_spread`` puts either state on it); a state's own
+    layout is reused when it fits.
+    """
+    if a.d > 2 and a.by_content != b.by_content and _several(a) and _several(b):
+        a, b = _ordered(a), _ordered(b)
+    own_a = np.where(a.pair_rows, a.sizes, 0)
+    own_b = np.where(b.pair_rows, b.sizes, 0)
+    sizes = np.maximum(own_a, own_b)
+    if not ((own_a == own_b) | (np.minimum(own_a, own_b) <= 1)).all():
+        raise ContractViolationError("two diagonal blocks of one row differ in their pairs")
+    by_content = a.by_content if _several(a) else b.by_content
+    for side in (a, b):
+        if (side.sizes == sizes)[sizes > 0].all():
+            return a, b, side.offsets, side.counts, side.sizes, by_content
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    counts = np.where(np.repeat(own_a == sizes, sizes),
+                      _spread(a, a.counts, offsets, sizes), _spread(b, b.counts, offsets, sizes))
+    return a, b, offsets, counts, sizes, by_content
+
+
+def _kept(keep: Iterable[YoungDiagram] | np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``keep_mask``, raising ParameterError when the keep set names no row."""
     kept = keep_mask(keep, rows)
     if not kept.any():
         raise ParameterError("keep set holds no block of the state")
-    dims = irrep_dims(rows[kept]).tolist()
+    return kept
+
+
+def _uniform_dump(n: int, d: int, rows: np.ndarray, kept: np.ndarray) -> BlockState:
+    """``uniform_dump`` of the kept rows of ``rows = diagram_rows(n, d)``."""
+    dims = _dims(rows[kept]).tolist()
     d_enc = sum(dims)
-    weights, matrices = np.zeros(len(rows)), [None] * len(rows)
-    for i, dim in zip(np.flatnonzero(kept).tolist(), dims):
-        weights[i], matrices[i] = dim / d_enc, np.full(dim, 1.0 / dim)
-    return BlockState(n, d, weights, tuple(matrices), multiplicity_free=True)
+    weights = np.zeros(len(rows))
+    weights[kept] = [dim / d_enc for dim in dims]
+    return BlockState(n, d, weights, kept.copy(), np.array([1.0 / dim for dim in dims]),
+                      np.array(dims, dtype=np.int64),
+                      np.concatenate([[0], np.cumsum(kept, dtype=np.int64)]),
+                      multiplicity_free=True)
+
+
+def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram] | np.ndarray) -> BlockState:
+    """The default dump state: maximally mixed over the kept representation
+    spaces, each block one pair of count dim lambda.  ``keep`` is a (K, d) row
+    array or YoungDiagrams."""
+    rows = diagram_rows(n, d)
+    return _uniform_dump(n, d, rows, _kept(keep, rows))
 
 
 def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray,
@@ -365,42 +763,73 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray,
 
     ``keep`` is a (K, d) row array or YoungDiagrams.  The weight of every
     discarded block is added to the kept blocks according to the dump state's
-    distribution.  The result is flagged multiplicity-free and held in the
-    frame of ``state``; a dump block that does not fit that frame is turned
-    into it.
+    distribution (by default ``uniform_dump``, built on the same row index and
+    keep mask).  The result is flagged multiplicity-free and held in the frame
+    of ``state``; a dump block that does not fit that frame is turned into it.
+
+    Per kept row, with w_dump = tail * (dump weight): a block no input weighs
+    is zero, one the dump does not touch passes through exactly, and any other
+    is (w_in * block + w_dump * dump block) / (w_in + w_dump).  Diagonal blocks
+    take that in one pass over the pairs of ``_common``; a row where a weighed
+    input block is dense is promoted and mixed on its own.
     """
     rows = diagram_rows(state.n, state.d)
-    kept = keep_mask(keep, rows)
-    if not kept.any():
-        raise ParameterError("keep set holds no block of the state")
+    kept = _kept(keep, rows)
     if dump_state is None:
-        dump_state = uniform_dump(state.n, state.d, rows[kept])
+        dump_state = _uniform_dump(state.n, state.d, rows, kept)
     if (dump_state.n, dump_state.d) != (state.n, state.d):
         raise ContractViolationError("dump state must share N and d with the state")
     stray = (dump_state.weights > 0) & ~kept
     if stray.any():
         raise ContractViolationError(
             f"dump state has weight on discarded block {rows[stray][0].tolist()}")
-    dump_state = _in_frame(dump_state, state.orientation)
-    weights_in, weights_dump = state.weights.tolist(), dump_state.weights.tolist()
+    dump = _in_frame(dump_state, state.orientation)
     tail = sum(state.weights[~kept].tolist())
-    weights, matrices = np.zeros(len(rows)), [None] * len(rows)
-    for i in np.flatnonzero(kept).tolist():
-        w_in, mat_in = weights_in[i], state.matrices[i]
-        w_dump, mat_dump = tail * weights_dump[i], dump_state.matrices[i]
-        w_out = w_in + w_dump
-        if w_out == 0.0:
+    w_in = np.where(kept, state.weights, 0.0)
+    w_dump = np.where(kept, tail * dump.weights, 0.0)
+    w_out = w_in + w_dump
+    held = kept & (state.held | dump.held)
+    weighed_dense = ((w_in > 0) & state.held & ~state.pair_rows
+                     | (w_dump > 0) & dump.held & ~dump.pair_rows)
+    dense = held & (weighed_dense | (w_out == 0) & ~state.pair_rows & ~dump.pair_rows)
+
+    state, dump, offsets, counts, sizes, by_content = _common(state, dump)
+    v_in = _spread(state, state.values, offsets, sizes)
+    values = np.repeat(w_in, sizes)
+    values *= v_in
+    single = _single(dump, dump.values)
+    if single is not None:  # w_dump * (the row's one dump eigenvalue), once per row
+        values += np.repeat(w_dump * single, sizes)
+    else:
+        values += np.repeat(w_dump, sizes) * _spread(dump, dump.values, offsets, sizes)
+    values /= np.repeat(np.where(w_out > 0, w_out, 1.0), sizes)
+    untouched = held & ~dense & (w_dump == 0) & (w_out > 0)
+    if untouched.any():
+        np.copyto(values, v_in, where=np.repeat(untouched, sizes))
+    zero = held & ~dense & (w_out == 0)
+    if zero.any():
+        values[np.repeat(zero, sizes)] = 0.0
+
+    blocks = {}
+    rows_dense = np.flatnonzero(dense)
+    diag_in = _diagonals(state, rows_dense[state.pair_rows[rows_dense]])
+    diag_dump = _diagonals(dump, rows_dense[dump.pair_rows[rows_dense]])
+    for i in rows_dense.tolist():
+        mat_in = state.dense.get(i, diag_in.get(i))
+        mat_dump = dump.dense.get(i, diag_dump.get(i))
+        a, b, total = w_in[i], w_dump[i], w_out[i]
+        if total == 0.0:
             sized = mat_in if mat_in is not None else mat_dump
-            if sized is not None:  # else neither input holds the block: it stays absent
-                matrices[i] = np.zeros(len(sized))
-        elif w_dump == 0.0:
-            weights[i], matrices[i] = w_in, mat_in  # untouched block passes through exactly
-        elif w_in > 0.0:
+            blocks[i] = np.zeros((len(sized), len(sized)))
+        elif b == 0.0:
+            blocks[i] = mat_in  # untouched block passes through exactly
+        elif a > 0.0:
             mat_in, mat_dump = _promoted(mat_in, mat_dump)
-            weights[i], matrices[i] = w_out, (w_in * mat_in + w_dump * mat_dump) / w_out
+            blocks[i] = (a * mat_in + b * mat_dump) / total
         else:
-            weights[i], matrices[i] = w_out, w_dump * mat_dump / w_out
-    return BlockState(state.n, state.d, weights, tuple(matrices), multiplicity_free=True,
+            blocks[i] = b * mat_dump / total
+    return BlockState(state.n, state.d, np.where(held, w_out, 0.0), held, values, counts,
+                      offsets, blocks, by_content, multiplicity_free=True,
                       orientation=state.orientation)
 
 
@@ -433,25 +862,35 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
     """Half the trace norm of the difference of two full-form block states.
 
     Block diagonality plus the shared maximally mixed multiplicity factors
-    make the block-by-block sum exact.  Blocks of ``b`` that do not fit the
-    frame of ``a`` are turned into it.
+    make the block-by-block sum exact, taken in row order.  Blocks of ``b``
+    that do not fit the frame of ``a`` are turned into it.  Two diagonal
+    blocks differ by sum |w_a v_a - w_b v_b| * count over the pairs of
+    ``_common``; a dense block on either side is compared on its own.
     """
     if a.n != b.n or a.d != b.d:
         raise ParameterError("states must share N and d")
     if a.multiplicity_free or b.multiplicity_free:
         raise ParameterError("trace distance is defined between decoded (full) states")
     b = _in_frame(b, a.orientation)
-    total = 0.0
-    for w_a, mat_a, w_b, mat_b in zip(a.weights.tolist(), a.matrices,
-                                      b.weights.tolist(), b.matrices):
-        if mat_a is None or mat_b is None:
-            total += w_a + w_b  # a side without the block has weight 0 on it
-            continue
-        mat_a, mat_b = _promoted(mat_a, mat_b)
-        diff = w_a * mat_a - w_b * mat_b
+    both = a.held & b.held
+    diagonal = both & a.pair_rows & b.pair_rows
+    per_row = np.where(both, 0.0, a.weights + b.weights)  # a side without the block weighs 0
+    if diagonal.any():
+        a_on, b_on, offsets, counts, sizes, _ = _common(a, b)
+        diff = np.repeat(a.weights, sizes) * _spread(a_on, a_on.values, offsets, sizes)
+        diff -= np.repeat(b.weights, sizes) * _spread(b_on, b_on.values, offsets, sizes)
+        np.abs(diff, out=diff)
+        diff *= counts
+        per_row[diagonal] = _row_reduce(offsets, diff)[diagonal]
+    rows_dense = np.flatnonzero(both & ~diagonal)
+    diag_a = _diagonals(a, rows_dense[a.pair_rows[rows_dense]])
+    diag_b = _diagonals(b, rows_dense[b.pair_rows[rows_dense]])
+    for i in rows_dense.tolist():
+        mat_a, mat_b = _promoted(a.dense.get(i, diag_a.get(i)), b.dense.get(i, diag_b.get(i)))
+        diff = a.weights[i] * mat_a - b.weights[i] * mat_b
         if np.any(diff):
-            total += trace_norm(diff)
-    return 0.5 * total
+            per_row[i] = trace_norm(diff)
+    return 0.5 * sum(per_row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +911,11 @@ def exact_protocol_error(n: int, spectrum: Spectrum,
                          orientation: BlochVector | None = None,
                          dump_state: BlockState | None = None) -> ErrorReport:
     """Exact encode-decode error plus the tail-mass bounds around it; ``keep``
-    is a (K, d) row array, such as a plan's ``rows``, or YoungDiagrams."""
+    is a (K, d) row array, such as a plan's ``rows``, or YoungDiagrams.  The
+    row index and the keep mask are built once, in ``encode``; the product
+    state holds every row, so the encoded state's rows are the kept ones."""
     state = product_state(spectrum, n, orientation)
-    rows = weight_table(n, spectrum).rows  # diagram_rows(n, d), cached by product_state
-    kept = keep_mask(keep, rows)  # encode raises if it names no block
-    err = trace_distance(state, decode(encode(state, rows[kept], dump_state)))
-    tail = sum(state.weights[~kept].tolist(), 0.0)
+    encoded = encode(state, keep, dump_state)
+    err = trace_distance(state, decode(encoded))
+    tail = sum(state.weights[~encoded.held].tolist(), 0.0)
     return ErrorReport(exact_error=err, tail_mass=tail, lower_bound=0.5 * tail)

@@ -226,7 +226,7 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
                 f"multiplicity marginal of 2j={two_j} copy {a} is {marg[a]}, not 1/{mult}")
         blocks.append((weight, np.einsum("akal->kl", gram) / weight))
     weights, matrices = zip(*blocks)
-    return BlockState(n=n, d=2, weights=np.array(weights), matrices=matrices)
+    return BlockState.from_matrices(n, 2, np.array(weights), matrices)
 
 
 def dense_weights(dense: np.ndarray, n: int) -> dict[int, float]:
@@ -250,10 +250,11 @@ def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -
     are compared row by row, and a block one side lacks counts its weight.
     """
     worst = 0.0
-    for w, mat, w_other, other in zip(block_state.weights.tolist(), block_state.matrices,
-                                      oracle_state.weights.tolist(), oracle_state.matrices):
+    ours, theirs = block_state.blocks, oracle_state.blocks
+    for lam, w, w_other in zip(enumerate_diagrams(block_state.n, block_state.d),
+                               block_state.weights.tolist(), oracle_state.weights.tolist()):
         if w > 0 and w_other > 0:
-            diff = np.abs(_block_spectrum(mat) - _block_spectrum(other))
+            diff = np.abs(_block_spectrum(ours[lam].matrix) - _block_spectrum(theirs[lam].matrix))
             worst = max(worst, float(np.max(diff)))
         else:
             worst = max(worst, abs(w - w_other))

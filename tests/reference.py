@@ -100,7 +100,7 @@ def block_state(n: int, d: int, blocks: dict, multiplicity_free: bool = False) -
     for lam, (w, mat) in blocks.items():
         i = index[lam.padded(d).rows]
         weights[i], matrices[i] = w, mat
-    return BlockState(n, d, weights, tuple(matrices), multiplicity_free)
+    return BlockState.from_matrices(n, d, weights, matrices, multiplicity_free)
 
 
 def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:

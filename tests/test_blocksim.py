@@ -195,12 +195,16 @@ def test_block_weights_normalized_at_large_n(probs, n):
 # ---------------------------------------------------------------------------
 
 def test_product_state_over_the_block_entry_cap_raises(monkeypatch):
+    # the cap bounds the (value, count) pairs a state stores: one per distinct
+    # content of each shape, not one per tableau
     sp = spectrum_of(0.5, 0.3, 0.2)
-    entries = sum(irrep_dim(lam, 3) for lam in enumerate_diagrams(20, 3))
-    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", entries - 1)
+    pairs = sum(len(np.unique(gelfand_tsetlin_contents(lam, 3), axis=0))
+                for lam in enumerate_diagrams(20, 3))
+    assert pairs < sum(irrep_dim(lam, 3) for lam in enumerate_diagrams(20, 3))
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", pairs - 1)
     with pytest.raises(ResourceLimitError):
         product_state(sp, 20)
-    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", entries)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", pairs)
     validate_block_state(product_state(sp, 20))
 
 
@@ -284,9 +288,10 @@ def test_diagonal_states_keep_vector_blocks(sp, n):
 
 @pytest.mark.parametrize("sp, n", [(spectrum_of(0.75, 0.25), 40), (spectrum_of(0.5, 0.3, 0.2), 12),
                                    (Spectrum((0.5, 0.3, 0.2, 0.0)), 8)])
-def test_block_diagonals_do_not_depend_on_the_batching(monkeypatch, sp, n):
-    # batches of a few tableaux split the shapes many ways, and shapes larger
-    # than a batch get one of their own; the reference takes one shape at a time
+def test_block_diagonals_do_not_depend_on_the_batching(sp, n):
+    # the state holds one pair per distinct content, normalized for all shapes
+    # at once; the Gelfand-Tsetlin view of every block must match a reference
+    # that takes one shape at a time over its tableaux
     def one_shape(lam):
         contents = gelfand_tsetlin_contents(lam, sp.d)
         logs = contents[:, :sp.rank] @ np.log(sp.probs[:sp.rank])
@@ -294,13 +299,10 @@ def test_block_diagonals_do_not_depend_on_the_batching(monkeypatch, sp, n):
         rel = np.exp(logs - logs.max())
         return rel / rel.sum()
 
-    whole = product_state(sp, n)
-    monkeypatch.setattr(blocksim, "GT_BATCH", 7)
-    split = product_state(sp, n)
-    for lam, blk in whole.blocks.items():
-        reference = one_shape(lam) if blk.weight else 0.0
+    for lam, blk in product_state(sp, n).blocks.items():
+        reference = one_shape(lam) if blk.weight else np.zeros(irrep_dim(lam, sp.d))
+        assert blk.matrix.shape == reference.shape, lam
         assert np.max(np.abs(blk.matrix - reference)) <= 2.2e-16, lam
-        assert np.max(np.abs(split.blocks[lam].matrix - reference)) <= 2.2e-16, lam
 
 
 @pytest.mark.parametrize("sp", [Spectrum((0.6, 0.4, 0.0)), Spectrum((0.5, 0.3, 0.2, 0.0))])
@@ -323,9 +325,52 @@ def test_product_state_qudit_rejects_rotation():
         product_state(spectrum_of(0.5, 0.3, 0.2), 3, BlochVector(0.3, 0.1))
 
 
+@pytest.mark.parametrize("d, n", [(9, 9), (8, 11)])
+def test_content_counts_sum_to_irrep_dims_with_many_rows(d, n):
+    # Kostant's sum runs over S_r with r = min(N, d): 9! and 8! orderings here,
+    # too many tableaux for the histogram test
+    probs = np.arange(d, 0, -1.0)
+    state = product_state(Spectrum(tuple(probs / probs.sum())), n)
+    dims = schur_core.irrep_dims(schur_core.diagram_rows(n, d)).astype(np.int64)
+    assert np.array_equal(np.add.reduceat(state.counts, state.offsets[:-1]), dims)
+    validate_block_state(state)
+
+
 def test_product_state_degenerate_spectrum():
     state = product_state(spectrum_of(0.5, 0.25, 0.25), 5)
     validate_block_state(state)
+
+
+@pytest.mark.parametrize("probs, n", [
+    ((0.75, 0.25), 9), ((0.5, 0.3, 0.2), 7), ((0.5, 0.25, 0.25), 7), ((0.6, 0.4, 0.0), 7),
+    ((0.4, 0.3, 0.2, 0.1), 6), ((0.5, 0.3, 0.2, 0.0), 6), ((0.3, 0.25, 0.2, 0.15, 0.1), 5),
+])
+def test_content_pairs_match_the_tableau_histogram(probs, n):
+    # the Kostka numbers from Kostant's formula against a count of the
+    # Gelfand-Tsetlin tableaux, and each value against its monomial over the
+    # Schur polynomial summed over the tableaux
+    sp = Spectrum(probs)
+    state = product_state(sp, n)
+    rows = schur_core.diagram_rows(n, sp.d)
+    probs = np.array(probs)
+    for i, lam in enumerate(enumerate_diagrams(n, sp.d)):
+        run = slice(state.offsets[i], state.offsets[i + 1])
+        values, counts = state.values[run], state.counts[run]
+        assert counts.sum() == irrep_dim(lam, sp.d), lam
+        if state.weights[i] == 0.0:  # an underflowed block: one zero pair
+            assert lam.num_rows > sp.rank and values.tolist() == [0.0], lam
+            continue
+        contents, index, engine_counts, _ = blocksim._content_pairs(rows[i:i + 1], rows)
+        contents = contents[index]
+        assert np.array_equal(counts, engine_counts), lam
+        expected, tally = np.unique(gelfand_tsetlin_contents(lam, sp.d), axis=0,
+                                    return_counts=True)
+        order = np.lexsort(contents.T[::-1])
+        assert np.array_equal(contents[order], expected), lam
+        assert np.array_equal(counts[order], tally), lam
+        monomials = np.prod(probs ** contents, axis=1)
+        np.testing.assert_allclose(values, monomials / schur_polynomial_brute(lam, sp),
+                                   rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +428,7 @@ def test_keep_sets_that_name_no_block_raise():
 
 
 def test_validate_rejects_weight_where_no_block_is_held():
-    state = BlockState(2, 2, np.array([0.5, 0.5]), (np.full(3, 1.0 / 3), None))
+    state = BlockState.from_matrices(2, 2, np.array([0.5, 0.5]), (np.full(3, 1.0 / 3), None))
     with pytest.raises(ContractViolationError, match=r"weight 0\.5 on block \[1, 1\]"):
         validate_block_state(state)
 
@@ -468,6 +513,49 @@ def test_trace_distance_is_a_metric_on_random_states():
         assert dxy == pytest.approx(dyx, abs=1e-12)
         assert dxy <= trace_distance(x, z) + trace_distance(z, y) + 1e-10
         assert 0.0 <= dxy <= 1.0 + 1e-12
+
+
+def _dense(state):
+    """The block-diagonal matrix of a state's ``blocks`` view, weights applied."""
+    mats = [blk.weight * (np.diag(blk.matrix) if blk.matrix.ndim == 1 else blk.matrix)
+            for blk in state.blocks.values()]
+    out = np.zeros((sum(map(len, mats)),) * 2, dtype=complex)
+    start = 0
+    for mat in mats:
+        out[start:start + len(mat), start:start + len(mat)] = mat
+        start += len(mat)
+    return out
+
+
+def test_qudit_product_state_meets_dense_and_ordered_blocks():
+    # a d = 3 state stores one pair per content; a random state is dense and a
+    # hand-written diagonal dump lists its entries in Gelfand-Tsetlin order,
+    # which the channels must line up with it
+    n, sp = 4, spectrum_of(0.5, 0.3, 0.2)
+    state = product_state(sp, n)
+    other = random_block_state(n, 3, np.random.default_rng(8))
+    diff = np.linalg.eigvalsh(_dense(state) - _dense(other))
+    assert trace_distance(state, other) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)
+    assert trace_distance(other, state) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)
+
+    lams = enumerate_diagrams(n, 3)
+    keep = lams[:3]
+    rng = np.random.default_rng(9)
+    dump = {}
+    for lam, w in zip(keep, (0.5, 0.3, 0.2)):
+        vec = rng.random(irrep_dim(lam, 3)) + 0.1
+        dump[lam] = (w, vec / vec.sum())
+    encoded = encode(state, keep, block_state(n, 3, dump, multiplicity_free=True))
+    tail = sum(state.blocks[lam].weight for lam in lams[3:])
+    for lam in keep:
+        w_in, w_dump = state.blocks[lam].weight, tail * dump[lam][0]
+        expected = (w_in * state.blocks[lam].matrix + w_dump * dump[lam][1]) / (w_in + w_dump)
+        assert encoded.blocks[lam].weight == pytest.approx(w_in + w_dump, abs=1e-15)
+        np.testing.assert_allclose(encoded.blocks[lam].matrix, expected, rtol=1e-12, atol=0.0)
+    back = decode(encoded)
+    diff = np.linalg.eigvalsh(_dense(state) - np.pad(_dense(back), (0, 3)))  # (2, 1, 1) is last
+    assert trace_distance(state, back) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)
+    assert trace_distance(state, back) == pytest.approx(tail, abs=1e-12)
 
 
 def test_trace_norm_hermitian():
@@ -567,6 +655,26 @@ def test_plan_rows_and_diagrams_give_identical_reports(n, sp, orient, plan):
     by_rows = exact_protocol_error(n, sp, plan.rows, orient)
     assert by_rows == exact_protocol_error(n, sp, plan.keep, orient)
     assert by_rows == exact_protocol_error(n, sp, list(plan.keep)[::-1] * 2, orient)
+
+
+def test_protocol_error_builds_the_row_index_once(monkeypatch):
+    sp, n = spectrum_of(0.5, 0.3, 0.2), 12
+    keep = qudit_approx_plan(n, sp, 0.1).rows
+    exact_protocol_error(n, sp, keep)  # warm the weight table
+    calls = {"diagram_rows": 0, "keep_mask": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counted(name, getattr(schur_core, name))
+        monkeypatch.setattr(schur_core, name, wrapped)
+        monkeypatch.setattr(blocksim, name, wrapped)
+    exact_protocol_error(n, sp, keep)
+    assert calls["diagram_rows"] <= 1 and calls["keep_mask"] <= 1, calls
 
 
 def test_exact_error_custom_dump():

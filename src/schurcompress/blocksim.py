@@ -105,10 +105,9 @@ class BlockState:
     ``offsets[i]:offsets[i + 1]``: an eigenvalue and its multiplicity, so the
     counts of a block sum to its dimension.  ``dense`` maps a row to its block
     when that is a full Hermitian matrix; such a row's pairs are unused.  A
-    block of several pairs lists its diagonal in Gelfand-Tsetlin order, count 1
-    each; with ``by_content`` (the product states of d > 2 and what is encoded
-    from them) it has one pair per content c with Kostka number K_lambda,c > 0
-    instead, in the order of ``_content_pairs``.  ``orientation`` names the
+    block of several pairs has one pair per content c with Kostka number
+    K_lambda,c > 0, in the order of ``_content_pairs``: for qubits that is its
+    diagonal in Gelfand-Tsetlin order, count 1 each.  ``orientation`` names the
     frame the blocks are held in: None is the lab frame, a Bloch vector the
     frame turned by the N-fold qubit rotation that takes the lab z axis to it,
     where an oriented product state is diagonal.  Spectra, traces and weights
@@ -123,7 +122,6 @@ class BlockState:
     counts: np.ndarray
     offsets: np.ndarray
     dense: Mapping[int, np.ndarray] = field(default_factory=dict)
-    by_content: bool = False
     multiplicity_free: bool = False
     orientation: BlochVector | None = None
 
@@ -138,17 +136,19 @@ class BlockState:
         """The state holding, on each row of ``diagram_rows(n, d)``, the given
         block: None for no block, the 1-D diagonal of a diagonal block in
         Gelfand-Tsetlin order, or a 2-D Hermitian matrix.  A diagonal with all
-        entries equal is stored as one pair."""
+        entries equal is stored as one pair, a qubit diagonal as its pairs;
+        any other diagonal of d > 2 is not on the content layout and is held
+        as its matrix."""
         held, dense, runs, counts = [], {}, [], []
         for i, mat in enumerate(matrices):
             held.append(mat is not None)
             run, count = np.zeros(0), []
-            if mat is not None and mat.ndim == 2:
-                dense[i] = mat
-            elif mat is not None and (mat == mat[0]).all():  # a multiple of the identity
+            if mat is not None and mat.ndim == 1 and (mat == mat[0]).all():  # a multiple of 1
                 run, count = mat[:1], [len(mat)]
-            elif mat is not None:
+            elif mat is not None and mat.ndim == 1 and d == 2:
                 run, count = mat, [1] * len(mat)
+            elif mat is not None:
+                dense[i] = mat if mat.ndim == 2 else np.diag(mat)
             runs.append(run)
             counts += count
         return cls(n, d, np.asarray(weights, float), np.array(held, dtype=bool),
@@ -373,18 +373,42 @@ def _kostant_terms(lam: np.ndarray, floor: np.ndarray
     return shape, key, prefix, odd
 
 
-def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """K[i, j], the number of semistandard tableaux of shape ``lams[i]`` and
-    content ``mus[j]``, for rows of partitions of one n in ``diagram_rows`` order.
+def _pair_counts(lams: np.ndarray, mus: np.ndarray, orbits: np.ndarray, extra: int
+                 ) -> np.ndarray:
+    """The pairs of each shape in ``lams``: the compositions that sort to a
+    partition ``mus[j]`` it dominates (no prefix sum larger), ``orbits[j]``
+    each, which are exactly those with K_lambda,c > 0.  Counts a block of
+    shapes at a time in row order and raises ResourceLimitError as soon as
+    the pairs so far and ``extra`` more pass BLOCK_ENTRY_CAP, before the
+    remaining shapes are looked at."""
+    lam_sums = np.cumsum(lams, axis=1)[:, :-1]
+    mu_sums = np.cumsum(mus, axis=1)[:, :-1]
+    sizes, total = np.zeros(len(lams), dtype=np.int64), extra
+    for block in np.array_split(np.arange(len(lams)),
+                                max(1, min(len(lams), len(lams) * len(mus) // 2 ** 17))):
+        inside = np.ones((len(block), len(mus)), dtype=bool)
+        for k in range(lam_sums.shape[1]):
+            inside &= mu_sums[:, k] <= lam_sums[block, k, None]
+        sizes[block] = np.where(inside, orbits, 0).sum(axis=1)
+        total += int(sizes[block].sum())
+        _check_pairs(total, int(mus[0].sum()))
+    return sizes
+
+
+def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Kostka numbers K > 0 of shapes ``lams`` and contents ``mus`` (rows
+    of partitions of one n in ``diagram_rows`` order), grouped by shape in
+    row order: the content row of each and K, the number of semistandard
+    tableaux of that shape and content.
 
     Kostant's multiplicity formula in GL(r), r the most nonzero rows any
     partition of n can have: K = sum over w in S_r of sgn(w) P(w(lambda + rho)
-    - (mu + rho)), with P read at the simple-root coordinates a_k, the prefix
-    sums of that weight, and zero unless every a_k >= 0.  For r = 3,
-    P = min(a_1, a_2) + 1; otherwise it is ``_kostant_table``.  Only the terms
-    of ``_kostant_terms`` are summed, and only over the mu from lambda's block
-    of shapes on in lexicographic order (K = 0 unless mu <= lambda in
-    dominance), one w at a time.
+    - (mu + rho)), with P the ``_kostant_table`` read at the simple-root
+    coordinates a_k, the prefix sums of that weight, and zero unless every
+    a_k >= 0.  Only the terms of ``_kostant_terms`` are summed,
+    one w at a time over blocks of about 2^17 (lambda, mu), and only over the
+    mu from the block's first shape on in lexicographic order (K = 0 unless
+    mu <= lambda in dominance).
     """
     n = int(mus[0].sum())
     r = max(1, min(n, lams.shape[1]))
@@ -392,32 +416,40 @@ def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
     lower = np.cumsum(mus[:, :r] + rho, axis=1, dtype=np.int32)[:, :-1]
     shape, key, upper, odd = _kostant_terms(lams[:, :r].astype(np.int32) + rho,
                                             lower.min(axis=0))
-    if r != 3:
-        table = _kostant_table(n, r)
-        strides = np.cumprod((1,) + table.shape[:0:-1])[::-1].astype(np.int32)
-        table = table.ravel()
+    table = _kostant_table(n, r)
+    strides = [math.prod(table.shape[k + 1:]) for k in range(r - 1)]
+    table = table.ravel()
     ranks = _lex_ranks(mus, n)[::-1]  # ascending
-    out = np.zeros((len(lams), len(mus)), dtype=np.int64)
-    for block in np.array_split(np.arange(len(lams)), min(len(lams), 1 + out.size // 2 ** 17)):
+    found = []
+    for block in np.array_split(np.arange(len(lams)),
+                                max(1, min(len(lams), len(lams) * len(mus) // 2 ** 17))):
         lo = len(mus) - np.searchsorted(ranks, _lex_ranks(lams[block[:1]], n), "right")[0]
+        part = np.zeros((len(block), len(mus) - lo), dtype=np.int64)
         terms = np.arange(*np.searchsorted(shape, [block[0], block[-1] + 1]))
         terms = terms[np.argsort(key[terms], kind="stable")]
         for w in np.split(terms, np.flatnonzero(np.diff(key[terms])) + 1):
-            rows = shape[w]
             a = [upper[w, k, None] - lower[lo:, k] for k in range(r - 1)]
-            if r == 3:  # min(a_1, a_2) + 1, which is <= 0 unless both are >= 0
-                term = np.minimum(a[0], a[1], out=a[0])
-                term += 1
-                np.maximum(term, 0, out=term)
-            else:
-                inside = np.logical_and.reduce([x >= 0 for x in a]) if a else np.True_
-                flat = sum((x * s for x, s in zip(a, strides)), np.int32(0))
-                term = np.where(inside, table[np.where(inside, flat, 0)], 0)
+            inside = np.logical_and.reduce([x >= 0 for x in a]) if a else np.True_
+            flat = sum((x * s for x, s in zip(a, strides)), np.intp(0))
+            term = np.where(inside, table[np.where(inside, flat, 0)], 0)
             if odd[w[0]]:
-                out[rows, lo:] -= term
+                part[shape[w] - block[0]] -= term
             else:
-                out[rows, lo:] += term
-    return out
+                part[shape[w] - block[0]] += term
+        i, j = np.nonzero(part)
+        found.append((j + lo, part[i, j]))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _orbits(mus: np.ndarray) -> np.ndarray:
+    """The number of compositions that sort to each partition (row of
+    ``mus``): the distinct orderings of its parts, k! over the factorials of
+    the part multiplicities among the first k parts, built for k = 1..d."""
+    orbit, run = np.ones(len(mus), dtype=np.int64), np.ones(len(mus), dtype=np.int64)
+    for k in range(1, mus.shape[1]):
+        run = np.where(mus[:, k] == mus[:, k - 1], run + 1, 1)
+        orbit = orbit * (k + 1) // run
+    return orbit
 
 
 def _lex_ranks(contents: np.ndarray, n: int) -> np.ndarray:
@@ -468,31 +500,37 @@ def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
     once, which is ascending m.  Otherwise K_lambda,c = K_lambda,sort(c), so
     ``_kostka_numbers`` over partitions suffices, and each (lambda, mu) with
     K > 0 expands to the compositions that sort to mu, in ``_compositions``
-    order.  Raises ResourceLimitError, before the pairs are built, when they
-    and ``extra`` more would be more than BLOCK_ENTRY_CAP.
+    order; ``_pair_counts`` counts them first.  Raises ResourceLimitError,
+    before allocating them, when the C(n + d - 1, d - 1) compositions would
+    hold more than BLOCK_ENTRY_CAP entries, or when the pairs and ``extra``
+    more would be more than BLOCK_ENTRY_CAP.
     """
-    n = int(mus[0].sum())
-    if lams.shape[1] == 2:
+    n, d = int(mus[0].sum()), mus.shape[1]
+    if d == 2:
         sizes = lams[:, 0] - lams[:, 1] + 1
         _check_pairs(int(sizes.sum()) + extra, n)
         _, index = _ranges(lams[:, 1], lams[:, 0])
         contents = np.column_stack([np.arange(n + 1), np.arange(n, -1, -1)])
         return contents, index, np.ones(len(index), dtype=np.int64), sizes
-    kostka = _kostka_numbers(lams, mus)
+    entries = math.comb(n + d - 1, d - 1) * d
+    if entries > BLOCK_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"content table capped at {BLOCK_ENTRY_CAP} entries, N={n} with {d} rows needs "
+            f"{entries}")
+    orbits = _orbits(mus)
+    sizes = _pair_counts(lams, mus, orbits, extra)
+    mu, kostka = _kostka_numbers(lams, mus)
     contents, starts, _ = _compositions(n, mus)
-    shape, mu = np.nonzero(kostka)
-    runs = np.diff(starts)[mu]
-    sizes = np.bincount(shape, weights=runs, minlength=len(lams)).astype(np.int64)
-    _check_pairs(int(sizes.sum()) + extra, n)
+    runs = orbits[mu]
     index = np.repeat(starts[mu] - (np.cumsum(runs) - runs), runs)
     index += np.arange(len(index))  # each (lambda, mu) runs over the compositions of mu
-    return contents, index, np.repeat(kostka[shape, mu], runs), sizes
+    return contents, index, np.repeat(kostka, runs), sizes
 
 
 def _check_pairs(pairs: int, n: int) -> None:
     if pairs > BLOCK_ENTRY_CAP:
         raise ResourceLimitError(
-            f"product state capped at {BLOCK_ENTRY_CAP} pairs, N={n} needs {pairs}")
+            f"product state capped at {BLOCK_ENTRY_CAP} pairs, N={n} needs at least {pairs}")
 
 
 def _dims(rows: np.ndarray) -> np.ndarray:
@@ -549,18 +587,18 @@ def product_state(spectrum: Spectrum, n: int,
         counts[slot], counts[~slot] = live_counts, _dims(table.rows[dead])
     return BlockState(n, d, np.where(live, table.weights, 0.0), np.ones(len(live), dtype=bool),
                       values, counts, np.concatenate([[0], np.cumsum(row_sizes)]),
-                      by_content=d > 2, orientation=orientation if rotated else None)
+                      orientation=orientation if rotated else None)
 
 
 def _diagonals(state: BlockState, rows: np.ndarray) -> dict[int, np.ndarray]:
     """The diagonal of the block of each given row that holds pairs, in
-    Gelfand-Tsetlin order.  A run of one pair is constant; a run of
-    several is the diagonal itself, unless the state is ``by_content``: then
-    each tableau of the shape (``_gt_level``) reads the pair of its content."""
+    Gelfand-Tsetlin order.  A run of one pair is constant; a qubit run of
+    several is the diagonal itself, and for d > 2 each tableau of the shape
+    (``_gt_level``) reads the pair of its content."""
     sizes, first = state.sizes[rows].tolist(), state.offsets[rows].tolist()
     out = {i: (state.values[k:k + s] if s > 1 else np.full(state.counts[k], state.values[k]))
            for i, k, s in zip(rows.tolist(), first, sizes)}
-    keyed = rows[state.sizes[rows] > 1] if state.by_content else rows[:0]
+    keyed = rows[state.sizes[rows] > 1] if state.d > 2 else rows[:0]
     if len(keyed):
         shapes = diagram_rows(state.n, state.d)
         contents, owner = _gt_level(shapes[keyed])
@@ -574,26 +612,6 @@ def _diagonals(state: BlockState, rows: np.ndarray) -> dict[int, np.ndarray]:
         ends = np.cumsum(np.bincount(owner, minlength=len(keyed)))[:-1]
         out.update(zip(keyed.tolist(), np.split(state.values[found], ends)))
     return out
-
-
-def _ordered(state: BlockState) -> BlockState:
-    """The state with every block of several pairs listed in Gelfand-Tsetlin
-    order, count 1 each, rather than by content."""
-    if not state.by_content:
-        return state
-    diagonals = _diagonals(state, np.flatnonzero(state.pair_rows))
-    runs, counts = [], []
-    for i, (k, s) in enumerate(zip(state.offsets[:-1].tolist(), state.sizes.tolist())):
-        if s > 1 and i in diagonals:
-            runs.append(diagonals[i])
-            counts.append(np.ones(len(diagonals[i]), dtype=np.int64))
-        else:
-            runs.append(state.values[k:k + s])
-            counts.append(state.counts[k:k + s])
-    sizes = [len(run) for run in runs]
-    return replace(state, values=np.concatenate(runs), counts=np.concatenate(counts),
-                   offsets=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
-                   by_content=False)
 
 
 def _rotation(frame: BlochVector | None, dim: int) -> np.ndarray:
@@ -665,68 +683,46 @@ def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
 # Channels
 # ---------------------------------------------------------------------------
 
-def _several(state: BlockState) -> bool:
-    """Whether some diagonal block of the state has more than one pair."""
-    return bool((state.sizes[state.pair_rows] > 1).any())
-
-
-def _single(state: BlockState, pairs: np.ndarray) -> np.ndarray | None:
-    """``pairs`` (one entry per pair of the state) at the one pair of each row
-    (0 where it holds no diagonal block), when every diagonal block of the
-    state is one pair; else None."""
-    own = np.where(state.pair_rows, state.sizes, 0)
-    if (own > 1).any():
-        return None
-    first = np.zeros(len(own), dtype=pairs.dtype)
-    first[own == 1] = pairs[state.offsets[:-1][own == 1]]
-    return first
-
-
 def _spread(state: BlockState, pairs: np.ndarray, offsets: np.ndarray,
             sizes: np.ndarray) -> np.ndarray:
     """``pairs`` (one entry per pair of the state) on a layout of ``sizes``
-    pairs per row: a row's own run where it has as many pairs, its one pair
-    repeated where it has one.  Where the state holds no diagonal block the
-    entries are 0, or what it stores there when the layout is its own; callers
-    weigh such rows by 0 or skip them."""
+    pairs per row, where each row's run is the state's own or it holds at
+    most one pair (``_common``): its one pair is repeated, a longer run
+    copied.  Where the state holds no diagonal block the entries are 0, or
+    what it stores there when the layout is its own; callers weigh such rows
+    by 0 or skip them."""
     if state.offsets is offsets or np.array_equal(state.offsets, offsets):
         return pairs
-    single = _single(state, pairs)
-    if single is not None:
-        return np.repeat(single, sizes)
     own = np.where(state.pair_rows, state.sizes, 0)
-    row = np.repeat(np.arange(len(own)), sizes)
-    pos = np.arange(len(row)) - offsets[:-1][row]
-    source = state.offsets[:-1][row] + np.where(own[row] == sizes[row], pos, 0)
-    return np.where(own[row] > 0, pairs[np.minimum(source, len(pairs) - 1)], 0)
+    first = np.zeros(len(own), dtype=pairs.dtype)
+    first[own > 0] = pairs[state.offsets[:-1][own > 0]]
+    out = np.repeat(first, sizes)
+    runs = own > 1
+    if runs.any():
+        out[np.repeat(runs, sizes)] = pairs[np.repeat(runs, state.sizes)]
+    return out
 
 
-def _common(a: BlockState, b: BlockState
-            ) -> tuple[BlockState, BlockState, np.ndarray, np.ndarray, np.ndarray, bool]:
-    """One layout for the diagonal blocks of two states of one (N, d): the two
-    states (put in Gelfand-Tsetlin order where one lists blocks of several
-    pairs by content and the other does not, ``_ordered``), the layout's
-    offsets, counts and pairs per row, and whether it is ``by_content``.
+def _common(a: BlockState, b: BlockState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One layout for the diagonal blocks of two states of one (N, d): its
+    offsets, counts and pairs per row.
 
     In each row the layout is the larger of the two runs, the other being the
     same run or one pair (``_spread`` puts either state on it); a state's own
     layout is reused when it fits.
     """
-    if a.d > 2 and a.by_content != b.by_content and _several(a) and _several(b):
-        a, b = _ordered(a), _ordered(b)
     own_a = np.where(a.pair_rows, a.sizes, 0)
     own_b = np.where(b.pair_rows, b.sizes, 0)
     sizes = np.maximum(own_a, own_b)
     if not ((own_a == own_b) | (np.minimum(own_a, own_b) <= 1)).all():
         raise ContractViolationError("two diagonal blocks of one row differ in their pairs")
-    by_content = a.by_content if _several(a) else b.by_content
     for side in (a, b):
         if (side.sizes == sizes)[sizes > 0].all():
-            return a, b, side.offsets, side.counts, side.sizes, by_content
+            return side.offsets, side.counts, side.sizes
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     counts = np.where(np.repeat(own_a == sizes, sizes),
                       _spread(a, a.counts, offsets, sizes), _spread(b, b.counts, offsets, sizes))
-    return a, b, offsets, counts, sizes, by_content
+    return offsets, counts, sizes
 
 
 def _kept(keep: Iterable[YoungDiagram] | np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -793,15 +789,11 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray,
                      | (w_dump > 0) & dump.held & ~dump.pair_rows)
     dense = held & (weighed_dense | (w_out == 0) & ~state.pair_rows & ~dump.pair_rows)
 
-    state, dump, offsets, counts, sizes, by_content = _common(state, dump)
+    offsets, counts, sizes = _common(state, dump)
     v_in = _spread(state, state.values, offsets, sizes)
     values = np.repeat(w_in, sizes)
     values *= v_in
-    single = _single(dump, dump.values)
-    if single is not None:  # w_dump * (the row's one dump eigenvalue), once per row
-        values += np.repeat(w_dump * single, sizes)
-    else:
-        values += np.repeat(w_dump, sizes) * _spread(dump, dump.values, offsets, sizes)
+    values += _spread(dump, np.repeat(w_dump, dump.sizes) * dump.values, offsets, sizes)
     values /= np.repeat(np.where(w_out > 0, w_out, 1.0), sizes)
     untouched = held & ~dense & (w_dump == 0) & (w_out > 0)
     if untouched.any():
@@ -829,7 +821,7 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray,
         else:
             blocks[i] = b * mat_dump / total
     return BlockState(state.n, state.d, np.where(held, w_out, 0.0), held, values, counts,
-                      offsets, blocks, by_content, multiplicity_free=True,
+                      offsets, blocks, multiplicity_free=True,
                       orientation=state.orientation)
 
 
@@ -876,9 +868,9 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
     diagonal = both & a.pair_rows & b.pair_rows
     per_row = np.where(both, 0.0, a.weights + b.weights)  # a side without the block weighs 0
     if diagonal.any():
-        a_on, b_on, offsets, counts, sizes, _ = _common(a, b)
-        diff = np.repeat(a.weights, sizes) * _spread(a_on, a_on.values, offsets, sizes)
-        diff -= np.repeat(b.weights, sizes) * _spread(b_on, b_on.values, offsets, sizes)
+        offsets, counts, sizes = _common(a, b)
+        diff = np.repeat(a.weights, sizes) * _spread(a, a.values, offsets, sizes)
+        diff -= np.repeat(b.weights, sizes) * _spread(b, b.values, offsets, sizes)
         np.abs(diff, out=diff)
         diff *= counts
         per_row[diagonal] = _row_reduce(offsets, diff)[diagonal]

@@ -208,6 +208,28 @@ def test_product_state_over_the_block_entry_cap_raises(monkeypatch):
     validate_block_state(product_state(sp, 20))
 
 
+def test_product_state_past_the_pair_cap_raises_before_any_kostka_table(monkeypatch):
+    # d = 4, N = 200 holds 59,823 live shapes: a dense shape x content Kostka
+    # matrix would take about 29 GB; the pair count must stop it first
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    for name in ("_kostka_numbers", "_kostant_terms", "_kostant_table", "_compositions"):
+        monkeypatch.setattr(blocksim, name, boom)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="pairs, N=200 needs at least"):
+        product_state(spectrum_of(0.4, 0.3, 0.2, 0.1), 200)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_product_state_over_the_content_table_cap_raises(monkeypatch):
+    # every composition of N into d parts is one row of d contents
+    entries = math.comb(20 + 2, 2) * 3
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", entries - 1)
+    with pytest.raises(ResourceLimitError, match=f"content table capped .* needs {entries}"):
+        product_state(spectrum_of(0.5, 0.3, 0.2), 20)
+
+
 def test_rotated_product_state_counts_matrix_entries_against_the_cap(monkeypatch):
     # the orientation label holds no extra entries; turning the state into the lab
     # frame holds dim^2 per block, except the singlet's, which fits every frame
@@ -527,10 +549,10 @@ def _dense(state):
     return out
 
 
-def test_qudit_product_state_meets_dense_and_ordered_blocks():
-    # a d = 3 state stores one pair per content; a random state is dense and a
+def test_qudit_product_state_meets_dense_blocks():
+    # a d = 3 state stores one pair per content; a random state is dense, and a
     # hand-written diagonal dump lists its entries in Gelfand-Tsetlin order,
-    # which the channels must line up with it
+    # off the content layout, so it is held as its matrix
     n, sp = 4, spectrum_of(0.5, 0.3, 0.2)
     state = product_state(sp, n)
     other = random_block_state(n, 3, np.random.default_rng(8))
@@ -551,7 +573,8 @@ def test_qudit_product_state_meets_dense_and_ordered_blocks():
         w_in, w_dump = state.blocks[lam].weight, tail * dump[lam][0]
         expected = (w_in * state.blocks[lam].matrix + w_dump * dump[lam][1]) / (w_in + w_dump)
         assert encoded.blocks[lam].weight == pytest.approx(w_in + w_dump, abs=1e-15)
-        np.testing.assert_allclose(encoded.blocks[lam].matrix, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(encoded.blocks[lam].matrix, np.diag(expected),
+                                   rtol=1e-12, atol=0.0)
     back = decode(encoded)
     diff = np.linalg.eigvalsh(_dense(state) - np.pad(_dense(back), (0, 3)))  # (2, 1, 1) is last
     assert trace_distance(state, back) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)

@@ -8,12 +8,14 @@ of (eigenvalue, multiplicity) pairs in the flat ``values`` and ``counts``
 arrays, row i's run being ``offsets[i]:offsets[i + 1]``; only blocks that are
 not diagonal (random states, blocks turned into another frame, user-supplied
 matrices) are held per row as dense Hermitian matrices.  A block of one pair
-is a multiple of the identity: the uniform dump and an underflowed zero block
-are one value with count dim lambda.  Keep sets are (K, d) row arrays or
-YoungDiagrams, read by ``keep_mask``.  Encoding drops the multiplicity factors
-and reroutes the weight of discarded blocks into a dump state; decoding
-re-appends them.  Because both sides share the same implied factors, trace
-distances between full-form states are exact block-by-block sums.
+is a multiple of the identity, such as an underflowed zero block: one value
+with count dim lambda.  Keep sets are (K, d) row arrays or YoungDiagrams, read
+by ``keep_mask``.  Encoding drops the multiplicity factors and reroutes the
+weight of discarded blocks to one dump state, maximally mixed over the kept
+blocks; that mixes every pair of a kept block with one value, so the encoded
+state keeps the input's layout.  Decoding re-appends the factors.  Because
+both sides share the same implied factors, trace distances between full-form
+states are exact block-by-block sums.
 
 The diagonal of the product-state block of lambda is p^c / s_lambda(p) over
 the contents c of its semistandard tableaux, so it is stored once per
@@ -131,22 +133,17 @@ class BlockState:
 
     @classmethod
     def from_matrices(cls, n: int, d: int, weights: np.ndarray,
-                      matrices: Iterable[np.ndarray | None],
-                      multiplicity_free: bool = False) -> "BlockState":
+                      matrices: Iterable[np.ndarray | None]) -> "BlockState":
         """The state holding, on each row of ``diagram_rows(n, d)``, the given
-        block: None for no block, the 1-D diagonal of a diagonal block in
-        Gelfand-Tsetlin order, or a 2-D Hermitian matrix.  A diagonal with all
-        entries equal is stored as one pair, a qubit diagonal as its pairs;
-        any other diagonal of d > 2 is not on the content layout and is held
-        as its matrix."""
+        block: None for no block, the 1-D diagonal of a diagonal block, or a
+        2-D Hermitian matrix.  A diagonal with all entries equal is stored as
+        one pair; any other diagonal is held as its matrix."""
         held, dense, runs, counts = [], {}, [], []
         for i, mat in enumerate(matrices):
             held.append(mat is not None)
             run, count = np.zeros(0), []
             if mat is not None and mat.ndim == 1 and (mat == mat[0]).all():  # a multiple of 1
                 run, count = mat[:1], [len(mat)]
-            elif mat is not None and mat.ndim == 1 and d == 2:
-                run, count = mat, [1] * len(mat)
             elif mat is not None:
                 dense[i] = mat if mat.ndim == 2 else np.diag(mat)
             runs.append(run)
@@ -155,7 +152,7 @@ class BlockState:
                    np.concatenate([np.zeros(0)] + runs).astype(float),
                    np.array(counts, dtype=np.int64),
                    np.concatenate([[0], np.cumsum([len(run) for run in runs], dtype=np.int64)]),
-                   dense, multiplicity_free=multiplicity_free)
+                   dense)
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -501,9 +498,8 @@ def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
     ``_kostka_numbers`` over partitions suffices, and each (lambda, mu) with
     K > 0 expands to the compositions that sort to mu, in ``_compositions``
     order; ``_pair_counts`` counts them first.  Raises ResourceLimitError,
-    before allocating them, when the C(n + d - 1, d - 1) compositions would
-    hold more than BLOCK_ENTRY_CAP entries, or when the pairs and ``extra``
-    more would be more than BLOCK_ENTRY_CAP.
+    before allocating them, when the pairs and ``extra`` more would be more
+    than BLOCK_ENTRY_CAP.
     """
     n, d = int(mus[0].sum()), mus.shape[1]
     if d == 2:
@@ -512,11 +508,6 @@ def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
         _, index = _ranges(lams[:, 1], lams[:, 0])
         contents = np.column_stack([np.arange(n + 1), np.arange(n, -1, -1)])
         return contents, index, np.ones(len(index), dtype=np.int64), sizes
-    entries = math.comb(n + d - 1, d - 1) * d
-    if entries > BLOCK_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"content table capped at {BLOCK_ENTRY_CAP} entries, N={n} with {d} rows needs "
-            f"{entries}")
     orbits = _orbits(mus)
     sizes = _pair_counts(lams, mus, orbits, extra)
     mu, kostka = _kostka_numbers(lams, mus)
@@ -556,7 +547,9 @@ def product_state(spectrum: Spectrum, n: int,
     states are supported (rotating a qudit block needs irrep machinery this
     package deliberately omits, and every error formula is orientation
     independent).  Raises ResourceLimitError, before allocating any block,
-    when the state would hold more than BLOCK_ENTRY_CAP pairs.
+    when the state would hold more than BLOCK_ENTRY_CAP pairs, and before
+    computing any weight when for d > 2 the C(N + d - 1, d - 1) compositions
+    of N, d entries each, would be more than BLOCK_ENTRY_CAP entries.
     """
     d = spectrum.d
     if n < 1:
@@ -564,6 +557,11 @@ def product_state(spectrum: Spectrum, n: int,
     rotated = orientation is not None and bool(orientation.theta or orientation.phi)
     if d > 2 and rotated:
         raise UnsupportedFeatureError("rotated states are only supported for qubits")
+    entries = math.comb(n + d - 1, d - 1) * d if d > 2 else 0
+    if entries > BLOCK_ENTRY_CAP:  # the contents of every composition, known before any weight
+        raise ResourceLimitError(
+            f"content table capped at {BLOCK_ENTRY_CAP} entries, N={n} with {d} rows needs "
+            f"{entries}")
     table = weight_table(n, spectrum)
     live = table.weights >= UNDERFLOW
     dead = np.flatnonzero(~live)
@@ -733,96 +731,57 @@ def _kept(keep: Iterable[YoungDiagram] | np.ndarray, rows: np.ndarray) -> np.nda
     return kept
 
 
-def _uniform_dump(n: int, d: int, rows: np.ndarray, kept: np.ndarray) -> BlockState:
-    """``uniform_dump`` of the kept rows of ``rows = diagram_rows(n, d)``."""
-    dims = _dims(rows[kept]).tolist()
-    d_enc = sum(dims)
-    weights = np.zeros(len(rows))
-    weights[kept] = [dim / d_enc for dim in dims]
-    return BlockState(n, d, weights, kept.copy(), np.array([1.0 / dim for dim in dims]),
-                      np.array(dims, dtype=np.int64),
-                      np.concatenate([[0], np.cumsum(kept, dtype=np.int64)]),
-                      multiplicity_free=True)
-
-
-def uniform_dump(n: int, d: int, keep: Iterable[YoungDiagram] | np.ndarray) -> BlockState:
-    """The default dump state: maximally mixed over the kept representation
-    spaces, each block one pair of count dim lambda.  ``keep`` is a (K, d) row
-    array or YoungDiagrams."""
-    rows = diagram_rows(n, d)
-    return _uniform_dump(n, d, rows, _kept(keep, rows))
-
-
-def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray,
-           dump_state: BlockState | None = None) -> BlockState:
+def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray) -> BlockState:
     """Keep the selected blocks, drop multiplicity factors, reroute the tail.
 
     ``keep`` is a (K, d) row array or YoungDiagrams.  The weight of every
-    discarded block is added to the kept blocks according to the dump state's
-    distribution (by default ``uniform_dump``, built on the same row index and
-    keep mask).  The result is flagged multiplicity-free and held in the frame
-    of ``state``; a dump block that does not fit that frame is turned into it.
+    discarded block, the tail, goes to the maximally mixed state on the kept
+    representation spaces: kept row lambda gains w_dump = tail * dim lambda /
+    d_enc on the block 1/dim lambda, which fits every frame.  The result is
+    flagged multiplicity-free and held in the frame and on the layout of
+    ``state``.
 
-    Per kept row, with w_dump = tail * (dump weight): a block no input weighs
-    is zero, one the dump does not touch passes through exactly, and any other
-    is (w_in * block + w_dump * dump block) / (w_in + w_dump).  Diagonal blocks
-    take that in one pass over the pairs of ``_common``; a row where a weighed
-    input block is dense is promoted and mixed on its own.
+    Per kept row: a block no input weighs is zero, one the dump does not
+    touch passes through exactly, and any other is (w_in * block + w_dump *
+    1/dim lambda) / (w_in + w_dump).  Diagonal blocks take that in one pass
+    over the pairs; a row the state holds as a dense block, or not at all,
+    is mixed on its own as a matrix.
     """
     rows = diagram_rows(state.n, state.d)
     kept = _kept(keep, rows)
-    if dump_state is None:
-        dump_state = _uniform_dump(state.n, state.d, rows, kept)
-    if (dump_state.n, dump_state.d) != (state.n, state.d):
-        raise ContractViolationError("dump state must share N and d with the state")
-    stray = (dump_state.weights > 0) & ~kept
-    if stray.any():
-        raise ContractViolationError(
-            f"dump state has weight on discarded block {rows[stray][0].tolist()}")
-    dump = _in_frame(dump_state, state.orientation)
+    dims = np.zeros(len(rows), dtype=np.int64)
+    dims[kept] = _dims(rows[kept])
+    d_enc = sum(dims.tolist())
     tail = sum(state.weights[~kept].tolist())
     w_in = np.where(kept, state.weights, 0.0)
-    w_dump = np.where(kept, tail * dump.weights, 0.0)
+    w_dump = np.zeros(len(rows))
+    w_dump[kept] = [tail * (dim / d_enc) for dim in dims[kept].tolist()]
     w_out = w_in + w_dump
-    held = kept & (state.held | dump.held)
-    weighed_dense = ((w_in > 0) & state.held & ~state.pair_rows
-                     | (w_dump > 0) & dump.held & ~dump.pair_rows)
-    dense = held & (weighed_dense | (w_out == 0) & ~state.pair_rows & ~dump.pair_rows)
 
-    offsets, counts, sizes = _common(state, dump)
-    v_in = _spread(state, state.values, offsets, sizes)
+    sizes = state.sizes
     values = np.repeat(w_in, sizes)
-    values *= v_in
-    values += _spread(dump, np.repeat(w_dump, dump.sizes) * dump.values, offsets, sizes)
+    values *= state.values
+    values += np.repeat(w_dump * (1.0 / np.maximum(dims, 1)), sizes)
     values /= np.repeat(np.where(w_out > 0, w_out, 1.0), sizes)
-    untouched = held & ~dense & (w_dump == 0) & (w_out > 0)
+    untouched = kept & state.pair_rows & (w_dump == 0) & (w_out > 0)
     if untouched.any():
-        np.copyto(values, v_in, where=np.repeat(untouched, sizes))
-    zero = held & ~dense & (w_out == 0)
+        np.copyto(values, state.values, where=np.repeat(untouched, sizes))
+    zero = kept & state.pair_rows & (w_out == 0)
     if zero.any():
         values[np.repeat(zero, sizes)] = 0.0
 
     blocks = {}
-    rows_dense = np.flatnonzero(dense)
-    diag_in = _diagonals(state, rows_dense[state.pair_rows[rows_dense]])
-    diag_dump = _diagonals(dump, rows_dense[dump.pair_rows[rows_dense]])
-    for i in rows_dense.tolist():
-        mat_in = state.dense.get(i, diag_in.get(i))
-        mat_dump = dump.dense.get(i, diag_dump.get(i))
-        a, b, total = w_in[i], w_dump[i], w_out[i]
+    for i in np.flatnonzero(kept & ~state.pair_rows).tolist():
+        dim, a, b, total = int(dims[i]), w_in[i], w_dump[i], w_out[i]
+        mat = state.dense[i] if i in state.dense else np.zeros((dim, dim))  # no block held
         if total == 0.0:
-            sized = mat_in if mat_in is not None else mat_dump
-            blocks[i] = np.zeros((len(sized), len(sized)))
+            blocks[i] = np.zeros((dim, dim))
         elif b == 0.0:
-            blocks[i] = mat_in  # untouched block passes through exactly
-        elif a > 0.0:
-            mat_in, mat_dump = _promoted(mat_in, mat_dump)
-            blocks[i] = (a * mat_in + b * mat_dump) / total
+            blocks[i] = mat  # untouched block passes through exactly
         else:
-            blocks[i] = b * mat_dump / total
-    return BlockState(state.n, state.d, np.where(held, w_out, 0.0), held, values, counts,
-                      offsets, blocks, multiplicity_free=True,
-                      orientation=state.orientation)
+            blocks[i] = (a * mat + b * (np.eye(dim) / dim)) / total
+    return BlockState(state.n, state.d, w_out, kept, values, state.counts, state.offsets,
+                      blocks, multiplicity_free=True, orientation=state.orientation)
 
 
 def decode(encoded: BlockState) -> BlockState:
@@ -900,14 +859,13 @@ class ErrorReport:
 
 def exact_protocol_error(n: int, spectrum: Spectrum,
                          keep: Iterable[YoungDiagram] | np.ndarray,
-                         orientation: BlochVector | None = None,
-                         dump_state: BlockState | None = None) -> ErrorReport:
+                         orientation: BlochVector | None = None) -> ErrorReport:
     """Exact encode-decode error plus the tail-mass bounds around it; ``keep``
     is a (K, d) row array, such as a plan's ``rows``, or YoungDiagrams.  The
     row index and the keep mask are built once, in ``encode``; the product
     state holds every row, so the encoded state's rows are the kept ones."""
     state = product_state(spectrum, n, orientation)
-    encoded = encode(state, keep, dump_state)
+    encoded = encode(state, keep)
     err = trace_distance(state, decode(encoded))
     tail = sum(state.weights[~encoded.held].tolist(), 0.0)
     return ErrorReport(exact_error=err, tail_mass=tail, lower_bound=0.5 * tail)

@@ -14,7 +14,7 @@ class NotApplicableError(ParameterError):
 
 
 class ContractViolationError(ValueError):
-    """Two values that must be consistent (e.g. a dump state and a keep set) are not."""
+    """Values that must be consistent (e.g. block weights that must sum to 1) are not."""
 
 
 class ResourceLimitError(RuntimeError):

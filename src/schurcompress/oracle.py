@@ -6,8 +6,8 @@ a Schur basis built one qubit at a time by coupling a spin j with a spin 1/2
 extraction by explicit projection, and the protocol error evaluated literally.
 These paths share no code with the block-level simulator beyond the data
 types (a ``BlockState`` follows the rows of ``diagram_rows``, descending 2j),
-``enumerate_diagrams``, ``uniform_dump`` and ``multiplicity_dim``, so
-agreement between the two is a real cross-check.
+``enumerate_diagrams`` and ``multiplicity_dim``, so agreement between the two
+is a real cross-check.
 
 Every entry point takes N >= 1 copies.  Hard size caps: d^N <= 4096, and
 N! <= 7! for the character projection.  The computation stays literal: a
@@ -37,7 +37,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedFeatureError,
 )
-from .blocksim import BlockState, BlochVector, uniform_dump
+from .blocksim import BlockState, BlochVector
 from .schur_core import (
     Spectrum,
     YoungDiagram,
@@ -267,13 +267,13 @@ def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -
 
 def dense_protocol_error(n: int, spectrum: Spectrum,
                          keep: Iterable[YoungDiagram],
-                         orientation: BlochVector | None = None,
-                         dump_state: BlockState | None = None) -> float:
+                         orientation: BlochVector | None = None) -> float:
     """(1/2) || rho - decode(encode(rho)) ||_1 evaluated in the full space.
 
     The encode-decode composite is assembled from the coupled basis columns:
-    per spin one block B_j, the kept sum_a V_a^T rho V_a plus the tail mass
-    spread over the dump block, goes back as sum_a V_a (B_j / m_j) V_a^T.  The
+    per kept spin one block B_j, sum_a V_a^T rho V_a plus its share of the
+    tail mass in the maximally mixed dump, tail * ((2j+1)/d_enc) * 1/(2j+1),
+    goes back as sum_a V_a (B_j / m_j) V_a^T.  The
     trace norm comes from a dense Hermitian eigendecomposition.  Qubits only
     (the qudit oracle validates weights, not channels): a spectrum with d != 2
     raises UnsupportedFeatureError.
@@ -281,13 +281,12 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
     _check_cap(2, n)
     if spectrum.d != 2:
         raise UnsupportedFeatureError(f"the dense protocol error is for qubits, got d={spectrum.d}")
-    kept = set(keep)
-    if dump_state is None:
-        dump_state = uniform_dump(n, 2, kept)
-    if dump_state.orientation is not None:
-        raise UnsupportedFeatureError("the dense oracle takes dump states in the lab frame")
-    dense = dense_product_state(spectrum, n, orientation)
     bases = _spin_bases(n)
+    kept = set(keep)
+    d_enc = sum(two_j + 1 for two_j in bases if YoungDiagram.from_two_j(n, two_j) in kept)
+    if not d_enc:
+        raise ParameterError("keep set holds no block of the state")
+    dense = dense_product_state(spectrum, n, orientation)
     inner: dict[int, np.ndarray] = {}
     tail = 0.0
     for two_j, w in sorted(bases.items(), reverse=True):
@@ -298,11 +297,9 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
             inner[two_j] = block
         else:
             tail += np.trace(block).real
-    for lam, blk in dump_state.blocks.items():
-        if blk.weight == 0.0:
-            continue
-        mat = np.diag(blk.matrix) if blk.matrix.ndim == 1 else blk.matrix
-        inner[lam.two_j] = inner.get(lam.two_j, 0.0) + tail * blk.weight * mat
+    for two_j, block in inner.items():
+        dim = two_j + 1
+        inner[two_j] = block + tail * (dim / d_enc) * (np.eye(dim) / dim)
     out = np.zeros(dense.shape, np.result_type(dense, *inner.values()))
     for two_j, block in inner.items():
         w = bases[two_j]

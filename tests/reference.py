@@ -92,7 +92,7 @@ def schur_polynomials(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
     return values
 
 
-def block_state(n: int, d: int, blocks: dict, multiplicity_free: bool = False) -> BlockState:
+def block_state(n: int, d: int, blocks: dict) -> BlockState:
     """The BlockState holding {YoungDiagram: (weight, matrix)}, each block on its
     row of ``diagram_rows(n, d)``, and no block elsewhere."""
     index = {row: i for i, row in enumerate(map(tuple, diagram_rows(n, d).tolist()))}
@@ -100,7 +100,7 @@ def block_state(n: int, d: int, blocks: dict, multiplicity_free: bool = False) -
     for lam, (w, mat) in blocks.items():
         i = index[lam.padded(d).rows]
         weights[i], matrices[i] = w, mat
-    return BlockState.from_matrices(n, d, weights, matrices, multiplicity_free)
+    return BlockState.from_matrices(n, d, weights, matrices)
 
 
 def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:

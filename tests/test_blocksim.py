@@ -21,7 +21,6 @@ from schurcompress.blocksim import (
     random_block_state,
     trace_distance,
     trace_norm,
-    uniform_dump,
     validate_block_state,
 )
 from schurcompress.errors import (
@@ -223,11 +222,39 @@ def test_product_state_past_the_pair_cap_raises_before_any_kostka_table(monkeypa
 
 
 def test_product_state_over_the_content_table_cap_raises(monkeypatch):
-    # every composition of N into d parts is one row of d contents
+    # every composition of N into d parts is one row of d contents; the size
+    # depends on (N, d) alone, so it is checked before any block weight
+    def boom(*args, **kwargs):
+        raise AssertionError("weights computed past the cap")
+
     entries = math.comb(20 + 2, 2) * 3
     monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", entries - 1)
+    monkeypatch.setattr(blocksim, "weight_table", boom)
     with pytest.raises(ResourceLimitError, match=f"content table capped .* needs {entries}"):
         product_state(spectrum_of(0.5, 0.3, 0.2), 20)
+
+
+def test_kostant_caps_raise_before_anything_past_them_is_built(monkeypatch):
+    # (0.6, 0.4, 0) at N = 12: the 7 shapes of two rows are live, which makes
+    # 7 * 3 partial terms at the first position, and the Kostant table of
+    # three rows is 9 * 5 = 45 entries
+    def boom(*args, **kwargs):
+        raise AssertionError("built past the cap")
+
+    sp = Spectrum((0.6, 0.4, 0.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(blocksim, "KOSTKA_CAP", 20)
+        patch.setattr(blocksim, "_kostant_table", boom)
+        with pytest.raises(ResourceLimitError, match="Kostant's sum capped at 20 partial terms, "
+                                                     "which 7 shapes with 3 rows pass"):
+            product_state(sp, 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(blocksim, "KOSTKA_CAP", 44)
+        patch.setattr(blocksim, "_lex_ranks", boom)
+        with pytest.raises(ResourceLimitError, match="Kostant table capped at 44 entries, "
+                                                     "N=12 with 3 rows needs 45"):
+            product_state(sp, 12)
+    validate_block_state(product_state(sp, 12))
 
 
 def test_rotated_product_state_counts_matrix_entries_against_the_cap(monkeypatch):
@@ -304,7 +331,7 @@ def test_diagonal_states_keep_vector_blocks(sp, n):
     state = product_state(sp, n)
     keep = sorted(state.blocks, reverse=True)[:2]
     encoded = encode(state, keep)
-    for each in (state, uniform_dump(n, sp.d, keep), encoded, decode(encoded)):
+    for each in (state, encoded, decode(encoded)):
         assert_vectors(each)
 
 
@@ -424,24 +451,13 @@ def test_encode_rejects_empty_keep():
         encode(state, [])
 
 
-def test_encode_rejects_dump_outside_keep():
-    state = product_state(spectrum_of(0.75, 0.25), 4)
-    keep = {two_row(4, 4), two_row(4, 2)}
-    bad_dump = uniform_dump(4, 2, list(state.blocks))  # supported everywhere
-    with pytest.raises(ContractViolationError):
-        encode(state, keep, bad_dump)
-    with pytest.raises(ContractViolationError, match="share N and d"):
-        encode(state, keep, uniform_dump(5, 2, [two_row(5, 5)]))  # as many rows, other N
-
-
 def test_keep_sets_that_name_no_block_raise():
     # a one-row diagram is no qubit block: the whole mass used to go to its dump,
     # and the error read 1.0 where the same partition as (4, 0) reads 0.527
     sp = Spectrum((0.75, 0.25))
     state = product_state(sp, 4)
     for keep in ([YoungDiagram((4,))], [YoungDiagram((3, 0))], np.zeros((0, 2), dtype=np.int64)):
-        for call in (lambda: exact_protocol_error(4, sp, keep), lambda: encode(state, keep),
-                     lambda: uniform_dump(4, 2, keep)):
+        for call in (lambda: exact_protocol_error(4, sp, keep), lambda: encode(state, keep)):
             with pytest.raises(ParameterError, match="holds no block"):
                 call()
     report = exact_protocol_error(4, sp, [YoungDiagram((4, 0))])
@@ -464,6 +480,25 @@ def test_encode_reroutes_tail_mass():
     rerouted = sum(enc.blocks[lam].weight - state.blocks[lam].weight for lam in keep)
     assert rerouted == pytest.approx(0.0703125, abs=1e-12)
     assert two_row(4, 0) not in enc.blocks
+
+
+def test_encode_mixes_dense_and_missing_blocks_with_the_dump():
+    # the tail 0.4 of the discarded singlet goes 5 : 3 to the kept spins 2 and 1;
+    # a dense block is mixed with the dump as a matrix, and a kept row the
+    # state holds no block on gets the dump alone
+    g = np.random.default_rng(3).normal(size=(5, 5))
+    mat = g @ g.T / np.trace(g @ g.T)
+    state = block_state(4, 2, {two_row(4, 4): (0.6, mat), two_row(4, 0): (0.4, np.ones(1))})
+    enc = encode(state, [two_row(4, 4), two_row(4, 2)])
+    mixed, alone = enc.blocks[two_row(4, 4)], enc.blocks[two_row(4, 2)]
+    assert mixed.weight == pytest.approx(0.85, abs=1e-15)
+    np.testing.assert_allclose(mixed.matrix, (0.6 * mat + 0.05 * np.eye(5)) / 0.85,
+                               rtol=0.0, atol=1e-15)
+    assert alone.weight == pytest.approx(0.15, abs=1e-15)
+    np.testing.assert_allclose(alone.matrix, np.eye(3) / 3, rtol=0.0, atol=1e-15)
+    back = decode(enc)
+    validate_block_state(back)
+    assert trace_distance(state, back) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_decode_requires_encoded_form():
@@ -537,6 +572,33 @@ def test_trace_distance_is_a_metric_on_random_states():
         assert 0.0 <= dxy <= 1.0 + 1e-12
 
 
+def test_trace_distance_between_crossing_layouts(monkeypatch):
+    # with a high underflow the skewed state's low-spin blocks and the flat
+    # state's top block are one zero pair, so neither layout holds the other
+    # and the trace distance builds a third from both
+    monkeypatch.setattr(blocksim, "UNDERFLOW", 0.05)
+    blocksim.weight_table.cache_clear()
+    a = product_state(spectrum_of(0.9, 0.1), 8)
+    b = product_state(spectrum_of(0.55, 0.45), 8)
+    assert ((a.sizes == 1) & (b.sizes > 1)).any() and ((a.sizes > 1) & (b.sizes == 1)).any()
+    expected = 0.5 * sum(np.abs(a.blocks[lam].weight * a.blocks[lam].matrix
+                                - b.blocks[lam].weight * b.blocks[lam].matrix).sum()
+                         for lam in a.blocks)
+    assert trace_distance(a, b) == pytest.approx(expected, abs=1e-15)
+    assert trace_distance(b, a) == pytest.approx(expected, abs=1e-15)
+
+
+def test_trace_distance_rejects_runs_of_different_lengths():
+    # two diagonal blocks of one row with different pairs share no layout
+    weights, held = np.array([0.5, 0.5]), np.ones(2, dtype=bool)
+    a = BlockState(2, 2, weights, held, np.array([0.5, 0.3, 0.2, 1.0]),
+                   np.ones(4, dtype=np.int64), np.array([0, 3, 4]))
+    b = BlockState(2, 2, weights, held, np.array([0.25, 0.5, 1.0]),
+                   np.array([2, 1, 1]), np.array([0, 2, 3]))
+    with pytest.raises(ContractViolationError, match="differ in their pairs"):
+        trace_distance(a, b)
+
+
 def _dense(state):
     """The block-diagonal matrix of a state's ``blocks`` view, weights applied."""
     mats = [blk.weight * (np.diag(blk.matrix) if blk.matrix.ndim == 1 else blk.matrix)
@@ -550,35 +612,14 @@ def _dense(state):
 
 
 def test_qudit_product_state_meets_dense_blocks():
-    # a d = 3 state stores one pair per content; a random state is dense, and a
-    # hand-written diagonal dump lists its entries in Gelfand-Tsetlin order,
-    # off the content layout, so it is held as its matrix
+    # a d = 3 state stores one pair per content and a random state is dense, so
+    # every block of the trace distance goes through the per-row path
     n, sp = 4, spectrum_of(0.5, 0.3, 0.2)
     state = product_state(sp, n)
     other = random_block_state(n, 3, np.random.default_rng(8))
     diff = np.linalg.eigvalsh(_dense(state) - _dense(other))
     assert trace_distance(state, other) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)
     assert trace_distance(other, state) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)
-
-    lams = enumerate_diagrams(n, 3)
-    keep = lams[:3]
-    rng = np.random.default_rng(9)
-    dump = {}
-    for lam, w in zip(keep, (0.5, 0.3, 0.2)):
-        vec = rng.random(irrep_dim(lam, 3)) + 0.1
-        dump[lam] = (w, vec / vec.sum())
-    encoded = encode(state, keep, block_state(n, 3, dump, multiplicity_free=True))
-    tail = sum(state.blocks[lam].weight for lam in lams[3:])
-    for lam in keep:
-        w_in, w_dump = state.blocks[lam].weight, tail * dump[lam][0]
-        expected = (w_in * state.blocks[lam].matrix + w_dump * dump[lam][1]) / (w_in + w_dump)
-        assert encoded.blocks[lam].weight == pytest.approx(w_in + w_dump, abs=1e-15)
-        np.testing.assert_allclose(encoded.blocks[lam].matrix, np.diag(expected),
-                                   rtol=1e-12, atol=0.0)
-    back = decode(encoded)
-    diff = np.linalg.eigvalsh(_dense(state) - np.pad(_dense(back), (0, 3)))  # (2, 1, 1) is last
-    assert trace_distance(state, back) == pytest.approx(0.5 * np.abs(diff).sum(), abs=1e-12)
-    assert trace_distance(state, back) == pytest.approx(tail, abs=1e-12)
 
 
 def test_trace_norm_hermitian():
@@ -698,15 +739,6 @@ def test_protocol_error_builds_the_row_index_once(monkeypatch):
         monkeypatch.setattr(blocksim, name, wrapped)
     exact_protocol_error(n, sp, keep)
     assert calls["diagram_rows"] <= 1 and calls["keep_mask"] <= 1, calls
-
-
-def test_exact_error_custom_dump():
-    sp = spectrum_of(0.75, 0.25)
-    keep = [two_row(4, 4)]
-    dump = block_state(4, 2, {two_row(4, 4): (1.0, np.eye(5, dtype=complex) / 5)},
-                       multiplicity_free=True)
-    report = exact_protocol_error(4, sp, keep, dump_state=dump)
-    assert report.exact_error == pytest.approx(report.tail_mass, abs=1e-12)
 
 
 def test_qudit_protocol_error():

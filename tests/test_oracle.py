@@ -8,9 +8,7 @@ import pytest
 from schurcompress import blocksim, oracle
 from schurcompress.blocksim import (
     BlochVector,
-    BlockState,
     block_weights,
-    encode,
     exact_protocol_error,
     product_state,
     trace_distance,
@@ -42,7 +40,7 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
-from reference import block_state, clebsch_gordan_signed_square
+from reference import clebsch_gordan_signed_square
 
 
 def test_dense_product_state_basics():
@@ -255,37 +253,21 @@ def test_symmetric_block_matches_oracle_entrywise():
         assert np.max(np.abs(ours - theirs)) < 1e-12, n
 
 
-def _dense_dump(keep, rng) -> BlockState:
-    """A lab-frame dump of random 2-D blocks on the kept diagrams."""
-    raw = rng.random(len(keep)) + 0.1
-    blocks = {}
-    for lam, w in zip(keep, raw / raw.sum()):
-        dim = lam.two_j + 1
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mat = g @ g.conj().T
-        blocks[lam] = (float(w), mat / np.trace(mat).real)
-    return block_state(keep[0].boxes, 2, blocks, multiplicity_free=True)
-
-
 def test_materialised_frames_agree_with_the_label_and_the_oracle():
-    # a dense dump meets the oriented state's frame, so encode turns it into that
-    # frame with a real Wigner rotation; the label route and the oracle must agree
+    # the labelled error must match the oracle's, and the oracle's lab-frame
+    # blocks, turned into the oriented frame by a Wigner rotation, must match
+    # the labelled state
     rng = np.random.default_rng(17)
-    for n in range(2, 13):
+    for n in range(2, 9):
         p = rng.uniform(0.55, 0.95)
         sp = spectrum_of(p, 1 - p)
         orient = BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         grid = sorted(enumerate_diagrams(n, 2), reverse=True)
         keep = grid[: max(1, len(grid) // 2)]
-        dump = _dense_dump(keep, rng)
-        materialised = exact_protocol_error(n, sp, keep, orient, dump).exact_error
-        labelled = exact_protocol_error(n, sp, keep, orient)
-        assert materialised == pytest.approx(labelled.exact_error, abs=1e-12), n
-        if n <= 8:
-            dense_err = dense_protocol_error(n, sp, keep, orient, dump)
-            assert materialised == pytest.approx(dense_err, abs=1e-8), n
-            lab = extract_blocks(dense_product_state(sp, n, orient), n)
-            assert trace_distance(product_state(sp, n, orient), lab) < 1e-10, n
+        labelled = exact_protocol_error(n, sp, keep, orient).exact_error
+        assert labelled == pytest.approx(dense_protocol_error(n, sp, keep, orient), abs=1e-8), n
+        lab = extract_blocks(dense_product_state(sp, n, orient), n)
+        assert trace_distance(product_state(sp, n, orient), lab) < 1e-10, n
 
 
 def test_trace_distance_between_frames_matches_the_dense_states():
@@ -326,12 +308,10 @@ def test_dense_protocol_error_orientation_invariant():
     assert rotated == pytest.approx(plain, abs=1e-8)
 
 
-def test_dense_protocol_error_rejects_an_oriented_dump():
-    sp = spectrum_of(0.9, 0.1)
-    keep = [YoungDiagram((3, 0))]
-    oriented = encode(product_state(sp, 3, BlochVector(1.0, 0.5)), keep)
-    with pytest.raises(UnsupportedFeatureError):
-        dense_protocol_error(3, sp, keep, dump_state=oriented)
+def test_dense_protocol_error_rejects_a_keep_set_that_names_no_spin():
+    for keep in ([], [YoungDiagram((4,))], [YoungDiagram((3, 0))]):
+        with pytest.raises(ParameterError, match="holds no block"):
+            dense_protocol_error(4, spectrum_of(0.75, 0.25), keep)
 
 
 def test_dense_protocol_error_rejects_a_qudit_spectrum():

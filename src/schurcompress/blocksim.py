@@ -3,33 +3,27 @@
 A permutation-invariant state on (C^d)^{ox N} decomposes as a direct sum over
 Young diagrams of weight * (block matrix ox maximally-mixed multiplicity
 factor).  ``BlockState`` follows the rows of ``diagram_rows(N, d)``: one
-weight per row, and the blocks on one flat layout.  A diagonal block is a run
-of (eigenvalue, multiplicity) pairs in the flat ``values`` and ``counts``
-arrays, row i's run being ``offsets[i]:offsets[i + 1]``; only blocks that are
-not diagonal (random states, blocks turned into another frame, user-supplied
-matrices) are held per row as dense Hermitian matrices.  A block of one pair
-is a multiple of the identity, such as an underflowed zero block: one value
-with count dim lambda.  Keep sets are (K, d) row arrays or YoungDiagrams, read
-by ``keep_mask``.  Encoding drops the multiplicity factors and reroutes the
-weight of discarded blocks to one dump state, maximally mixed over the kept
-blocks; that mixes every pair of a kept block with one value, so the encoded
-state keeps the input's layout.  Decoding re-appends the factors.  Because
-both sides share the same implied factors, trace distances between full-form
-states are exact block-by-block sums.
+weight per row, and the diagonal blocks as runs of (eigenvalue, multiplicity)
+pairs on one flat layout, row i's diagonal being ``values[k]`` repeated
+``counts[k]`` times for k in ``offsets[i]:offsets[i + 1]``, in that order for
+every d.  Only blocks that are not diagonal (random states, blocks turned into
+another frame, user-supplied matrices) are held per row as dense Hermitian
+matrices.  Encoding drops the multiplicity factors and sends the weight of
+discarded blocks to the maximally mixed state on the kept ones, which mixes
+one value into every pair of a kept row, so the encoded state keeps the
+input's layout.  Decoding re-appends the factors, so trace distances between
+full-form states are exact block-by-block sums.
 
-The diagonal of the product-state block of lambda is p^c / s_lambda(p) over
-the contents c of its semistandard tableaux, so it is stored once per
-distinct content c with the Kostka number K_lambda,c as its count.  The
-Kostka numbers come from Kostant's multiplicity formula (Humphreys,
-*Introduction to Lie Algebras and Representation Theory*, par. 24); for qubits
-every count is 1 and the run is the diagonal itself, in ascending m.  Encode,
-decode, the trace distance and ``validate_block_state`` are whole-array passes
-over the pairs (the trace norm of a diagonal difference is
-sum |w_a v_a - w_b v_b| * count), and states derived from one another share
-their layout, so those passes need no gather.  Only a row that holds a dense
-block on either side goes through a per-row path.  ``BlockState.blocks`` is
-the {YoungDiagram: Block} view, built on first use: each diagonal block
-expanded to its vector in Gelfand-Tsetlin order (ascending m for qubits).
+The product-state block of lambda has eigenvalue p^c / s_lambda(p) on each
+content c of its semistandard tableaux, stored once per distinct c with the
+Kostka number K_lambda,c (Kostant's multiplicity formula; Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, par. 24) as its
+count; for qubits every count is 1, in ascending m.  No reported number
+depends on the basis a diagonal block is listed in.  Encode, decode, the
+trace distance and ``validate_block_state`` are whole-array passes over the
+pairs, and states derived from one another share their layout, so those
+passes need no gather; any other row goes through a per-row path.
+``BlockState.blocks`` is the {YoungDiagram: Block} view, built on first use.
 
 A qubit product state turned to a Bloch orientation keeps the same pairs: the
 orientation is a label on the state, and its blocks are diagonal in the frame
@@ -59,7 +53,6 @@ from .errors import (
 from .schur_core import (
     Spectrum,
     YoungDiagram,
-    _gt_level,
     _ranges,
     diagram_rows,
     irrep_dims,
@@ -105,15 +98,15 @@ class BlockState:
     ``weights``, and ``held``, the rows that hold a block (weight 0 elsewhere).
     Row i's diagonal block is the pairs ``values[k]``, ``counts[k]`` for k in
     ``offsets[i]:offsets[i + 1]``: an eigenvalue and its multiplicity, so the
-    counts of a block sum to its dimension.  ``dense`` maps a row to its block
-    when that is a full Hermitian matrix; such a row's pairs are unused.  A
-    block of several pairs has one pair per content c with Kostka number
-    K_lambda,c > 0, in the order of ``_content_pairs``: for qubits that is its
-    diagonal in Gelfand-Tsetlin order, count 1 each.  ``orientation`` names the
-    frame the blocks are held in: None is the lab frame, a Bloch vector the
-    frame turned by the N-fold qubit rotation that takes the lab z axis to it,
-    where an oriented product state is diagonal.  Spectra, traces and weights
-    do not depend on the frame.
+    counts of a block sum to its dimension, and its basis is the pairs in that
+    order, each value repeated count times.  A product state holds one pair
+    per content c with Kostka number K_lambda,c > 0, in the order of
+    ``_content_pairs`` (for qubits count 1 each, in ascending m).  ``dense``
+    maps a row to its block when that is a full Hermitian matrix; such a row's
+    pairs are unused.  ``orientation`` names the frame the blocks are held in:
+    None is the lab frame, a Bloch vector the frame turned by the N-fold qubit
+    rotation that takes the lab z axis to it, where an oriented product state
+    is diagonal.  Spectra, traces and weights do not depend on the frame.
     """
 
     n: int
@@ -169,8 +162,8 @@ class BlockState:
     @cached_property
     def blocks(self) -> dict[YoungDiagram, Block]:
         """The blocks the state holds, keyed by YoungDiagram in ``diagram_rows``
-        order: a dense block as its matrix, a diagonal one as its diagonal in
-        Gelfand-Tsetlin order."""
+        order: a dense block as its matrix, a diagonal one as its pairs
+        expanded in layout order."""
         rows = diagram_rows(self.n, self.d).tolist()
         held = np.flatnonzero(self.held).tolist()
         diagonals = _diagonals(self, np.flatnonzero(self.pair_rows))
@@ -180,21 +173,26 @@ class BlockState:
 
 
 def _row_reduce(offsets: np.ndarray, pairs: np.ndarray, ufunc=np.add) -> np.ndarray:
-    """``ufunc`` over the pairs of each row of a layout (0 for a row without any)."""
+    """``ufunc`` over the pairs of each row of a layout (0 for a row without any),
+    in the dtype of ``pairs``."""
     sizes = np.diff(offsets)
-    out = np.zeros(len(sizes))
+    out = np.zeros(len(sizes), dtype=pairs.dtype)
     if sizes.any():
         out[sizes > 0] = ufunc.reduceat(pairs, offsets[:-1][sizes > 0])
     return out
 
 
 def validate_block_state(state: BlockState) -> None:
-    """Assert the ensemble invariants: weights sum to 1, blocks PSD with unit
-    trace.  Raises for the first row, in ``diagram_rows`` order, that breaks one."""
+    """Assert the ensemble invariants: weights sum to 1, the counts of each
+    diagonal block sum to its dimension, blocks PSD with unit trace.  Raises for
+    the first row, in ``diagram_rows`` order, that breaks one."""
     total = sum(state.weights.tolist())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ContractViolationError(f"block weights sum to {total!r}")
     w = state.weights
+    rows = diagram_rows(state.n, state.d)
+    dims = irrep_dims(rows)
+    dim = _row_reduce(state.offsets, state.counts)
     trace = _row_reduce(state.offsets, state.values * state.counts)
     largest = _row_reduce(state.offsets, np.abs(state.values), np.maximum)
     checked = state.pair_rows & ~((w == 0.0) & (largest == 0.0))  # not an underflowed zero block
@@ -206,14 +204,17 @@ def validate_block_state(state: BlockState) -> None:
         checked[i], trace[i] = True, np.trace(mat).real
         hermitian[i] = np.max(np.abs(mat - mat.conj().T)) > 1e-12
         psd[i] = not hermitian[i] and np.linalg.eigvalsh(mat).min() < -PSD_TOL
-    checks = {"weight": (w < 0) | (~state.held & (w != 0)), "Hermitian": hermitian,
+    checks = {"weight": (w < 0) | (~state.held & (w != 0)),
+              "dimension": state.pair_rows & (dim != dims),
+              "Hermitian": hermitian,
               "trace": checked & (np.abs(trace - 1.0) > WEIGHT_SUM_TOL), "PSD": psd}
     failing = np.flatnonzero(np.logical_or.reduce(list(checks.values())))
     if len(failing):
         i = failing[0]
-        row = diagram_rows(state.n, state.d)[i].tolist()
+        row = rows[i].tolist()
         raise ContractViolationError({
             "weight": f"weight {w[i]} on block {row}",
+            "dimension": f"block {row} counts sum to {dim[i]}, not its dimension {dims[i]}",
             "Hermitian": f"block {row} not Hermitian",
             "trace": f"block {row} trace {trace[i]!r}",
             "PSD": f"block {row} not PSD",
@@ -370,6 +371,13 @@ def _kostant_terms(lam: np.ndarray, floor: np.ndarray
     return shape, key, prefix, odd
 
 
+def _shape_blocks(lams: np.ndarray, mus: np.ndarray) -> list[np.ndarray]:
+    """The row indices of ``lams`` in consecutive blocks of about 2^17
+    (shape, content) cells against ``mus``."""
+    return np.array_split(np.arange(len(lams)),
+                          max(1, min(len(lams), len(lams) * len(mus) // 2 ** 17)))
+
+
 def _pair_counts(lams: np.ndarray, mus: np.ndarray, orbits: np.ndarray, extra: int
                  ) -> np.ndarray:
     """The pairs of each shape in ``lams``: the compositions that sort to a
@@ -381,8 +389,7 @@ def _pair_counts(lams: np.ndarray, mus: np.ndarray, orbits: np.ndarray, extra: i
     lam_sums = np.cumsum(lams, axis=1)[:, :-1]
     mu_sums = np.cumsum(mus, axis=1)[:, :-1]
     sizes, total = np.zeros(len(lams), dtype=np.int64), extra
-    for block in np.array_split(np.arange(len(lams)),
-                                max(1, min(len(lams), len(lams) * len(mus) // 2 ** 17))):
+    for block in _shape_blocks(lams, mus):
         inside = np.ones((len(block), len(mus)), dtype=bool)
         for k in range(lam_sums.shape[1]):
             inside &= mu_sums[:, k] <= lam_sums[block, k, None]
@@ -418,8 +425,7 @@ def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.n
     table = table.ravel()
     ranks = _lex_ranks(mus, n)[::-1]  # ascending
     found = []
-    for block in np.array_split(np.arange(len(lams)),
-                                max(1, min(len(lams), len(lams) * len(mus) // 2 ** 17))):
+    for block in _shape_blocks(lams, mus):
         lo = len(mus) - np.searchsorted(ranks, _lex_ranks(lams[block[:1]], n), "right")[0]
         part = np.zeros((len(block), len(mus) - lo), dtype=np.int64)
         terms = np.arange(*np.searchsorted(shape, [block[0], block[-1] + 1]))
@@ -465,11 +471,10 @@ def _lex_ranks(contents: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
-def _compositions(n: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _compositions(n: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every composition of n into d parts, grouped by the partition ``mus``
     row it sorts to (in row order, lexicographic within a group): the (C, d)
-    contents, the start of each row's group (M + 1), and the grouped position
-    of the composition of each lexicographic rank."""
+    contents and the start of each row's group (M + 1)."""
     d = mus.shape[1]
     contents, left = np.zeros((1, 0), dtype=np.int64), np.array([n])
     for _ in range(d - 1):
@@ -479,11 +484,8 @@ def _compositions(n: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     contents = np.column_stack([contents, left])
     ranks = _lex_ranks(mus, n)  # descending, as diagram_rows is
     part = len(mus) - 1 - np.searchsorted(ranks[::-1], _lex_ranks(-np.sort(-contents), n))
-    order = np.argsort(part, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
     starts = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=len(mus)))])
-    return contents[order], starts, position
+    return contents[np.argsort(part, kind="stable")], starts
 
 
 def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
@@ -511,7 +513,7 @@ def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
     orbits = _orbits(mus)
     sizes = _pair_counts(lams, mus, orbits, extra)
     mu, kostka = _kostka_numbers(lams, mus)
-    contents, starts, _ = _compositions(n, mus)
+    contents, starts = _compositions(n, mus)
     runs = orbits[mu]
     index = np.repeat(starts[mu] - (np.cumsum(runs) - runs), runs)
     index += np.arange(len(index))  # each (lambda, mu) runs over the compositions of mu
@@ -589,27 +591,11 @@ def product_state(spectrum: Spectrum, n: int,
 
 
 def _diagonals(state: BlockState, rows: np.ndarray) -> dict[int, np.ndarray]:
-    """The diagonal of the block of each given row that holds pairs, in
-    Gelfand-Tsetlin order.  A run of one pair is constant; a qubit run of
-    several is the diagonal itself, and for d > 2 each tableau of the shape
-    (``_gt_level``) reads the pair of its content."""
-    sizes, first = state.sizes[rows].tolist(), state.offsets[rows].tolist()
-    out = {i: (state.values[k:k + s] if s > 1 else np.full(state.counts[k], state.values[k]))
-           for i, k, s in zip(rows.tolist(), first, sizes)}
-    keyed = rows[state.sizes[rows] > 1] if state.d > 2 else rows[:0]
-    if len(keyed):
-        shapes = diagram_rows(state.n, state.d)
-        contents, owner = _gt_level(shapes[keyed])
-        _, index, _, sizes = _content_pairs(shapes[keyed], shapes)
-        assert np.array_equal(sizes, state.sizes[keyed]), "pairs do not follow the content layout"
-        _, _, position = _compositions(state.n, shapes)
-        width = position.size
-        runs = np.repeat(np.arange(len(keyed)), sizes) * width + index  # ascending
-        found = np.searchsorted(runs, owner * width + position[_lex_ranks(contents, state.n)])
-        found += (state.offsets[keyed] - (np.cumsum(sizes) - sizes))[owner]
-        ends = np.cumsum(np.bincount(owner, minlength=len(keyed)))[:-1]
-        out.update(zip(keyed.tolist(), np.split(state.values[found], ends)))
-    return out
+    """The diagonal of the block of each given row that holds pairs: its
+    values in layout order, each repeated count times."""
+    return {i: np.repeat(state.values[k:k + s], state.counts[k:k + s])
+            for i, k, s in zip(rows.tolist(), state.offsets[rows].tolist(),
+                               state.sizes[rows].tolist())}
 
 
 def _rotation(frame: BlochVector | None, dim: int) -> np.ndarray:
@@ -628,13 +614,6 @@ def _rotated(mat: np.ndarray, source: BlochVector | None,
     return (out + out.conj().T) / 2.0
 
 
-def _constant(state: BlockState, rows: np.ndarray) -> np.ndarray:
-    """Whether the diagonal block of each given row (all holding pairs) has all
-    eigenvalues equal."""
-    high = _row_reduce(state.offsets, state.values, np.maximum)
-    return high[rows] == _row_reduce(state.offsets, state.values, np.minimum)[rows]
-
-
 def _in_frame(state: BlockState, frame: BlochVector | None) -> BlockState:
     """The state with its blocks held in the given frame.
 
@@ -646,7 +625,8 @@ def _in_frame(state: BlockState, frame: BlochVector | None) -> BlockState:
     if state.orientation == frame:
         return state
     pairs = np.flatnonzero(state.pair_rows)
-    moved = pairs[~_constant(state, pairs)]
+    high = _row_reduce(state.offsets, state.values, np.maximum)
+    moved = pairs[high[pairs] != _row_reduce(state.offsets, state.values, np.minimum)[pairs]]
     dims = [int(state.counts[k:k + s].sum())
             for k, s in zip(state.offsets[moved].tolist(), state.sizes[moved].tolist())]
     entries = sum(dim ** 2 for dim in dims) + sum(len(mat) ** 2 for mat in state.dense.values())
@@ -680,48 +660,6 @@ def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
 # ---------------------------------------------------------------------------
 # Channels
 # ---------------------------------------------------------------------------
-
-def _spread(state: BlockState, pairs: np.ndarray, offsets: np.ndarray,
-            sizes: np.ndarray) -> np.ndarray:
-    """``pairs`` (one entry per pair of the state) on a layout of ``sizes``
-    pairs per row, where each row's run is the state's own or it holds at
-    most one pair (``_common``): its one pair is repeated, a longer run
-    copied.  Where the state holds no diagonal block the entries are 0, or
-    what it stores there when the layout is its own; callers weigh such rows
-    by 0 or skip them."""
-    if state.offsets is offsets or np.array_equal(state.offsets, offsets):
-        return pairs
-    own = np.where(state.pair_rows, state.sizes, 0)
-    first = np.zeros(len(own), dtype=pairs.dtype)
-    first[own > 0] = pairs[state.offsets[:-1][own > 0]]
-    out = np.repeat(first, sizes)
-    runs = own > 1
-    if runs.any():
-        out[np.repeat(runs, sizes)] = pairs[np.repeat(runs, state.sizes)]
-    return out
-
-
-def _common(a: BlockState, b: BlockState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One layout for the diagonal blocks of two states of one (N, d): its
-    offsets, counts and pairs per row.
-
-    In each row the layout is the larger of the two runs, the other being the
-    same run or one pair (``_spread`` puts either state on it); a state's own
-    layout is reused when it fits.
-    """
-    own_a = np.where(a.pair_rows, a.sizes, 0)
-    own_b = np.where(b.pair_rows, b.sizes, 0)
-    sizes = np.maximum(own_a, own_b)
-    if not ((own_a == own_b) | (np.minimum(own_a, own_b) <= 1)).all():
-        raise ContractViolationError("two diagonal blocks of one row differ in their pairs")
-    for side in (a, b):
-        if (side.sizes == sizes)[sizes > 0].all():
-            return side.offsets, side.counts, side.sizes
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    counts = np.where(np.repeat(own_a == sizes, sizes),
-                      _spread(a, a.counts, offsets, sizes), _spread(b, b.counts, offsets, sizes))
-    return offsets, counts, sizes
-
 
 def _kept(keep: Iterable[YoungDiagram] | np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``keep_mask``, raising ParameterError when the keep set names no row."""
@@ -814,9 +752,12 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
 
     Block diagonality plus the shared maximally mixed multiplicity factors
     make the block-by-block sum exact, taken in row order.  Blocks of ``b``
-    that do not fit the frame of ``a`` are turned into it.  Two diagonal
-    blocks differ by sum |w_a v_a - w_b v_b| * count over the pairs of
-    ``_common``; a dense block on either side is compared on its own.
+    that do not fit the frame of ``a`` are turned into it.  When the two
+    states share their layout, as a state and ``decode(encode(state))`` do,
+    two diagonal blocks differ by sum |w_a v_a - w_b v_b| * count over their
+    pairs, in one pass.  Every other row is compared on its own, a diagonal
+    block as its expanded vector; ContractViolationError when its two blocks
+    differ in dimension.
     """
     if a.n != b.n or a.d != b.d:
         raise ParameterError("states must share N and d")
@@ -824,20 +765,24 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
         raise ParameterError("trace distance is defined between decoded (full) states")
     b = _in_frame(b, a.orientation)
     both = a.held & b.held
-    diagonal = both & a.pair_rows & b.pair_rows
     per_row = np.where(both, 0.0, a.weights + b.weights)  # a side without the block weighs 0
+    shared = ((a.offsets is b.offsets or np.array_equal(a.offsets, b.offsets))
+              and (a.counts is b.counts or np.array_equal(a.counts, b.counts)))
+    diagonal = both & a.pair_rows & b.pair_rows & shared
     if diagonal.any():
-        offsets, counts, sizes = _common(a, b)
-        diff = np.repeat(a.weights, sizes) * _spread(a, a.values, offsets, sizes)
-        diff -= np.repeat(b.weights, sizes) * _spread(b, b.values, offsets, sizes)
+        diff = np.repeat(a.weights, a.sizes) * a.values
+        diff -= np.repeat(b.weights, a.sizes) * b.values
         np.abs(diff, out=diff)
-        diff *= counts
-        per_row[diagonal] = _row_reduce(offsets, diff)[diagonal]
+        diff *= a.counts
+        per_row[diagonal] = _row_reduce(a.offsets, diff)[diagonal]
     rows_dense = np.flatnonzero(both & ~diagonal)
     diag_a = _diagonals(a, rows_dense[a.pair_rows[rows_dense]])
     diag_b = _diagonals(b, rows_dense[b.pair_rows[rows_dense]])
     for i in rows_dense.tolist():
         mat_a, mat_b = _promoted(a.dense.get(i, diag_a.get(i)), b.dense.get(i, diag_b.get(i)))
+        if mat_a.shape != mat_b.shape:
+            row = diagram_rows(a.n, a.d)[i].tolist()
+            raise ContractViolationError(f"the two blocks {row} differ in dimension")
         diff = a.weights[i] * mat_a - b.weights[i] * mat_b
         if np.any(diff):
             per_row[i] = trace_norm(diff)

@@ -1,10 +1,10 @@
 """Representation-theoretic combinatorics for the Schur-Weyl block picture.
 
 Everything in here is a pure function of its arguments: Young diagrams,
-irrep and multiplicity dimensions (exact big integers; logs via lgamma), tableau
-contents and log Schur polynomials (Gelfand-Tsetlin branching) and Wigner
-rotation matrices.  Half-integer angular momenta are passed around as doubled
-integers (2j, 2m) so they stay exact and hashable.
+irrep and multiplicity dimensions (exact big integers; logs via lgamma), log
+Schur polynomials (Gelfand-Tsetlin branching) and Wigner rotation matrices.
+Half-integer angular momenta are passed around as doubled integers (2j, 2m)
+so they stay exact and hashable.
 
 Whole families of diagrams travel as one (M, d) integer array of rows
 (``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
@@ -142,6 +142,14 @@ def spectrum_of(*probs: float) -> Spectrum:
 # Diagram enumeration and dimensions
 # ---------------------------------------------------------------------------
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer lo[i]..hi[i] for every i, as (index i, value), grouped by i."""
+    lengths = hi - lo + 1
+    owner = np.repeat(np.arange(lo.size), lengths)
+    offset = lo + lengths - np.cumsum(lengths)  # value minus position
+    return owner, np.arange(owner.size) + offset[owner]
+
+
 def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
     """All partitions of n into at most r parts, padded to d rows, as an (M, d)
     int64 array in lexicographically decreasing order (read-only).
@@ -255,38 +263,8 @@ def multiplicity_dim(diagram: YoungDiagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gelfand-Tsetlin branching: tableau contents and Schur polynomials
+# Log Schur polynomials by Gelfand-Tsetlin branching
 # ---------------------------------------------------------------------------
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every integer lo[i]..hi[i] for every i, as (index i, value), grouped by i."""
-    lengths = hi - lo + 1
-    owner = np.repeat(np.arange(lo.size), lengths)
-    offset = lo + lengths - np.cumsum(lengths)  # value minus position
-    return owner, np.arange(owner.size) + offset[owner]
-
-
-def _gt_level(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contents of the tableaux with entries 1..k of every shape in ``shapes``
-    (M, k), grouped by shape in Gelfand-Tsetlin order, and each one's shape.
-
-    Branching rule: a tableau of shape lambda with entries <= k is a tableau
-    of an interlacing shape mu (lambda_{i+1} <= mu_i <= lambda_i) with entries
-    <= k - 1, plus |lambda| - |mu| boxes holding k.
-    """
-    m, k = shapes.shape
-    if k == 1:
-        return shapes, np.arange(m)
-    owner = np.arange(m)
-    mu = np.empty((m, 0), dtype=np.int64)
-    for i in range(k - 1):  # mu in lexicographic order
-        sel, value = _ranges(shapes[owner, i + 1], shapes[owner, i])
-        owner = owner[sel]
-        mu = np.column_stack([mu[sel], value])
-    sub, sub_owner = _gt_level(mu)
-    owner = owner[sub_owner]
-    return np.column_stack([sub, shapes.sum(axis=1)[owner] - sub.sum(axis=1)]), owner
-
 
 def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     """log s_(a,b)(x_1, x_2) = log(x_1^a x_2^b (1 - r^(a-b+1)) / (1 - r)), r = x_2 / x_1 <= 1,

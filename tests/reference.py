@@ -2,9 +2,10 @@
 
 None of this is on a package path: a direct walk over semistandard tableaux,
 the Schur polynomial summed over it, the binomial-difference qubit
-multiplicity and the Clebsch-Gordan square in exact rationals.  The
-one-shape Gelfand-Tsetlin contents and the Schur polynomial of each diagram
-are thin lookups into the package's batched engines, and ``block_state``
+multiplicity, the Clebsch-Gordan square in exact rationals and the tableau
+contents of a shape in Gelfand-Tsetlin order from the branching rule.  The
+Schur polynomial of each diagram is a thin lookup into the package's batched
+engine, and ``block_state``
 lays out a hand-written {YoungDiagram: (weight, matrix)} mapping on the
 rows a ``BlockState`` is indexed by.
 """
@@ -17,11 +18,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from schurcompress import schur_core
 from schurcompress.blocksim import BlockState
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
+    _ranges,
     diagram_rows,
     enumerate_diagrams,
     log_schur_polynomials,
@@ -110,8 +111,30 @@ def gelfand_tsetlin_contents(diagram: YoungDiagram, d: int) -> np.ndarray:
     lexicographically.  For two rows (a, b) the contents are (c, a + b - c) for
     c = b..a, ascending m for spins."""
     rows = np.array([diagram.padded(d).rows], dtype=np.int64)
-    contents, _ = schur_core._gt_level(rows)
+    contents, _ = _gt_level(rows)
     return contents
+
+
+def _gt_level(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contents of the tableaux with entries 1..k of every shape in ``shapes``
+    (M, k), grouped by shape in Gelfand-Tsetlin order, and each one's shape.
+
+    Branching rule: a tableau of shape lambda with entries <= k is a tableau
+    of an interlacing shape mu (lambda_{i+1} <= mu_i <= lambda_i) with entries
+    <= k - 1, plus |lambda| - |mu| boxes holding k.
+    """
+    m, k = shapes.shape
+    if k == 1:
+        return shapes, np.arange(m)
+    owner = np.arange(m)
+    mu = np.empty((m, 0), dtype=np.int64)
+    for i in range(k - 1):  # mu in lexicographic order
+        sel, value = _ranges(shapes[owner, i + 1], shapes[owner, i])
+        owner = owner[sel]
+        mu = np.column_stack([mu[sel], value])
+    sub, sub_owner = _gt_level(mu)
+    owner = owner[sub_owner]
+    return np.column_stack([sub, shapes.sum(axis=1)[owner] - sub.sum(axis=1)]), owner
 
 
 def qubit_multiplicity(n: int, two_j: int) -> int:

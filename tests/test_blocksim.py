@@ -1,5 +1,7 @@
+import functools
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -339,8 +341,9 @@ def test_diagonal_states_keep_vector_blocks(sp, n):
                                    (Spectrum((0.5, 0.3, 0.2, 0.0)), 8)])
 def test_block_diagonals_do_not_depend_on_the_batching(sp, n):
     # the state holds one pair per distinct content, normalized for all shapes
-    # at once; the Gelfand-Tsetlin view of every block must match a reference
-    # that takes one shape at a time over its tableaux
+    # at once; the diagonal of every block must match, as a multiset, a
+    # reference that takes one shape at a time over its tableaux, and list
+    # its pairs in layout order
     def one_shape(lam):
         contents = gelfand_tsetlin_contents(lam, sp.d)
         logs = contents[:, :sp.rank] @ np.log(sp.probs[:sp.rank])
@@ -348,10 +351,14 @@ def test_block_diagonals_do_not_depend_on_the_batching(sp, n):
         rel = np.exp(logs - logs.max())
         return rel / rel.sum()
 
-    for lam, blk in product_state(sp, n).blocks.items():
+    state = product_state(sp, n)
+    for i, (lam, blk) in enumerate(state.blocks.items()):
         reference = one_shape(lam) if blk.weight else np.zeros(irrep_dim(lam, sp.d))
         assert blk.matrix.shape == reference.shape, lam
-        assert np.max(np.abs(blk.matrix - reference)) <= 2.2e-16, lam
+        assert np.max(np.abs(np.sort(blk.matrix) - np.sort(reference))) <= 2.2e-16, lam
+        run = slice(state.offsets[i], state.offsets[i + 1])
+        if sp.d >= 3:
+            assert np.array_equal(blk.matrix, np.repeat(state.values[run], state.counts[run])), lam
 
 
 @pytest.mark.parametrize("sp", [Spectrum((0.6, 0.4, 0.0)), Spectrum((0.5, 0.3, 0.2, 0.0))])
@@ -366,7 +373,7 @@ def test_block_diagonals_with_a_zero_eigenvalue(sp):
         monomials = np.prod(probs ** gelfand_tsetlin_contents(lam, sp.d), axis=1)
         s_val = schur_polynomial_brute(lam, sp)
         assert monomials.sum() == pytest.approx(s_val, rel=1e-12)
-        assert np.allclose(blk.matrix, monomials / s_val, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.sort(blk.matrix), np.sort(monomials / s_val), rtol=1e-12, atol=0.0)
 
 
 def test_product_state_qudit_rejects_rotation():
@@ -422,6 +429,58 @@ def test_content_pairs_match_the_tableau_histogram(probs, n):
                                    rtol=1e-12, atol=0.0)
 
 
+@functools.lru_cache(maxsize=2)
+def _all_pairs(n, d):
+    """The content pairs of every shape of n boxes and d rows."""
+    rows = schur_core.diagram_rows(n, d)
+    return (rows, *blocksim._content_pairs(rows, rows))
+
+
+@pytest.mark.parametrize("d, n", [(3, 100), (4, 30)])
+def test_kostka_counts_sum_to_irrep_dims(d, n):
+    # sum_c K_lambda,c = dim lambda for every shape, exact in int64
+    rows, _, _, counts, sizes = _all_pairs(n, d)
+    dims = schur_core.irrep_dims(rows).astype(np.int64)
+    assert np.array_equal(np.add.reduceat(counts, np.cumsum(sizes) - sizes), dims)
+
+
+@pytest.mark.parametrize("d, n", [(3, 100), (4, 30)])
+def test_kostka_counts_satisfy_rsk(d, n):
+    # RSK: sum_lambda m_lambda K_lambda,c = N! / prod_i c_i! for every
+    # composition c, in Python ints; the only check that ties the Kostka
+    # numbers to the multiplicities at large N
+    rows, contents, index, counts, sizes = _all_pairs(n, d)
+    shape = np.repeat(np.arange(len(rows)), sizes)
+    terms = schur_core.multiplicity_dims(rows)[shape] * counts.astype(object)
+    order = np.argsort(index, kind="stable")
+    firsts = np.flatnonzero(np.diff(index[order], prepend=-1))
+    assert np.array_equal(index[order][firsts], np.arange(len(contents)))
+    sums = np.add.reduceat(terms[order], firsts)
+    expected = [math.factorial(n) // math.prod(map(math.factorial, c))
+                for c in contents.tolist()]
+    assert sums.tolist() == expected
+
+
+@pytest.mark.parametrize("probs, n", [
+    ((0.5, 0.3, 0.2), 100), ((0.6, 0.4, 0.0), 100), ((0.5, 0.25, 0.25), 100),
+    ((0.4, 0.3, 0.2, 0.1), 30),
+])
+def test_kostka_counts_sum_to_schur_polynomials(probs, n):
+    # log sum_c K_lambda,c p^c, unnormalized, against the Gelfand-Tsetlin
+    # engine, an algorithm independent of Kostant's formula
+    sp = Spectrum(probs)
+    rows, contents, index, counts, sizes = _all_pairs(n, sp.d)
+    logs = contents[:, :sp.rank] @ np.log(sp.probs[:sp.rank])
+    logs[contents[:, sp.rank:].any(axis=1)] = -np.inf
+    terms = logs[index] + np.log(counts)
+    inside = ~rows[:, sp.rank:].any(axis=1)
+    terms, sizes = terms[np.repeat(inside, sizes)], sizes[inside]
+    firsts = np.cumsum(sizes) - sizes
+    top = np.maximum.reduceat(terms, firsts)
+    sums = top + np.log(np.add.reduceat(np.exp(terms - np.repeat(top, sizes)), firsts))
+    np.testing.assert_allclose(sums, schur_core.log_schur_polynomials(n, sp), rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Channels
 # ---------------------------------------------------------------------------
@@ -469,6 +528,22 @@ def test_validate_rejects_weight_where_no_block_is_held():
     state = BlockState.from_matrices(2, 2, np.array([0.5, 0.5]), (np.full(3, 1.0 / 3), None))
     with pytest.raises(ContractViolationError, match=r"weight 0\.5 on block \[1, 1\]"):
         validate_block_state(state)
+
+
+def test_validate_rejects_a_count_off_by_one():
+    # values normalized over a wrong Kostka count still have unit trace, so
+    # only the counts against the dimension can catch it
+    state = product_state(spectrum_of(0.5, 0.3, 0.2), 6)
+    k = state.offsets[1]
+    counts, values = state.counts.copy(), state.values.copy()
+    counts[k] += 1
+    run = slice(k, state.offsets[2])
+    values[run] /= (values[run] * counts[run]).sum()
+    broken = replace(state, values=values, counts=counts)
+    dim = irrep_dim(YoungDiagram((5, 1, 0)), 3)
+    message = rf"block \[5, 1, 0\] counts sum to {dim + 1}, not its dimension {dim}"
+    with pytest.raises(ContractViolationError, match=message):
+        validate_block_state(broken)
 
 
 def test_encode_reroutes_tail_mass():
@@ -574,8 +649,8 @@ def test_trace_distance_is_a_metric_on_random_states():
 
 def test_trace_distance_between_crossing_layouts(monkeypatch):
     # with a high underflow the skewed state's low-spin blocks and the flat
-    # state's top block are one zero pair, so neither layout holds the other
-    # and the trace distance builds a third from both
+    # state's top block are one zero pair, so the two layouts differ and every
+    # row is compared as its expanded diagonals
     monkeypatch.setattr(blocksim, "UNDERFLOW", 0.05)
     blocksim.weight_table.cache_clear()
     a = product_state(spectrum_of(0.9, 0.1), 8)
@@ -588,15 +663,31 @@ def test_trace_distance_between_crossing_layouts(monkeypatch):
     assert trace_distance(b, a) == pytest.approx(expected, abs=1e-15)
 
 
-def test_trace_distance_rejects_runs_of_different_lengths():
-    # two diagonal blocks of one row with different pairs share no layout
+def _two_runs(counts_b):
+    """Two N = 2 qubit states whose (2, 0) blocks hold different pairs: three
+    values of count 1 against two values of the given counts."""
     weights, held = np.array([0.5, 0.5]), np.ones(2, dtype=bool)
     a = BlockState(2, 2, weights, held, np.array([0.5, 0.3, 0.2, 1.0]),
                    np.ones(4, dtype=np.int64), np.array([0, 3, 4]))
     b = BlockState(2, 2, weights, held, np.array([0.25, 0.5, 1.0]),
-                   np.array([2, 1, 1]), np.array([0, 2, 3]))
-    with pytest.raises(ContractViolationError, match="differ in their pairs"):
+                   np.array(counts_b + [1]), np.array([0, 2, 3]))
+    return a, b
+
+
+def test_trace_distance_compares_runs_of_equal_total_count_by_position():
+    # different pairs of one dimension meet as their expanded diagonals:
+    # (0.5, 0.3, 0.2) against (0.25, 0.25, 0.5), both weighed 0.5
+    a, b = _two_runs([2, 1])
+    assert trace_distance(a, b) == pytest.approx(0.15, abs=1e-15)
+    assert trace_distance(b, a) == pytest.approx(0.15, abs=1e-15)
+
+
+def test_trace_distance_rejects_runs_of_different_total_count():
+    a, b = _two_runs([2, 2])
+    with pytest.raises(ContractViolationError, match=r"blocks \[2, 0\] differ in dimension"):
         trace_distance(a, b)
+    with pytest.raises(ContractViolationError, match="differ in dimension"):
+        trace_distance(b, a)
 
 
 def _dense(state):

@@ -54,7 +54,6 @@ from .schur_core import (
     irrep_dims,
     multiplicity_dim,
     multiplicity_dims,
-    wigner_d_matrix,
 )
 
 __all__ = [
@@ -94,6 +93,5 @@ __all__ = [
     "spectrum_estimate",
     "trace_distance",
     "truncation_lower_bound",
-    "wigner_d_matrix",
     "zero_error_plan",
 ]

@@ -6,13 +6,13 @@ factor).  ``BlockState`` follows the rows of ``diagram_rows(N, d)``: one
 weight per row, and the diagonal blocks as runs of (eigenvalue, multiplicity)
 pairs on one flat layout, row i's diagonal being ``values[k]`` repeated
 ``counts[k]`` times for k in ``offsets[i]:offsets[i + 1]``, in that order for
-every d.  Only blocks that are not diagonal (random states, blocks turned into
-another frame, user-supplied matrices) are held per row as dense Hermitian
-matrices.  Encoding drops the multiplicity factors and sends the weight of
-discarded blocks to the maximally mixed state on the kept ones, which mixes
-one value into every pair of a kept row, so the encoded state keeps the
-input's layout.  Decoding re-appends the factors, so trace distances between
-full-form states are exact block-by-block sums.
+every d.  Only blocks that are not diagonal (random states, user-supplied
+matrices) are held per row as dense Hermitian matrices.  Encoding drops the
+multiplicity factors and sends the weight of discarded blocks to the maximally
+mixed state on the kept ones, which mixes one value into every pair of a kept
+row, so the encoded state keeps the input's layout.  Decoding re-appends the
+factors, so trace distances between full-form states are exact block-by-block
+sums.
 
 The product-state block of lambda has eigenvalue p^c / s_lambda(p) on each
 content c of its semistandard tableaux, stored once per distinct c with the
@@ -27,9 +27,10 @@ passes need no gather; any other row goes through a per-row path.
 
 A qubit product state turned to a Bloch orientation keeps the same pairs: the
 orientation is a label on the state, and its blocks are diagonal in the frame
-turned by U^{ox N}.  A block with all eigenvalues equal fits every frame;
-only where a block meets one held in another frame is it turned into that
-frame as a dense matrix by the Wigner rotation.
+turned by U^{ox N}.  Encoding, decoding and the dump commute with U^{ox N}, so
+no reported number depends on the frame, and blocks are never turned between
+frames: the trace distance compares states held in one frame only, and a
+label with theta = 0 and phi != 0 is a frame of its own.
 
 BlockStates are immutable after construction; channels return new values, so
 independent (N, spectrum, epsilon) points can be evaluated in parallel.
@@ -59,7 +60,6 @@ from .schur_core import (
     keep_mask,
     log_multiplicities,
     log_schur_polynomials,
-    wigner_d_matrix,
 )
 
 WEIGHT_SUM_TOL = 1e-10
@@ -70,9 +70,10 @@ KOSTKA_CAP = 2 ** 26  # partial Kostant terms walked, or Kostant partition-funct
 
 
 class Block(NamedTuple):
-    """Weight and normalized block, in the frame of the state that holds it: a
-    1-D array is the diagonal of a diagonal block, a 2-D array is a full
-    Hermitian matrix."""
+    """Weight and normalized block, in the frame named by the ``orientation``
+    of the state that holds it (theta = 0 with phi != 0 being a frame of its
+    own): a 1-D array is the diagonal of a diagonal block, a 2-D array is a
+    full Hermitian matrix."""
 
     weight: float
     matrix: np.ndarray
@@ -106,7 +107,9 @@ class BlockState:
     pairs are unused.  ``orientation`` names the frame the blocks are held in:
     None is the lab frame, a Bloch vector the frame turned by the N-fold qubit
     rotation that takes the lab z axis to it, where an oriented product state
-    is diagonal.  Spectra, traces and weights do not depend on the frame.
+    is diagonal.  Two states are in one frame when their labels are equal, so
+    theta = 0 with phi != 0 is a frame of its own, not the lab frame.
+    Spectra, traces and weights do not depend on the frame.
     """
 
     n: int
@@ -544,11 +547,11 @@ def product_state(spectrum: Spectrum, n: int,
     so that deep tails do not lose the normalization.  A letter of
     probability 0 that a content does not use contributes a factor 1; one it
     uses, 0.  A block whose weight underflows is one zero pair.  For qubits
-    any orientation is accepted: it becomes the state's frame label, and the
-    blocks are the same as the unrotated state's.  For d > 2 only diagonal
-    states are supported (rotating a qudit block needs irrep machinery this
-    package deliberately omits, and every error formula is orientation
-    independent).  Raises ResourceLimitError, before allocating any block,
+    any orientation is accepted: unless theta = phi = 0 (the lab frame) it
+    becomes the state's frame label, and the blocks are the unrotated state's.
+    For d > 2 only diagonal states are supported (rotating a qudit block needs
+    irrep machinery this package deliberately omits, and every error formula
+    is orientation independent).  Raises ResourceLimitError, before allocating any block,
     when the state would hold more than BLOCK_ENTRY_CAP pairs, and before
     computing any weight when for d > 2 the C(N + d - 1, d - 1) compositions
     of N, d entries each, would be more than BLOCK_ENTRY_CAP entries.
@@ -596,47 +599,6 @@ def _diagonals(state: BlockState, rows: np.ndarray) -> dict[int, np.ndarray]:
     return {i: np.repeat(state.values[k:k + s], state.counts[k:k + s])
             for i, k, s in zip(rows.tolist(), state.offsets[rows].tolist(),
                                state.sizes[rows].tolist())}
-
-
-def _rotation(frame: BlochVector | None, dim: int) -> np.ndarray:
-    """Wigner matrix of the spin block of dimension dim that turns the lab frame
-    into the given one (the identity for the lab frame)."""
-    if frame is None:
-        return np.eye(dim)
-    return wigner_d_matrix(dim - 1, frame.phi, frame.theta)
-
-
-def _rotated(mat: np.ndarray, source: BlochVector | None,
-             target: BlochVector | None) -> np.ndarray:
-    """A qubit spin block held in frame ``source``, as a dense matrix in frame ``target``."""
-    turn = _rotation(target, len(mat)).conj().T @ _rotation(source, len(mat))
-    out = (turn * mat if mat.ndim == 1 else turn @ mat) @ turn.conj().T
-    return (out + out.conj().T) / 2.0
-
-
-def _in_frame(state: BlockState, frame: BlochVector | None) -> BlockState:
-    """The state with its blocks held in the given frame.
-
-    A diagonal block with all eigenvalues equal is a multiple of the identity
-    and fits every frame, so it passes through; every other block is turned
-    into a dense matrix.  Raises ResourceLimitError, before allocating any,
-    when those matrices would hold more than BLOCK_ENTRY_CAP entries.
-    """
-    if state.orientation == frame:
-        return state
-    pairs = np.flatnonzero(state.pair_rows)
-    high = _row_reduce(state.offsets, state.values, np.maximum)
-    moved = pairs[high[pairs] != _row_reduce(state.offsets, state.values, np.minimum)[pairs]]
-    dims = [int(state.counts[k:k + s].sum())
-            for k, s in zip(state.offsets[moved].tolist(), state.sizes[moved].tolist())]
-    entries = sum(dim ** 2 for dim in dims) + sum(len(mat) ** 2 for mat in state.dense.values())
-    if entries > BLOCK_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"rotated blocks capped at {BLOCK_ENTRY_CAP} entries, N={state.n} needs {entries}")
-    dense = {i: _rotated(mat, state.orientation, frame)
-             for i, mat in _diagonals(state, moved).items()}
-    dense.update((i, _rotated(mat, state.orientation, frame)) for i, mat in state.dense.items())
-    return replace(state, dense=dense, orientation=frame)
 
 
 def random_block_state(n: int, d: int, rng: np.random.Generator) -> BlockState:
@@ -751,10 +713,12 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
     """Half the trace norm of the difference of two full-form block states.
 
     Block diagonality plus the shared maximally mixed multiplicity factors
-    make the block-by-block sum exact, taken in row order.  Blocks of ``b``
-    that do not fit the frame of ``a`` are turned into it.  When the two
-    states share their layout, as a state and ``decode(encode(state))`` do,
-    two diagonal blocks differ by sum |w_a v_a - w_b v_b| * count over their
+    make the block-by-block sum exact, taken in row order.  The two states
+    must be held in one frame: UnsupportedFeatureError, before any block is
+    read, when their ``orientation`` labels differ, which they do for a label
+    with theta = 0 and phi != 0 against the lab frame.  When the two states
+    share their layout, as a state and ``decode(encode(state))`` do, two
+    diagonal blocks differ by sum |w_a v_a - w_b v_b| * count over their
     pairs, in one pass.  Every other row is compared on its own, a diagonal
     block as its expanded vector; ContractViolationError when its two blocks
     differ in dimension.
@@ -763,7 +727,9 @@ def trace_distance(a: BlockState, b: BlockState) -> float:
         raise ParameterError("states must share N and d")
     if a.multiplicity_free or b.multiplicity_free:
         raise ParameterError("trace distance is defined between decoded (full) states")
-    b = _in_frame(b, a.orientation)
+    if a.orientation != b.orientation:
+        raise UnsupportedFeatureError(
+            f"states held in different frames: {a.orientation} and {b.orientation}")
     both = a.held & b.held
     per_row = np.where(both, 0.0, a.weights + b.weights)  # a side without the block weighs 0
     shared = ((a.offsets is b.offsets or np.array_equal(a.offsets, b.offsets))

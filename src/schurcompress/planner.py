@@ -118,16 +118,13 @@ def qubit_spin_grid(n: int) -> range:
     return range(n % 2, n + 1, 2)
 
 
-def qubit_approx_plan(n: int, p: float, epsilon: float,
-                      half_width: int | None = None) -> CompressionPlan:
+def qubit_approx_plan(n: int, p: float, epsilon: float) -> CompressionPlan:
     """Keep a strip of spin blocks around the typical label.
 
     The strip is centered on the largest grid point below 2*j0 = (2p-1)(N+1)
     and extends floor(sqrt(N ln(2/eps))) either side, clipped to the valid
     grid.  Flooring the center keeps the kept dimension under the closed-form
     bound (2j0+1)(2 sqrt(N ln(2/eps)) + 1) whenever the strip is not clipped.
-    half_width overrides the default width, for the partially-known-spectrum
-    regime where the strip must be broadened by hand.
     """
     if n < 1:
         raise ParameterError(f"need N >= 1, got {n}")
@@ -137,14 +134,13 @@ def qubit_approx_plan(n: int, p: float, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
     log_two_over_eps = math.log(2.0) - math.log(epsilon)  # 2 / eps is inf for eps < 2 / DBL_MAX
-    if half_width is None:
-        half_width = math.floor(math.sqrt(n * log_two_over_eps))
+    width = math.floor(math.sqrt(n * log_two_over_eps))
     parity = n % 2
     two_j0 = (2.0 * p - 1.0) * (n + 1)
     two_jc = parity + 2 * math.floor((two_j0 - parity) / 2.0)
     two_jc = min(max(two_jc, parity), n)
-    lo = max(parity, two_jc - 2 * half_width)
-    hi = min(n, two_jc + 2 * half_width)
+    lo = max(parity, two_jc - 2 * width)
+    hi = min(n, two_jc + 2 * width)
     two_j = np.arange(hi, lo - 1, -2)  # descending, as diagram_rows
     bound = (1.5 * math.log2(n)
              + math.log2(4.0 * (2.0 * p - 1.0) * math.sqrt(log_two_over_eps))

@@ -1,10 +1,9 @@
 """Representation-theoretic combinatorics for the Schur-Weyl block picture.
 
 Everything in here is a pure function of its arguments: Young diagrams,
-irrep and multiplicity dimensions (exact big integers; logs via lgamma), log
-Schur polynomials (Gelfand-Tsetlin branching) and Wigner rotation matrices.
-Half-integer angular momenta are passed around as doubled integers (2j, 2m)
-so they stay exact and hashable.
+irrep and multiplicity dimensions (exact big integers; logs via lgamma) and
+log Schur polynomials (Gelfand-Tsetlin branching).  Half-integer spins are
+passed around as doubled integers 2j so they stay exact and hashable.
 
 Whole families of diagrams travel as one (M, d) integer array of rows
 (``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
@@ -394,35 +393,3 @@ def log_multiplicities(rows: np.ndarray) -> np.ndarray:
         for j in range(i + 1, d):
             pairs += np.where(j < ell, log_int[rows[:, i] - rows[:, j] + (j - i - 1)], 0.0)
     return (log_factorial[n] - factorials) + pairs
-
-
-# ---------------------------------------------------------------------------
-# Wigner rotation matrices
-# ---------------------------------------------------------------------------
-
-def wigner_small_d(two_j: int, beta: float) -> np.ndarray:
-    """The real rotation-about-y matrix d^j(beta) = exp(-i beta J_y), ascending m.
-
-    J_y is tridiagonal in the J_z basis with the exactly known spectrum -j..j,
-    so d^j(beta) = V exp(-i beta diag(m)) V^dag from LAPACK's eigenvectors V of
-    J_y.  This stays orthogonal to machine precision at any 2j, where a
-    factorial closed form loses digits from 2j ~ 40 and overflows near 2j = 100.
-    """
-    ms = np.arange(-two_j, two_j + 1, 2) / 2.0
-    # <m+1| J_+ |m> = sqrt((j - m)(j + m + 1)); J_y = (J_+ - J_-) / 2i
-    ladder = np.sqrt((two_j / 2.0 - ms[:-1]) * (two_j / 2.0 + ms[:-1] + 1.0))
-    j_y = np.diag(-0.5j * ladder, -1) + np.diag(0.5j * ladder, 1)
-    _, vecs = np.linalg.eigh(j_y)  # eigenvalues ascending, so they are ms
-    return ((vecs * np.exp(-1j * beta * ms)) @ vecs.conj().T).real
-
-
-def wigner_d_matrix(two_j: int, alpha: float, beta: float, gamma: float = 0.0) -> np.ndarray:
-    """Full (2j+1)-dimensional unitary D(alpha, beta, gamma) for the Euler angles
-    (z-y-z), ascending m: D = exp(-i alpha Jz) d(beta) exp(-i gamma Jz)."""
-    if two_j < 0:
-        raise ParameterError(f"negative 2j={two_j}")
-    small = wigner_small_d(two_j, beta)
-    ms = np.arange(-two_j, two_j + 1, 2) / 2.0
-    left = np.exp(-1j * alpha * ms)
-    right = np.exp(-1j * gamma * ms)
-    return left[:, None] * small * right[None, :]

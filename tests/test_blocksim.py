@@ -259,19 +259,6 @@ def test_kostant_caps_raise_before_anything_past_them_is_built(monkeypatch):
     validate_block_state(product_state(sp, 12))
 
 
-def test_rotated_product_state_counts_matrix_entries_against_the_cap(monkeypatch):
-    # the orientation label holds no extra entries; turning the state into the lab
-    # frame holds dim^2 per block, except the singlet's, which fits every frame
-    sp = spectrum_of(0.75, 0.25)
-    squares = sum((two_j + 1) ** 2 for two_j in range(2, 21, 2))
-    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares - 1)
-    state = product_state(sp, 20, BlochVector(0.4, 1.0))
-    with pytest.raises(ResourceLimitError):
-        blocksim._in_frame(state, None)
-    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares)
-    validate_block_state(blocksim._in_frame(state, None))
-
-
 def test_random_and_turned_blocks_count_against_the_cap(monkeypatch):
     rng = np.random.default_rng(4)
     squares = sum((two_j + 1) ** 2 for two_j in range(0, 9, 2))  # every dense block at N = 8
@@ -280,11 +267,35 @@ def test_random_and_turned_blocks_count_against_the_cap(monkeypatch):
         random_block_state(8, 2, rng)
     monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares)
     lab = random_block_state(8, 2, rng)
-    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", squares - 1)
-    oriented = product_state(spectrum_of(0.75, 0.25), 8, BlochVector(0.3, 2.0))
-    assert 0.0 < trace_distance(lab, oriented) <= 1.0  # the oriented singlet stays a vector
-    with pytest.raises(ResourceLimitError):
-        trace_distance(oriented, lab)  # every dense block turned into the oriented frame
+    validate_block_state(lab)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", 25)  # the 25 pairs of a product state
+    turned = product_state(spectrum_of(0.75, 0.25), 8, BlochVector(0.3, 2.0))
+    assert turned.dense == {} and len(turned.values) == 25  # the label holds no entries
+
+
+def test_trace_distance_refuses_states_in_different_frames(monkeypatch):
+    sp = spectrum_of(0.75, 0.25)
+    lab = product_state(sp, 6)
+    random_lab = random_block_state(6, 2, np.random.default_rng(5))
+    first, second = BlochVector(0.3, 2.0), BlochVector(1.1, 0.4)
+    meetings = [(random_lab, product_state(sp, 6, first)),
+                (product_state(sp, 6, first), lab),
+                (product_state(sp, 6, first), product_state(sp, 6, second)),
+                (product_state(sp, 6, BlochVector(0.0, 0.7)), lab)]  # theta = 0: its own frame
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(blocksim, "_diagonals", boom)
+    monkeypatch.setattr(blocksim, "_row_reduce", boom)
+    for a, b in meetings:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(UnsupportedFeatureError, match="states held in different frames"):
+                trace_distance(x, y)
+    monkeypatch.undo()
+    same = product_state(sp, 6, first)
+    assert trace_distance(same, product_state(sp, 6, BlochVector(0.3, 2.0))) == 0.0
+    assert 0.0 < trace_distance(random_lab, lab) <= 1.0
 
 
 def test_product_state_weights_and_invariants():
@@ -305,14 +316,10 @@ def test_product_state_rotated_is_valid():
     state = product_state(spectrum_of(0.8, 0.2), 5, orient)
     assert state.orientation == orient
     validate_block_state(state)
-    lab = blocksim._in_frame(state, None)
-    validate_block_state(lab)
     diag = product_state(spectrum_of(0.8, 0.2), 5)
-    for lam, blk in lab.blocks.items():
-        assert blk.weight == diag.blocks[lam].weight  # weights ignore orientation
-        mine = np.sort(np.linalg.eigvalsh(blk.matrix))
-        theirs = np.sort(diag.blocks[lam].matrix)
-        assert np.allclose(mine, theirs, atol=1e-12)
+    assert diag.orientation is None and state.dense == {}
+    for name in ("weights", "values", "counts", "offsets"):  # the label is all that differs
+        assert np.array_equal(getattr(state, name), getattr(diag, name)), name
 
 
 def test_product_state_qudit_diagonal():
@@ -740,8 +747,6 @@ def test_rotated_protocol_error_needs_no_wigner_matrix_or_eigensolver(monkeypatc
     def boom(*args, **kwargs):
         raise AssertionError("rotated state materialised")
 
-    for module in (blocksim, schur_core):
-        monkeypatch.setattr(module, "wigner_d_matrix", boom)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, boom)
     sp = spectrum_of(0.75, 0.25)

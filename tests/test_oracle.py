@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from schurcompress import blocksim, oracle
+from schurcompress import oracle
 from schurcompress.blocksim import (
     BlochVector,
     block_weights,
@@ -239,24 +239,9 @@ def test_block_and_dense_weights_agree():
         assert block_spectrum_mismatch(ours, oracle_state) < 1e-10
 
 
-def test_symmetric_block_matches_oracle_entrywise():
-    # the symmetric block has multiplicity 1, so its matrix is basis-free:
-    # this pins the rotation convention, not just the spectrum
-    rng = np.random.default_rng(41)
-    for n in range(1, 9):
-        p = rng.uniform(0.55, 0.95)
-        orient = BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        sp = spectrum_of(p, 1 - p)
-        sym = YoungDiagram((n, 0))
-        ours = blocksim._in_frame(product_state(sp, n, orient), None).blocks[sym].matrix
-        theirs = extract_blocks(dense_product_state(sp, n, orient), n).blocks[sym].matrix
-        assert np.max(np.abs(ours - theirs)) < 1e-12, n
-
-
 def test_materialised_frames_agree_with_the_label_and_the_oracle():
-    # the labelled error must match the oracle's, and the oracle's lab-frame
-    # blocks, turned into the oriented frame by a Wigner rotation, must match
-    # the labelled state
+    # the labelled error must match the oracle's, which builds the rotated
+    # N-copy state as a dense matrix
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         p = rng.uniform(0.55, 0.95)
@@ -266,24 +251,21 @@ def test_materialised_frames_agree_with_the_label_and_the_oracle():
         keep = grid[: max(1, len(grid) // 2)]
         labelled = exact_protocol_error(n, sp, keep, orient).exact_error
         assert labelled == pytest.approx(dense_protocol_error(n, sp, keep, orient), abs=1e-8), n
-        lab = extract_blocks(dense_product_state(sp, n, orient), n)
-        assert trace_distance(product_state(sp, n, orient), lab) < 1e-10, n
 
 
-def test_trace_distance_between_frames_matches_the_dense_states():
-    # two orientations meet, so one state's blocks are turned from its frame
-    # into the other's; the block sum must equal the dense trace distance
+def test_trace_distance_in_one_frame_matches_the_dense_states():
+    # two spectra held in one frame, oriented or lab, compare pair by pair;
+    # the block sum must equal the trace distance of the dense N-copy states
     rng = np.random.default_rng(23)
     for n in range(1, 8):
-        p = rng.uniform(0.55, 0.95)
-        sp = spectrum_of(p, 1 - p)
-        first, second = (BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                         for _ in range(2))
-        for other in (second, None):
-            diff = dense_product_state(sp, n, first) - dense_product_state(sp, n, other)
+        first, second = (spectrum_of(p, 1 - p) for p in rng.uniform(0.55, 0.95, size=2))
+        orient = BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        for frame in (orient, None):
+            diff = dense_product_state(first, n, frame) - dense_product_state(second, n, frame)
             dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
-            blocks = trace_distance(product_state(sp, n, first), product_state(sp, n, other))
-            assert blocks == pytest.approx(dense, abs=1e-10), (n, other)
+            blocks = trace_distance(product_state(first, n, frame), product_state(second, n, frame))
+            assert dense > 1e-3
+            assert blocks == pytest.approx(dense, abs=1e-10), (n, frame)
 
 
 def test_dense_protocol_error_full_keep_is_zero():

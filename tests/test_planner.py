@@ -166,16 +166,6 @@ def test_qubit_approx_plan_dimension_bound_unclipped():
                 assert plan.d_enc <= bound
 
 
-def test_qubit_approx_plan_half_width_override():
-    narrow = qubit_approx_plan(60, 0.75, 0.1, half_width=2)
-    wide = qubit_approx_plan(60, 0.75, 0.1, half_width=10)
-    assert len(narrow.keep) == 5
-    assert len(wide.keep) == 21
-    assert narrow.d_enc < wide.d_enc
-    with pytest.raises(ParameterError, match="no blocks"):
-        qubit_approx_plan(10, 0.75, 0.1, half_width=-1)  # an empty strip
-
-
 def test_qubit_approx_plan_odd_n():
     plan = qubit_approx_plan(21, 0.8, 0.05)
     assert all(lam.boxes == 21 for lam in plan.keep)

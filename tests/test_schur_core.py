@@ -22,8 +22,6 @@ from schurcompress.schur_core import (
     multiplicity_dim,
     multiplicity_dims,
     spectrum_of,
-    wigner_d_matrix,
-    wigner_small_d,
 )
 
 from reference import (
@@ -503,47 +501,3 @@ def test_tableau_order_is_deterministic():
 # Clebsch-Gordan: the oracle's j x 1/2 coefficients are checked against the
 # exact-rational reference in test_oracle.py
 # ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
-# Wigner matrices
-# ---------------------------------------------------------------------------
-
-def test_wigner_identity_rotation():
-    mat = wigner_d_matrix(1, 0.0, 0.0, 0.0)
-    assert np.allclose(mat, np.eye(2))
-    mat5 = wigner_d_matrix(5, 0.0, 0.0, 0.0)
-    assert np.allclose(mat5, np.eye(6))
-
-
-def test_wigner_d_matrix_rejects_a_negative_spin():
-    with pytest.raises(ParameterError):
-        wigner_d_matrix(-1, 0.0, 0.0)
-
-
-def test_wigner_highest_weight_overlap():
-    for two_j in (1, 4, 9, 16):
-        for beta in (0.3, 1.1, 2.7):
-            mat = wigner_d_matrix(two_j, 0.4, beta, 1.3)
-            overlap = abs(mat[-1, -1]) ** 2
-            assert overlap == pytest.approx(math.cos(beta / 2) ** (2 * two_j), abs=1e-12)
-
-
-def test_wigner_unitarity_random_angles():
-    rng = np.random.default_rng(3)
-    for two_j in (1, 2, 7, 20, 33, 40):
-        angles = rng.uniform(0, 2 * math.pi, size=3)
-        mat = wigner_d_matrix(two_j, angles[0], angles[1], angles[2])
-        err = np.max(np.abs(mat @ mat.conj().T - np.eye(two_j + 1)))
-        assert err < 1e-10
-
-
-def test_wigner_small_d_is_real_orthogonal():
-    for two_j in (6, 100, 256):
-        d = wigner_small_d(two_j, 0.9)
-        assert np.max(np.abs(d @ d.T - np.eye(two_j + 1))) < 1e-12
-
-
-def test_wigner_small_d_spin_half_convention():
-    # d(beta) = exp(-i beta J_y): <-1/2| d |+1/2> = sin(beta/2), ascending m
-    c, s = math.cos(0.45), math.sin(0.45)
-    assert np.allclose(wigner_small_d(1, 0.9), [[c, s], [-s, c]], rtol=0, atol=1e-15)

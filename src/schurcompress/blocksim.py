@@ -6,8 +6,8 @@ factor).  ``BlockState`` follows the rows of ``diagram_rows(N, d)``: one
 weight per row, and the diagonal blocks as runs of (eigenvalue, multiplicity)
 pairs on one flat layout, row i's diagonal being ``values[k]`` repeated
 ``counts[k]`` times for k in ``offsets[i]:offsets[i + 1]``, in that order for
-every d.  Only blocks that are not diagonal (random states, user-supplied
-matrices) are held per row as dense Hermitian matrices.  Encoding drops the
+every d.  Blocks given as matrices (random states, the oracle, user input)
+are held per row as dense Hermitian matrices.  Encoding drops the
 multiplicity factors and sends the weight of discarded blocks to the maximally
 mixed state on the kept ones, which mixes one value into every pair of a kept
 row, so the encoded state keeps the input's layout.  Decoding re-appends the
@@ -104,7 +104,8 @@ class BlockState:
     per content c with Kostka number K_lambda,c > 0, in the order of
     ``_content_pairs`` (for qubits count 1 each, in ascending m).  ``dense``
     maps a row to its block when that is a full Hermitian matrix; such a row's
-    pairs are unused.  ``orientation`` names the frame the blocks are held in:
+    pairs are unused, and its side must be the row's ``irrep_dims`` entry
+    (ContractViolationError at construction).  ``orientation`` names the frame:
     None is the lab frame, a Bloch vector the frame turned by the N-fold qubit
     rotation that takes the lab z axis to it, where an oriented product state
     is diagonal.  Two states are in one frame when their labels are equal, so
@@ -126,29 +127,23 @@ class BlockState:
     def __post_init__(self):
         for array in (self.weights, self.held, self.values, self.counts, self.offsets):
             array.flags.writeable = False
+        if self.dense:
+            rows = diagram_rows(self.n, self.d)[list(self.dense)]
+            for row, dim, mat in zip(rows.tolist(), irrep_dims(rows).tolist(), self.dense.values()):
+                if np.shape(mat) != (dim, dim):
+                    raise ContractViolationError(f"block {row} is {np.shape(mat)}, not {dim} x {dim}")
 
     @classmethod
     def from_matrices(cls, n: int, d: int, weights: np.ndarray,
                       matrices: Iterable[np.ndarray | None]) -> "BlockState":
         """The state holding, on each row of ``diagram_rows(n, d)``, the given
-        block: None for no block, the 1-D diagonal of a diagonal block, or a
-        2-D Hermitian matrix.  A diagonal with all entries equal is stored as
-        one pair; any other diagonal is held as its matrix."""
-        held, dense, runs, counts = [], {}, [], []
-        for i, mat in enumerate(matrices):
-            held.append(mat is not None)
-            run, count = np.zeros(0), []
-            if mat is not None and mat.ndim == 1 and (mat == mat[0]).all():  # a multiple of 1
-                run, count = mat[:1], [len(mat)]
-            elif mat is not None:
-                dense[i] = mat if mat.ndim == 2 else np.diag(mat)
-            runs.append(run)
-            counts += count
-        return cls(n, d, np.asarray(weights, float), np.array(held, dtype=bool),
-                   np.concatenate([np.zeros(0)] + runs).astype(float),
-                   np.array(counts, dtype=np.int64),
-                   np.concatenate([[0], np.cumsum([len(run) for run in runs], dtype=np.int64)]),
-                   dense)
+        block: None for no block, or a dense Hermitian matrix (``np.diag(v)``
+        for a diagonal v).  The matrices are held as given."""
+        matrices = list(matrices)
+        return cls(n, d, np.asarray(weights, float),
+                   np.array([mat is not None for mat in matrices], dtype=bool),
+                   np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(len(matrices) + 1, np.int64),
+                   {i: mat for i, mat in enumerate(matrices) if mat is not None})
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -230,10 +225,10 @@ def validate_block_state(state: BlockState) -> None:
 
 def qubit_weight(n: int, p: float, two_j: int) -> float:
     """Probability weight of the spin-j block of the N-fold qubit state: the
-    ``block_weights`` entry of the spectrum (p, 1 - p) at ((N + 2j)/2, (N - 2j)/2)."""
-    if two_j < 0 or two_j > n or (n - two_j) % 2:
-        raise ParameterError(f"invalid 2j={two_j} for N={n}")
-    return float(_qubit_table(n, p).weights[(n - two_j) // 2])
+    ``qubit_weights`` entry at 2j.  ParameterError for a 2j that is no spin of
+    N qubits (``YoungDiagram.from_two_j``)."""
+    YoungDiagram.from_two_j(n, two_j)
+    return qubit_weights(n, p)[two_j]
 
 
 def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
@@ -244,8 +239,7 @@ def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
     """
     if not 0.5 < p <= 1.0:
         raise ParameterError(f"binomial-difference form needs p > 1/2, got {p}")
-    if two_j < 0 or two_j > n or (n - two_j) % 2:
-        raise ParameterError(f"invalid 2j={two_j} for N={n}")
+    YoungDiagram.from_two_j(n, two_j)
     two_j0 = (2.0 * p - 1.0) * (n + 1)
 
     def pmf(k: int) -> float:
@@ -263,15 +257,12 @@ def qubit_weight_binomial(n: int, p: float, two_j: int) -> float:
     return (two_j + 1) / two_j0 * (upper - lower)
 
 
-def _qubit_table(n: int, p: float) -> "WeightTable":
+def qubit_weights(n: int, p: float) -> dict[int, float]:
+    """All weights {2j: q_j} on the valid spin grid for N copies, ascending 2j:
+    the ``weight_table`` of the spectrum (p, 1 - p), for 1/2 <= p <= 1."""
     if not 0.5 <= p <= 1.0:
         raise ParameterError(f"need 1/2 <= p <= 1, got {p}")
-    return weight_table(n, Spectrum((p, 1.0 - p)))
-
-
-def qubit_weights(n: int, p: float) -> dict[int, float]:
-    """All weights {2j: q_j} on the valid spin grid for N copies, ascending 2j."""
-    table = _qubit_table(n, p)
+    table = weight_table(n, Spectrum((p, 1.0 - p)))
     rows = table.rows[::-1]  # ascending 2j = l_1 - l_2
     return dict(zip((rows[:, 0] - rows[:, 1]).tolist(), table.weights[::-1].tolist()))
 
@@ -662,13 +653,10 @@ def encode(state: BlockState, keep: Iterable[YoungDiagram] | np.ndarray) -> Bloc
     values = np.repeat(w_in, sizes)
     values *= state.values
     values += np.repeat(w_dump * (1.0 / np.maximum(dims, 1)), sizes)
-    values /= np.repeat(np.where(w_out > 0, w_out, 1.0), sizes)
+    values /= np.repeat(np.where(w_out > 0, w_out, 1.0), sizes)  # w_out = 0: 0 * v + 0 stays 0
     untouched = kept & state.pair_rows & (w_dump == 0) & (w_out > 0)
     if untouched.any():
         np.copyto(values, state.values, where=np.repeat(untouched, sizes))
-    zero = kept & state.pair_rows & (w_out == 0)
-    if zero.any():
-        values[np.repeat(zero, sizes)] = 0.0
 
     blocks = {}
     for i in np.flatnonzero(kept & ~state.pair_rows).tolist():

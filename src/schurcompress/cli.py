@@ -49,7 +49,8 @@ from .planner import (
     truncation_lower_bound,
     zero_error_plan,
 )
-from .schur_core import Spectrum, YoungDiagram, diagram_rows, irrep_dims, multiplicity_dims
+from .schur_core import (Spectrum, YoungDiagram, diagram_rows, irrep_dims, multiplicity_dims,
+                         spectrum_of)
 
 ORACLE_TOL = 1e-8
 EXACT_ERROR_CAP = 256  # largest N for which sweeps evaluate the exact error
@@ -81,11 +82,7 @@ def parse_spectrum(text: str) -> Spectrum:
         raise ParameterError(f"non-finite spectrum entry {bad[0]!r} in {text!r}")
     if not vals or any(v < 0 for v in vals):
         raise ParameterError(f"spectrum entries must be non-negative, got {text!r}")
-    total = sum(vals)
-    if abs(total - 1.0) > 1e-9:
-        raise ParameterError(f"spectrum sums to {total!r}, not 1 (within 1e-9)")
-    vals = sorted((v / total for v in vals), reverse=True)
-    return Spectrum(tuple(vals))
+    return spectrum_of(*vals)
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -359,7 +356,7 @@ def cmd_sweep(args):
                 plan = _build_plan(n, spectrum, eps, zero_error)
             lower = truncation_lower_bound(n, spectrum, plan.rows)
             exact = (fmt(exact_protocol_error(n, spectrum, plan.rows).exact_error)
-                     if n <= args.exact_cap else "")
+                     if n <= EXACT_ERROR_CAP else "")
             bound = "" if plan.bound_qubits is None else fmt(plan.bound_qubits)
             rows.append([str(n), "" if eps is None else fmt(eps), str(plan.d_enc),
                          str(plan.qubit_count), bound, exact, fmt(2.0 * lower), fmt(lower)])
@@ -460,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--zero-error", action="store_true")
     p_sweep.add_argument("--budget-exponent", type=float,
                          help="greedy keep sets under d_enc <= N^exponent")
-    p_sweep.add_argument("--exact-cap", type=int, default=EXACT_ERROR_CAP,
-                         help="largest N for exact error evaluation (default %(default)s)")
     common(p_sweep, cmd_sweep, ("csv", "json"))
 
     p_oracle = sub.add_parser("oracle-check", help="dense brute-force cross-validation")

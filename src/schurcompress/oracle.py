@@ -189,9 +189,9 @@ def _gram(dense: np.ndarray, w: np.ndarray) -> np.ndarray:
 def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
     """Project a dense permutation-invariant qubit state onto its blocks.
 
-    Asserts the structure the decomposition promises: cross-multiplicity
-    blocks vanish and the multiplicity marginal is exactly maximally mixed,
-    both within 1e-10.  Raises OracleMismatchError otherwise, which signals
+    Asserts the structure the decomposition promises, within 1e-10 on the scale
+    of the state: cross-multiplicity blocks vanish, and each of the m copies has
+    trace weight / m.  Raises OracleMismatchError otherwise, which signals
     a bug upstream rather than bad input; the message names the first
     offending copies.  A ``dense`` that is not 2^N x 2^N raises ParameterError.
     """
@@ -218,12 +218,11 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
         if weight <= STRUCTURE_TOL ** 2:
             blocks.append((max(weight, 0.0), np.zeros((two_j + 1, two_j + 1), complex)))
             continue
-        marg = traces / weight
-        bad = np.flatnonzero(np.abs(marg - 1.0 / mult) > STRUCTURE_TOL)
+        bad = np.flatnonzero(np.abs(traces - weight / mult) > STRUCTURE_TOL)
         if len(bad):
             a = bad[0]
             raise OracleMismatchError(
-                f"multiplicity marginal of 2j={two_j} copy {a} is {marg[a]}, not 1/{mult}")
+                f"multiplicity marginal of 2j={two_j} copy {a} is {traces[a] / weight}, not 1/{mult}")
         blocks.append((weight, np.einsum("akal->kl", gram) / weight))
     weights, matrices = zip(*blocks)
     return BlockState.from_matrices(n, 2, np.array(weights), matrices)
@@ -241,20 +240,22 @@ def _block_spectrum(mat: np.ndarray) -> np.ndarray:
 
 
 def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -> float:
-    """Worst mismatch between per-block eigenvalue spectra of two states.
+    """Worst mismatch between the weighted eigenvalues w * eig of two states.
 
     Basis independent, which is the point: the coupled basis fixes the
     multiplicity convention arbitrarily, so entrywise comparison would test
     a convention, not the physics.  For the same reason it reads a block
     state in whatever frame it is held.  Both states share N; their blocks
-    are compared row by row, and a block one side lacks counts its weight.
+    are compared row by row, and a block one side lacks counts its weight:
+    the scale the trace norm sees, so roundoff in a light block stays light.
     """
     worst = 0.0
     ours, theirs = block_state.blocks, oracle_state.blocks
     for lam, w, w_other in zip(enumerate_diagrams(block_state.n, block_state.d),
                                block_state.weights.tolist(), oracle_state.weights.tolist()):
         if w > 0 and w_other > 0:
-            diff = np.abs(_block_spectrum(ours[lam].matrix) - _block_spectrum(theirs[lam].matrix))
+            diff = np.abs(w * _block_spectrum(ours[lam].matrix)
+                          - w_other * _block_spectrum(theirs[lam].matrix))
             worst = max(worst, float(np.max(diff)))
         else:
             worst = max(worst, abs(w - w_other))

@@ -113,11 +113,6 @@ def zero_error_plan(n: int, d: int, r: int | None = None) -> CompressionPlan:
     return plan
 
 
-def qubit_spin_grid(n: int) -> range:
-    """Valid doubled spin labels for N qubits."""
-    return range(n % 2, n + 1, 2)
-
-
 def qubit_approx_plan(n: int, p: float, epsilon: float) -> CompressionPlan:
     """Keep a strip of spin blocks around the typical label.
 
@@ -260,9 +255,9 @@ def spectrum_tail_mass(n: int, spectrum: Spectrum, x: float) -> float:
 
 def spectrum_estimate(n: int, two_j: int) -> float:
     """Point estimate of the max eigenvalue from a measured spin label:
-    1/2 + j/(N+1)."""
-    if two_j < 0 or two_j > n:
-        raise ParameterError(f"invalid 2j={two_j} for N={n}")
+    1/2 + j/(N+1).  ParameterError for a 2j that is no spin of N qubits, of
+    the wrong parity included (``YoungDiagram.from_two_j``)."""
+    YoungDiagram.from_two_j(n, two_j)
     return 0.5 + two_j / (2.0 * (n + 1.0))
 
 
@@ -393,11 +388,11 @@ def _max_qubit_multiplicity(n: int) -> int:
     ``math.comb(65536, 32640)`` alone takes 0.1 s on CPython 3.11 and 0.6 s
     on 3.10, and exact m_j for every spin took about a minute at N = 16384.
     """
-    spins = qubit_spin_grid(n)
-    lo = int(np.argmax(log_multiplicities(diagram_rows(n, 2))[::-1]))  # ascending 2j
-    k_lo = (n - spins[min(lo + 1, len(spins) - 1)]) // 2
+    rows = diagram_rows(n, 2)[::-1]  # ascending 2j, so descending k = l_2
+    lo = int(np.argmax(log_multiplicities(rows)))
+    k_lo = int(rows[min(lo + 1, len(rows) - 1), 1])
     binom, best = math.comb(n, k_lo), 0
-    for k in range(k_lo, (n - spins[max(lo - 1, 0)]) // 2 + 1):
+    for k in range(k_lo, int(rows[max(lo - 1, 0), 1]) + 1):
         best = max(best, binom * (n - 2 * k + 1) // (n - k + 1))
         binom = binom * (n - k) // (k + 1)
     return best

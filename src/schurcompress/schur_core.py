@@ -129,12 +129,13 @@ def _same_eigenvalue(a: float, b: float) -> bool:
 
 
 def spectrum_of(*probs: float) -> Spectrum:
-    """Convenience constructor: sorts descending, renormalizes tiny drift."""
-    vals = sorted((float(p) for p in probs), reverse=True)
+    """The Spectrum of eigenvalues in any order: ParameterError unless their sum, in
+    that order, is within 1e-9 of 1; then divided by it and sorted descending."""
+    vals = [float(p) for p in probs]
     total = sum(vals)
     if abs(total - 1.0) > 1e-9:
-        raise ParameterError(f"probabilities sum to {total!r}, not 1")
-    return Spectrum(tuple(v / total for v in vals))
+        raise ParameterError(f"spectrum sums to {total!r}, not 1 (within 1e-9)")
+    return Spectrum(tuple(sorted((v / total for v in vals), reverse=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -210,16 +210,19 @@ def test_product_state_over_the_block_entry_cap_raises(monkeypatch):
 
 
 def test_product_state_past_the_pair_cap_raises_before_any_kostka_table(monkeypatch):
-    # d = 4, N = 200 holds 59,823 live shapes: a dense shape x content Kostka
-    # matrix would take about 29 GB; the pair count must stop it first
+    # d = 4, N = 40 under a cap of 2^20: the 49,364 content entries pass it and
+    # the 2,766,344 pairs do not, so the pair count must stop the state before
+    # any Kostka table is built (at N = 200 and the real cap a dense shape x
+    # content Kostka matrix would take about 29 GB)
     def boom(*args, **kwargs):
         raise AssertionError("allocated past the cap")
 
     for name in ("_kostka_numbers", "_kostant_terms", "_kostant_table", "_compositions"):
         monkeypatch.setattr(blocksim, name, boom)
+    monkeypatch.setattr(blocksim, "BLOCK_ENTRY_CAP", 2 ** 20)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="pairs, N=200 needs at least"):
-        product_state(spectrum_of(0.4, 0.3, 0.2, 0.1), 200)
+    with pytest.raises(ResourceLimitError, match="pairs, N=40 needs at least"):
+        product_state(spectrum_of(0.4, 0.3, 0.2, 0.1), 40)
     assert time.perf_counter() - start < 10.0
 
 
@@ -532,9 +535,23 @@ def test_keep_sets_that_name_no_block_raise():
 
 
 def test_validate_rejects_weight_where_no_block_is_held():
-    state = BlockState.from_matrices(2, 2, np.array([0.5, 0.5]), (np.full(3, 1.0 / 3), None))
+    state = BlockState.from_matrices(2, 2, np.array([0.5, 0.5]), (np.eye(3) / 3, None))
     with pytest.raises(ContractViolationError, match=r"weight 0\.5 on block \[1, 1\]"):
         validate_block_state(state)
+
+
+def test_dense_blocks_of_the_wrong_shape_raise_at_construction():
+    # a 2 x 2 block on the dimension-3 row of N = 2 qubits used to pass
+    # validate_block_state and then fail inside a numpy broadcast in encode
+    weights = np.array([0.5, 0.5])
+    with pytest.raises(ContractViolationError, match=r"^block \[2, 0\] is \(2, 2\), not 3 x 3$"):
+        BlockState.from_matrices(2, 2, weights, [np.eye(2) / 2, np.eye(1)])
+    with pytest.raises(ContractViolationError, match=r"^block \[2, 0\] is \(3,\), not 3 x 3$"):
+        BlockState.from_matrices(2, 2, weights, [np.full(3, 1 / 3), np.eye(1)])
+    with pytest.raises(ContractViolationError, match=r"^block \[2, 0\] is \(2, 2\), not 3 x 3$"):
+        BlockState(2, 2, weights, np.array([True, False]), np.zeros(0), np.zeros(0, dtype=np.int64),
+                   np.zeros(3, dtype=np.int64), dense={0: np.eye(2) / 2})
+    validate_block_state(BlockState.from_matrices(2, 2, weights, [np.eye(3) / 3, np.eye(1)]))
 
 
 def test_validate_rejects_a_count_off_by_one():
@@ -570,7 +587,7 @@ def test_encode_mixes_dense_and_missing_blocks_with_the_dump():
     # state holds no block on gets the dump alone
     g = np.random.default_rng(3).normal(size=(5, 5))
     mat = g @ g.T / np.trace(g @ g.T)
-    state = block_state(4, 2, {two_row(4, 4): (0.6, mat), two_row(4, 0): (0.4, np.ones(1))})
+    state = block_state(4, 2, {two_row(4, 4): (0.6, mat), two_row(4, 0): (0.4, np.ones((1, 1)))})
     enc = encode(state, [two_row(4, 4), two_row(4, 2)])
     mixed, alone = enc.blocks[two_row(4, 4)], enc.blocks[two_row(4, 2)]
     assert mixed.weight == pytest.approx(0.85, abs=1e-15)

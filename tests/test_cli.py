@@ -1,8 +1,11 @@
 import json
 import math
+import re
 import sys
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from schurcompress import blocksim, cli, planner, schur_core
@@ -366,6 +369,17 @@ def test_sweep_budget_mode_lower_bound_grows(capsys):
     assert lower[0] < lower[1] < lower[2]
 
 
+def test_sweep_evaluates_the_exact_error_up_to_a_fixed_cap(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n-list", "256,258", "--spectrum", "0.75,0.25",
+                           "--epsilon-list", "0.1", "--format", "json")
+    assert code == 0
+    assert [row["exact_error"] != "" for row in json.loads(out)["results"]] == [True, False]
+    with pytest.raises(SystemExit) as exc:  # the cap is no flag
+        main(["sweep", "--n-list", "4", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1",
+              "--exact-cap", "4"])
+    assert exc.value.code == 2
+
+
 def test_sweep_empty_range_exit_2(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n-range", "10:4:2", "--spectrum",
                            "0.75,0.25", "--epsilon-list", "0.1")
@@ -389,6 +403,38 @@ def test_oracle_check_qudit(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--n", "4", "--spectrum", "0.5,0.3,0.2")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "8", "--spectrum", "0.999,0.001", "--theta", "1.0", "--phi", "0.5"],
+    ["--n", "9", "--spectrum", "0.999999,0.000001"],
+])
+def test_oracle_check_passes_skewed_spectra(capsys, argv):
+    # blocks of weight 1e-11 down to 1e-23 carry roundoff of about 1e-16; divided
+    # by the weight it used to read as a broken marginal (a traceback) or as a
+    # block spectrum off by 0.999999 (FAIL)
+    code, out, err = run_cli(capsys, "oracle-check", *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nPASS\n")
+
+
+def test_oracle_check_fails_a_planted_eigenvalue_error(capsys, monkeypatch):
+    # weighed by its block, an error of 1e-5 in one eigenvalue of the heaviest
+    # block is still far above the tolerance
+    weights = blocksim.weight_table(8, schur_core.Spectrum((0.75, 0.25))).weights
+    heaviest = int(np.argmax(weights))
+
+    def planted(spectrum, n, orientation=None):
+        state = blocksim.product_state(spectrum, n, orientation)
+        values = state.values.copy()
+        values[state.offsets[heaviest]] += 1e-5
+        return replace(state, values=values)
+
+    monkeypatch.setattr(cli, "product_state", planted)
+    code, out, _ = run_cli(capsys, "oracle-check", "--n", "8", "--spectrum", "0.75,0.25")
+    assert code == 1
+    diff = re.search(r"^block spectra: max diff (\S+)  FAIL$", out, re.MULTILINE)
+    assert float(diff.group(1)) == pytest.approx(weights[heaviest] * 1e-5, rel=1e-6)
 
 
 def test_oracle_check_size_cap_exit_4(capsys):

@@ -446,9 +446,16 @@ def test_keyl_werner_bounds_empirical_tail():
 
 
 def test_spectrum_estimate():
-    assert spectrum_estimate(19, 4) == pytest.approx(0.6)
+    assert spectrum_estimate(19, 5) == 0.625
     for n in (10, 33):
         assert 0.5 < spectrum_estimate(n, n) < 1.0
+
+
+@pytest.mark.parametrize("two_j", [4, -1, 21])
+def test_spectrum_estimate_rejects_labels_that_cannot_occur(two_j):
+    # N = 19 qubits have odd 2j only; 2j = 4 used to give 0.6
+    with pytest.raises(ParameterError, match=f"invalid spin label 2j={two_j} for N=19"):
+        spectrum_estimate(19, two_j)
 
 
 def test_spectrum_estimate_consistency_with_mode():

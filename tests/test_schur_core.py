@@ -173,6 +173,15 @@ def test_spectrum_validation_and_degeneracy():
     assert Spectrum((0.25, 0.25, 0.25, 0.25)).degeneracy_m == 6
 
 
+def test_spectrum_of_is_the_one_spectrum_rule():
+    # the CLI's --spectrum ends here: sum in the given order, 1e-9, renormalise, sort
+    vals = (0.2, 0.3, 0.5 + 5e-10)
+    total = sum(vals)
+    assert spectrum_of(*vals).probs == (vals[2] / total, vals[1] / total, vals[0] / total)
+    with pytest.raises(ParameterError, match=r"^spectrum sums to 0\.75, not 1 \(within 1e-9\)$"):
+        spectrum_of(0.5, 0.25)
+
+
 @pytest.mark.parametrize("probs", [(0.5, 0.3, math.nan), (math.nan, 0.5), (math.inf, 0.0)])
 def test_spectrum_rejects_non_finite(probs):
     with pytest.raises(ParameterError):

@@ -60,6 +60,7 @@ from .schur_core import (
     keep_mask,
     log_multiplicities,
     log_schur_polynomials,
+    young_diagrams,
 )
 
 WEIGHT_SUM_TOL = 1e-10
@@ -162,12 +163,12 @@ class BlockState:
         """The blocks the state holds, keyed by YoungDiagram in ``diagram_rows``
         order: a dense block as its matrix, a diagonal one as its pairs
         expanded in layout order."""
-        rows = diagram_rows(self.n, self.d).tolist()
-        held = np.flatnonzero(self.held).tolist()
+        held = np.flatnonzero(self.held)
         diagonals = _diagonals(self, np.flatnonzero(self.pair_rows))
         weights = self.weights.tolist()
-        return {YoungDiagram(rows[i]): Block(weights[i], self.dense.get(i, diagonals.get(i)))
-                for i in held}
+        lams = young_diagrams(diagram_rows(self.n, self.d)[held])
+        return {lam: Block(weights[i], self.dense.get(i, diagonals.get(i)))
+                for lam, i in zip(lams, held.tolist())}
 
 
 def _row_reduce(offsets: np.ndarray, pairs: np.ndarray, ufunc=np.add) -> np.ndarray:
@@ -271,7 +272,7 @@ def block_weights(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
     """Weights q_lambda = m_lambda s_lambda(p) of every block of the N-copy state:
     ``weight_table`` as a mapping, in the order of ``diagram_rows``."""
     table = weight_table(n, spectrum)
-    return dict(zip(map(YoungDiagram, table.rows.tolist()), table.weights.tolist()))
+    return dict(zip(young_diagrams(table.rows), table.weights.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

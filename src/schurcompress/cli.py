@@ -49,8 +49,8 @@ from .planner import (
     truncation_lower_bound,
     zero_error_plan,
 )
-from .schur_core import (Spectrum, YoungDiagram, diagram_rows, irrep_dims, multiplicity_dims,
-                         spectrum_of)
+from .schur_core import (Spectrum, diagram_rows, irrep_dims, multiplicity_dims, spectrum_of,
+                         young_diagrams)
 
 ORACLE_TOL = 1e-8
 EXACT_ERROR_CAP = 256  # largest N for which sweeps evaluate the exact error
@@ -388,7 +388,7 @@ def cmd_oracle_check(args):
         mask = np.random.default_rng(seed).random(len(rows)) < 0.5  # one draw per row
         keep = rows[mask] if mask.any() else rows[:1]
         exact = exact_protocol_error(n, spectrum, keep, rotation).exact_error
-        dense_err = dense_protocol_error(n, spectrum, list(map(YoungDiagram, keep.tolist())),
+        dense_err = dense_protocol_error(n, spectrum, young_diagrams(keep),
                                          rotation)  # the oracle takes diagrams
         checks.append(("protocol error", abs(exact - dense_err)))
     else:

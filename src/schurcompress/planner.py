@@ -28,6 +28,7 @@ from .schur_core import (
     irrep_dims,
     keep_mask,
     log_multiplicities,
+    young_diagrams,
 )
 
 
@@ -59,7 +60,7 @@ class CompressionPlan:
 
     @cached_property
     def keep(self) -> tuple[YoungDiagram, ...]:
-        return tuple(YoungDiagram(row) for row in self.rows.tolist())
+        return tuple(young_diagrams(self.rows))
 
     def as_dict(self) -> dict:
         return {
@@ -303,7 +304,7 @@ def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[Yo
     budget.  At least one block is always kept.
     """
     rows, keep = _greedy_keep(n, spectrum, dim_budget)
-    return [YoungDiagram(row) for row in rows[keep].tolist()]
+    return young_diagrams(rows[keep])
 
 
 def greedy_budget_plan(n: int, spectrum: Spectrum, dim_budget: float) -> CompressionPlan:

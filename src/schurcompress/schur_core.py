@@ -2,12 +2,18 @@
 
 Everything in here is a pure function of its arguments: Young diagrams,
 irrep and multiplicity dimensions (exact big integers; logs via lgamma) and
-log Schur polynomials (Gelfand-Tsetlin branching).  Half-integer spins are
-passed around as doubled integers 2j so they stay exact and hashable.
+log Schur polynomials.  Half-integer spins are passed around as doubled
+integers 2j so they stay exact and hashable.
 
 Whole families of diagrams travel as one (M, d) integer array of rows
 (``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
-array, and ``keep_mask`` reads a keep set against one.
+array, ``keep_mask`` reads a keep set against one, and ``young_diagrams``
+turns one into YoungDiagrams with a single check.
+
+``log_schur_polynomials`` works in difference coordinates: s_lambda / x^lambda
+depends only on a_i = l_i - l_(i+1), so each Gelfand-Tsetlin level is one dense
+table over (a_1, .., a_(k-1)), built from the level below by one first-order
+recurrence per axis that only multiplies by ratios x_k / x_i <= 1 and adds.
 """
 
 from __future__ import annotations
@@ -185,9 +191,29 @@ def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
     return rows
 
 
+def young_diagrams(rows: np.ndarray) -> list[YoungDiagram]:
+    """The rows of an (M, d) int array as YoungDiagrams, in its order.
+
+    The array is checked once: the first row that is not weakly decreasing and
+    non-negative raises YoungDiagram's own ParameterError.  No diagram is then
+    checked or sorted again, which makes this about three times faster than
+    calling YoungDiagram per row.
+    """
+    bad = (rows[:, 1:] > rows[:, :-1]).any(axis=1) | (rows < 0).any(axis=1)
+    if bad.any():
+        YoungDiagram(tuple(rows[bad.argmax()].tolist()))
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for row in map(tuple, rows.tolist()):
+        lam = new(YoungDiagram)
+        put(lam, "rows", row)
+        out.append(lam)
+    return out
+
+
 def enumerate_diagrams(n: int, d: int, r: int | None = None) -> list[YoungDiagram]:
     """The rows of ``diagram_rows(n, d, r)`` as YoungDiagrams, in its order."""
-    return [YoungDiagram(row) for row in diagram_rows(n, d, r).tolist()]
+    return young_diagrams(diagram_rows(n, d, r))
 
 
 def diagram_array(diagrams: Sequence[YoungDiagram], d: int) -> np.ndarray:
@@ -263,7 +289,7 @@ def multiplicity_dim(diagram: YoungDiagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Log Schur polynomials by Gelfand-Tsetlin branching
+# Log Schur polynomials by Gelfand-Tsetlin branching in difference coordinates
 # ---------------------------------------------------------------------------
 
 def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.ndarray:
@@ -276,70 +302,35 @@ def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.nd
     return out + np.log(-np.expm1(-(a - b + 1) * delta)) - math.log(-math.expm1(-delta))
 
 
-def _weights(delta: float, gap: np.ndarray) -> np.ndarray:
-    """exp(-delta * gap) where gap >= 0, else 0: the factor (x_k / x_i)^(l_i - mu_i)
-    of the normalised branching rule, with gap = l_i - mu_i."""
-    return np.exp(-delta * gap.clip(0)) * (gap >= 0)
-
-
-def _interlacing_sums(t: np.ndarray, top: int, n: int, delta: np.ndarray,
-                      plane: np.ndarray | None = None) -> np.ndarray:
-    """Sums over the mu interlacing lambda = (top, l_2, .., l_k), on a table
-    normalised by its dominant monomial.
-
-    t[mu] = s_mu(x_1..x_{k-1}) / prod_i x_i^mu_i, dense over every mu of at most n
-    boxes (0 where no partition), and delta[i] = log(x_{i+1} / x_k) >= 0.  The
-    branching rule divided by x^lambda reads
-    s_lambda(x_1..x_k) / x^lambda = sum over mu of prod_i exp(-delta[i] (l_i - mu_i)) t[mu].
-    One axis at a time, in one buffer: weight the axis of mu_i (0 where mu_i > l_i),
-    then a reverse running sum turns it into the axis of l_{i+1}.  Every partial
-    sum holds its anchor term mu_i = l_i, of weight 1 and value >= 1: so nothing
-    overflows (no value exceeds the irrep dimension), a term that underflows is
-    below 2^-1074 of its sum, and nothing is subtracted.
-
-    Returns the sums dense over (l_2, .., l_k) with |lambda| <= n; or, given the
-    rows (l_2, .., l_k) of a ``plane`` of lambdas, only theirs: the last axis is
-    then summed once per lambda, over mu_{k-1} in [l_k, l_{k-1}].
-    """
-    # mu_{j+1} <= l_{j+1}, and l_2..l_{j+1} share at most n - top boxes
-    cuts = [min(top, (n - top) // j) + 1 for j in range(1, t.ndim)]
-    s = t[(slice(0, top + 1),) + tuple(slice(0, c) for c in cuts)]
-    s = s * _weights(delta[0], np.arange(top, -1, -1)).reshape((-1,) + (1,) * (s.ndim - 1))
-    s[cuts[0] - 1] = s[cuts[0] - 1:].sum(axis=0)  # every mu_1 >= l_2 = cuts[0] - 1 at once
-    s = s[: cuts[0]]
-    summed = s.ndim if plane is None else s.ndim - 1  # a plane sums its last axis per lambda
-    for i in range(s.ndim):
-        if i:
-            gap = np.arange(s.shape[i - 1])[:, None] - np.arange(s.shape[i])
-            s *= _weights(delta[i], gap).reshape(gap.shape + (1,) * (s.ndim - i - 1))
-        if i < summed:
-            flipped = np.flip(s, i)
-            np.add.accumulate(flipped, axis=i, out=flipped)
-    if plane is None:
-        return s
-    lower = np.arange(s.shape[-1]) >= plane[:, -1:]
-    return s[tuple(plane[:, :-1].T)].sum(axis=1, where=lower)
-
-
 def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
     """log s_lambda(p) for each row of ``diagram_rows(n, rank)``, in that order.
 
-    Gelfand-Tsetlin branching over the positive eigenvalues x_1 >= .. >= x_r,
-    s_lambda(x_1..x_k) = sum over mu interlacing lambda of
-    x_k^(|lambda| - |mu|) s_mu(x_1..x_{k-1}), adds positive terms only.  Level k
-    is held normalised by its dominant monomial, N_k[lambda] =
-    s_lambda(x_1..x_k) / prod_i x_i^l_i, a plain float in [1, dim lambda]; its
-    branching weights (x_k / x_i)^(l_i - mu_i) are at most 1, so the sums run in
-    linear space with nothing subtracted (``_interlacing_sums``), and
-    log s_lambda = log N_r[lambda] + sum_i l_i log x_i.  Two variables are a
-    closed form, the geometric sum expm1(-(a - b + 1) delta) / expm1(-delta):
-    for r = 2 the answer (in log form), else a dense table over every mu of at
-    most n boxes (axis i of length n // (i + 1) + 1), as is each middle level.
-    The top level is only evaluated at |lambda| = n: one lambda_1 at a time, its
-    rows (l_2, .., l_{r-1}) are gathered before the last axis, which is one
-    weighted sum over mu_{r-1} in [l_r, l_{r-1}] per lambda.  Raises
-    ResourceLimitError, before allocating it, when the largest dense table
-    would hold more than SCHUR_TABLE_CAP floats.
+    Over the positive eigenvalues x_1 >= .. >= x_r, the normalised Schur function
+    N_k(lambda) = s_lambda(x_1..x_k) / prod_i x_i^l_i depends only on the
+    differences a_i = l_i - l_(i+1) (shifting every row by c multiplies both
+    by (x_1..x_k)^c), and is a plain float in [1, dim lambda].  Level k is one
+    dense table over (a_1, .., a_(k-1)), axis i of length n // (i + 1) + 1.
+    Level 2 is the geometric sum G(a) = expm1(-(a + 1) delta) / expm1(-delta),
+    delta = log(x_1 / x_2).  Gelfand-Tsetlin branching, divided by x^lambda,
+    weights each mu_i = l_i - e_i by u_i^e_i, u_i = x_k / x_i <= 1, for
+    0 <= e_i <= a_i; that sum is one first-order recurrence per axis, run on
+    shifted slices in place:
+
+    1. a new last axis c: R[.., z, c] = N_(k-1)[.., z] + u_(k-1) R[.., z + 1, c - 1];
+    2. each axis j = k - 3 .. 1 (0-based), y on axis j - 1:
+       R[.., y, b, ..] += u_(j+1) R[.., y + 1, b - 1, ..];
+    3. axis 0, ascending: R[a] += u_1 R[a - 1].
+
+    Steps 1 and 2 update one slice [.., y, 1:, ..] at a time, y descending, so
+    each slice is a contiguous run and no temporary outgrows one slice.
+    A slice past the end of an axis drops only terms of more than n boxes.
+    Every step multiplies by u <= 1 and adds a positive term, and every entry
+    keeps its anchor term (all e_i = 0) of weight 1 and value >= 1: nothing
+    overflows, a term that underflows is below 2^-1074 of its sum, and nothing
+    is subtracted.  Then log s_lambda = log N_r[a(lambda)] + sum_i l_i log x_i.
+    For r = 2 the geometric sum is the answer (``_two_row_log_schur``).  Raises
+    ResourceLimitError, before allocating it, when the level-r table would
+    hold more than SCHUR_TABLE_CAP floats.
     """
     log_x = np.log(spectrum.positive())
     r = log_x.size
@@ -352,25 +343,23 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
     if entries > SCHUR_TABLE_CAP:
         raise ResourceLimitError(
             f"Schur table capped at {SCHUR_TABLE_CAP} entries, N={n} at rank {r} needs {entries}")
-    rows = diagram_rows(n, r)
-    delta = log_x[:, None] - log_x  # delta[i, k] = log(x_{i+1} / x_{k+1}), >= 0 for i <= k
-    a, b = np.ogrid[: n + 1, : n // 2 + 1]
-    count = (a - b + 1).clip(0)  # terms of the geometric sum, 0 where b > a
-    if delta[0, 1] == 0.0:
-        table = count * 1.0
-    else:
-        table = np.expm1(-delta[0, 1] * count) / math.expm1(-delta[0, 1])
-    for k in range(3, r):
-        t, table = table, np.zeros([n // (i + 1) + 1 for i in range(k)])
-        for top in range(n + 1):
-            s = _interlacing_sums(t, top, n, delta[: k - 1, k - 1])
-            region = tuple(slice(0, min(m, size)) for m, size in zip(s.shape, table.shape[1:]))
-            table[(top,) + region] = s[region]
-    # rows come in one block per lambda_1 = n, n - 1, ..; each is a plane of (l_2, .., l_r)
-    blocks = np.split(rows[:, 1:], np.cumsum(np.bincount(n - rows[:, 0]))[:-1])
-    out = [_interlacing_sums(table, n - i, n, delta[:-1, -1], block)
-           for i, block in enumerate(blocks)]
-    return np.log(np.concatenate(out)) + rows @ log_x
+    rows = diagram_rows(n, r)  # before the table: its build peaks above its result
+    delta = log_x[0] - log_x[1]
+    terms = np.arange(1.0, n + 2)  # a + 1 terms of the geometric sum
+    table = terms if delta == 0.0 else np.expm1(-delta * terms) / math.expm1(-delta)
+    for k in range(3, r + 1):
+        u = np.exp(log_x[k - 1] - log_x[: k - 1])  # u[i] = x_k / x_(i+1)
+        prev, table = table, np.empty(table.shape + (n // (k - 1) + 1,))
+        table[...] = prev[..., None]
+        for z in range(prev.shape[-1] - 2, -1, -1):  # step 1
+            table[..., z, 1:] += u[k - 2] * table[..., z + 1, :-1]
+        for j in range(k - 3, 0, -1):  # step 2
+            head = (slice(None),) * (j - 1)
+            for y in range(table.shape[j - 1] - 2, -1, -1):
+                table[head + (y, slice(1, None))] += u[j] * table[head + (y + 1, slice(0, -1))]
+        for a in range(1, n + 1):  # step 3
+            table[a] += u[0] * table[a - 1]
+    return np.log(table[tuple((rows[:, :-1] - rows[:, 1:]).T)]) + rows @ log_x
 
 
 def log_multiplicities(rows: np.ndarray) -> np.ndarray:

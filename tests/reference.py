@@ -2,12 +2,14 @@
 
 None of this is on a package path: a direct walk over semistandard tableaux,
 the Schur polynomial summed over it, the binomial-difference qubit
-multiplicity, the Clebsch-Gordan square in exact rationals and the tableau
-contents of a shape in Gelfand-Tsetlin order from the branching rule.  The
+multiplicity, the Clebsch-Gordan square in exact rationals, the tableau
+contents of a shape in Gelfand-Tsetlin order from the branching rule, the
+log Schur polynomials of rank >= 3 by branching over rows one l_1 at a time
+(``log_schur_planes``) and the Cauchy identity on the engine's weights.  The
 Schur polynomial of each diagram is a thin lookup into the package's batched
-engine, and ``block_state``
-lays out a hand-written {YoungDiagram: (weight, matrix)} mapping on the
-rows a ``BlockState`` is indexed by.
+engine, and ``block_state`` lays out a hand-written
+{YoungDiagram: (weight, matrix)} mapping on the rows a ``BlockState`` is
+indexed by.
 """
 
 from __future__ import annotations
@@ -25,8 +27,14 @@ from schurcompress.schur_core import (
     _ranges,
     diagram_rows,
     enumerate_diagrams,
+    irrep_dims,
     log_schur_polynomials,
 )
+
+# The closed forms that need no partitions or branching check the engine at the
+# frontier sizes to this tolerance in log (measured residuals: below 1e-13 up to
+# N = 400; up to 2.3e-13, a few units in the last place, at d = 3, N = 2000).
+LOG_IDENTITY_TOL = 1e-12
 
 
 def semistandard_tableaux(diagram: YoungDiagram, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -91,6 +99,111 @@ def schur_polynomials(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
     for row, log_s in zip(inside, log_schur_polynomials(n, spectrum).tolist()):
         values[YoungDiagram(row)] = math.exp(log_s)
     return values
+
+
+def _weights(delta: float, gap: np.ndarray) -> np.ndarray:
+    """exp(-delta * gap) where gap >= 0, else 0: the factor (x_k / x_i)^(l_i - mu_i)
+    of the normalised branching rule, with gap = l_i - mu_i."""
+    return np.exp(-delta * gap.clip(0)) * (gap >= 0)
+
+
+def _interlacing_sums(t: np.ndarray, top: int, n: int, delta: np.ndarray,
+                      plane: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the mu interlacing lambda = (top, l_2, .., l_k), on a table
+    normalised by its dominant monomial.
+
+    t[mu] = s_mu(x_1..x_{k-1}) / prod_i x_i^mu_i, dense over every mu of at most n
+    boxes (0 where no partition), and delta[i] = log(x_{i+1} / x_k) >= 0.  The
+    branching rule divided by x^lambda reads
+    s_lambda(x_1..x_k) / x^lambda = sum over mu of prod_i exp(-delta[i] (l_i - mu_i)) t[mu].
+    One axis at a time, in one buffer: weight the axis of mu_i (0 where mu_i > l_i),
+    then a reverse running sum turns it into the axis of l_{i+1}.  Every partial
+    sum holds its anchor term mu_i = l_i, of weight 1 and value >= 1: so nothing
+    overflows (no value exceeds the irrep dimension), a term that underflows is
+    below 2^-1074 of its sum, and nothing is subtracted.
+
+    Returns the sums dense over (l_2, .., l_k) with |lambda| <= n; or, given the
+    rows (l_2, .., l_k) of a ``plane`` of lambdas, only theirs: the last axis is
+    then summed once per lambda, over mu_{k-1} in [l_k, l_{k-1}].
+    """
+    # mu_{j+1} <= l_{j+1}, and l_2..l_{j+1} share at most n - top boxes
+    cuts = [min(top, (n - top) // j) + 1 for j in range(1, t.ndim)]
+    s = t[(slice(0, top + 1),) + tuple(slice(0, c) for c in cuts)]
+    s = s * _weights(delta[0], np.arange(top, -1, -1)).reshape((-1,) + (1,) * (s.ndim - 1))
+    s[cuts[0] - 1] = s[cuts[0] - 1:].sum(axis=0)  # every mu_1 >= l_2 = cuts[0] - 1 at once
+    s = s[: cuts[0]]
+    summed = s.ndim if plane is None else s.ndim - 1  # a plane sums its last axis per lambda
+    for i in range(s.ndim):
+        if i:
+            gap = np.arange(s.shape[i - 1])[:, None] - np.arange(s.shape[i])
+            s *= _weights(delta[i], gap).reshape(gap.shape + (1,) * (s.ndim - i - 1))
+        if i < summed:
+            flipped = np.flip(s, i)
+            np.add.accumulate(flipped, axis=i, out=flipped)
+    if plane is None:
+        return s
+    lower = np.arange(s.shape[-1]) >= plane[:, -1:]
+    return s[tuple(plane[:, :-1].T)].sum(axis=1, where=lower)
+
+
+def log_schur_planes(n: int, spectrum: Spectrum) -> np.ndarray:
+    """log s_lambda(p) for each row of ``diagram_rows(n, rank)``, rank >= 3, by
+    Gelfand-Tsetlin branching over rows rather than differences.
+
+    Level k is held normalised by its dominant monomial, N_k[lambda] =
+    s_lambda(x_1..x_k) / prod_i x_i^l_i, dense over every lambda of at most n
+    boxes (axis i of length n // (i + 1) + 1): level 2 is the geometric sum
+    expm1(-(l_1 - l_2 + 1) delta) / expm1(-delta), each middle level is built
+    one l_1 at a time by ``_interlacing_sums``, and the top level is only
+    evaluated at |lambda| = n, one plane of rows (l_2, .., l_r) per l_1.
+    """
+    log_x = np.log(spectrum.positive())
+    r = log_x.size
+    assert r >= 3, "ranks 1 and 2 are closed forms"
+    if n == 0:
+        return np.array([0.0])
+    rows = diagram_rows(n, r)
+    delta = log_x[:, None] - log_x  # delta[i, k] = log(x_{i+1} / x_{k+1}), >= 0 for i <= k
+    a, b = np.ogrid[: n + 1, : n // 2 + 1]
+    count = (a - b + 1).clip(0)  # terms of the geometric sum, 0 where b > a
+    if delta[0, 1] == 0.0:
+        table = count * 1.0
+    else:
+        table = np.expm1(-delta[0, 1] * count) / math.expm1(-delta[0, 1])
+    for k in range(3, r):
+        t, table = table, np.zeros([n // (i + 1) + 1 for i in range(k)])
+        for top in range(n + 1):
+            s = _interlacing_sums(t, top, n, delta[: k - 1, k - 1])
+            region = tuple(slice(0, min(m, size)) for m, size in zip(s.shape, table.shape[1:]))
+            table[(top,) + region] = s[region]
+    # rows come in one block per lambda_1 = n, n - 1, ..; each is a plane of (l_2, .., l_r)
+    blocks = np.split(rows[:, 1:], np.cumsum(np.bincount(n - rows[:, 0]))[:-1])
+    out = [_interlacing_sums(table, n - i, n, delta[:-1, -1], block)
+           for i, block in enumerate(blocks)]
+    return np.log(np.concatenate(out)) + rows @ log_x
+
+
+def cauchy_identity_residual(n: int, spectrum: Spectrum) -> float:
+    """Left minus right side, in log, of the Cauchy identity
+    sum over lambda of dim(lambda) s_lambda(p) = [t^N] prod_i (1 - p_i t)^(-d)
+    (Macdonald I (4.3)), the left side from ``log_schur_polynomials``.
+
+    dim(lambda), not m_lambda, weights the blocks, so the multiplicities take
+    no part, and s_lambda(p) = 0 past the rank.  The right side is a
+    convolution of positive terms: (1 - x t)^(-d) = sum_k C(k + d - 1, d - 1)
+    x^k t^k, with x = p_i / p_1.
+    """
+    d, probs = spectrum.d, spectrum.probs
+    rows = diagram_rows(n, d, spectrum.rank)
+    logs = np.log(irrep_dims(rows).astype(float)) + log_schur_polynomials(n, spectrum)
+    top = logs.max()
+    lhs = float(top + math.log(np.exp(logs - top).sum()))
+    k = np.arange(n + 1)
+    binomials = np.array([float(math.comb(j + d - 1, d - 1)) for j in range(n + 1)])
+    series = np.ones(1)
+    for p in probs:
+        series = np.convolve(series, binomials * (p / probs[0]) ** k)[: n + 1]
+    return lhs - (n * math.log(probs[0]) + math.log(series[n]))
 
 
 def block_state(n: int, d: int, blocks: dict) -> BlockState:

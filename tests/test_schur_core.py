@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,10 +23,14 @@ from schurcompress.schur_core import (
     multiplicity_dim,
     multiplicity_dims,
     spectrum_of,
+    young_diagrams,
 )
 
 from reference import (
+    LOG_IDENTITY_TOL,
+    cauchy_identity_residual,
     gelfand_tsetlin_contents,
+    log_schur_planes,
     qubit_multiplicity,
     schur_polynomial_brute,
     schur_polynomials,
@@ -160,6 +165,30 @@ def test_young_diagram_validation():
     lam = YoungDiagram((3, 1))
     assert lam.boxes == 4 and lam.two_j == 2
     assert YoungDiagram.from_two_j(4, 2) == lam
+
+
+def test_young_diagrams_match_constructed_diagrams():
+    for n, d in [(0, 3), (7, 2), (9, 4), (6, 6)]:
+        rows = diagram_rows(n, d)
+        built = [YoungDiagram(row) for row in rows.tolist()]
+        bulk = young_diagrams(rows)
+        assert bulk == built and enumerate_diagrams(n, d) == built
+        assert [hash(lam) for lam in bulk] == [hash(lam) for lam in built]
+        assert all(type(lam.rows) is tuple and type(lam.rows[0]) is int for lam in bulk)
+        order = np.random.default_rng(n).permutation(len(built)).tolist()
+        assert sorted(bulk[i] for i in order) == sorted(built[i] for i in order)
+        assert dict.fromkeys(bulk).keys() == dict.fromkeys(built).keys()
+    assert young_diagrams(np.zeros((0, 3), dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("bad", [[[3, 1], [1, 2], [2, -1]], [[3, 1], [2, -1], [1, 2]]])
+def test_young_diagrams_reject_the_first_bad_row_as_the_constructor_does(bad):
+    with pytest.raises(ParameterError) as want:
+        for row in bad:
+            YoungDiagram(tuple(row))
+    with pytest.raises(ParameterError) as got:
+        young_diagrams(np.array(bad))
+    assert str(got.value) == str(want.value)
 
 
 def test_spectrum_validation_and_degeneracy():
@@ -388,37 +417,14 @@ def test_log_schur_polynomials_follow_enumerate_diagrams_within_the_rank():
                     schur_polynomial_brute(lam, sp), rel=1e-13), (probs, lam)
 
 
-# Two closed forms that need no partitions or branching check the engine at the
-# frontier sizes, each to LOG_IDENTITY_TOL in log (measured residuals: below 1e-13).
-LOG_IDENTITY_TOL = 1e-12
-
-
-def _log_sum_exp(logs: np.ndarray) -> float:
-    top = logs.max()
-    return float(top + math.log(np.exp(logs - top).sum()))
-
-
 @pytest.mark.parametrize("probs, n", [
     ((0.5, 0.3, 0.2), 400),
     ((0.4, 0.3, 0.2, 0.1), 100),
     ((0.5, 0.3, 0.2 - 1e-9, 1e-9), 100),
 ])
 def test_log_schur_polynomials_satisfy_the_cauchy_identity(probs, n):
-    # sum over lambda of dim(lambda) s_lambda(p) = [t^N] prod_i (1 - p_i t)^(-d)
-    # (Macdonald I (4.3)); dim(lambda), not m_lambda, weights the blocks, so the
-    # multiplicities take no part.  The right side is a convolution of positive
-    # terms: (1 - x t)^(-d) = sum_k C(k + d - 1, d - 1) x^k t^k, with x = p_i / p_1.
-    sp = Spectrum(probs)
-    d = sp.d
-    rows = diagram_rows(n, d)
-    lhs = _log_sum_exp(np.log(irrep_dims(rows).astype(float)) + log_schur_polynomials(n, sp))
-    k = np.arange(n + 1)
-    binomials = np.array([float(math.comb(j + d - 1, d - 1)) for j in range(n + 1)])
-    series = np.ones(1)
-    for p in probs:
-        series = np.convolve(series, binomials * (p / probs[0]) ** k)[: n + 1]
-    rhs = n * math.log(probs[0]) + math.log(series[n])
-    assert abs(lhs - rhs) <= LOG_IDENTITY_TOL, (probs, n, lhs - rhs)
+    residual = cauchy_identity_residual(n, Spectrum(probs))
+    assert abs(residual) <= LOG_IDENTITY_TOL, (probs, n, residual)
 
 
 @pytest.mark.parametrize("d, n, q", [(3, 100, 0.5), (3, 200, 0.9), (4, 100, 0.999), (5, 40, 0.7)])
@@ -447,6 +453,55 @@ def test_log_schur_polynomials_table_cap_raises_before_allocating(monkeypatch):
     log_schur_polynomials(10, Spectrum((0.5, 0.3, 0.2)))  # 11 x 6 table
     with pytest.raises(ResourceLimitError):
         log_schur_polynomials(10, Spectrum((0.4, 0.3, 0.2, 0.1)))  # 11 x 6 x 4 table
+
+
+def _rank_spectra(r: int) -> list[Spectrum]:
+    # per rank r: a zero after r positive entries (the rank-r analogue of
+    # (0.6, 0.4, 0)), ties (0.5, 0.25, 0.25), skewed (0.98, 0.01, 0.01), uniform
+    return [spectrum_of(*(np.arange(r, 0, -1) / (r * (r + 1) / 2)).tolist(), 0.0),
+            spectrum_of(0.5, *(0.5 / (r - 1),) * (r - 1)),
+            spectrum_of(0.98, *(0.02 / (r - 1),) * (r - 1)),
+            Spectrum((1.0 / r,) * r)]
+
+
+# the difference-coordinate engine against the plane route it replaced: 1e-13 in
+# log, plus one unit in the last place, which is 1.1e-13 alone past |log s| = 512
+ENGINE_REFERENCE_TOL = 1e-13
+
+
+def _assert_engine_matches_planes(n: int, sp: Spectrum):
+    got, want = log_schur_polynomials(n, sp), log_schur_planes(n, sp)
+    assert got.shape == want.shape == (len(diagram_rows(n, sp.rank)),), (sp, n)
+    excess = np.abs(got - want) - np.spacing(np.abs(want))
+    assert excess.max() <= ENGINE_REFERENCE_TOL, (sp, n, excess.max())
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_log_schur_polynomials_match_the_plane_route(r):
+    for sp in _rank_spectra(r):
+        for n in (0, 1, 2, 3, 7, 30):
+            _assert_engine_matches_planes(n, sp)
+
+
+@pytest.mark.parametrize("r, n", [(3, 200), (4, 100)])
+def test_log_schur_polynomials_match_the_plane_route_at_scale(r, n):
+    for sp in _rank_spectra(r):
+        _assert_engine_matches_planes(n, sp)
+
+
+def test_log_schur_polynomials_peak_memory_is_its_table():
+    # the level-4 table at N = 100 is 101 x 51 x 34 floats (1.40 MB); a square
+    # temporary of (N + 1)^2 x (N/3 + 1) floats is 2.77 MB on its own, and with
+    # the table or the diagram rows beside it the peak passes twice the table
+    sp = Spectrum((0.4, 0.3, 0.2, 0.1))
+    log_schur_polynomials(100, sp)
+    tracemalloc.start()
+    try:
+        log_schur_polynomials(100, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 101 * 51 * 34 * 8, peak
 
 
 def test_log_multiplicity_matches_exact_count():

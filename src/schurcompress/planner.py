@@ -19,11 +19,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .blocksim import weight_table
+from .blocksim import WeightTable, weight_table
 from .errors import NotApplicableError, ParameterError
 from .schur_core import (
     Spectrum,
     YoungDiagram,
+    _weyl_dims,
     diagram_rows,
     irrep_dims,
     keep_mask,
@@ -279,21 +280,34 @@ def pure_state_lower_bound(n: int, epsilon: float) -> float:
 # Budgeted (greedy) truncation, for the covariant lower-bound trend
 # ---------------------------------------------------------------------------
 
+def _by_density(table: WeightTable, dims: np.ndarray, index: np.ndarray
+                ) -> tuple[list[int], list[int]]:
+    """The given rows of a ``weight_table`` by decreasing density q / dim, then by
+    ascending rows (the order of YoungDiagram keys), and their dimensions."""
+    density = table.weights[index] / dims[index].astype(float)
+    order = index[np.lexsort(tuple(table.rows[index].T[::-1]) + (-density,))]
+    return order.tolist(), dims[order].tolist()
+
+
 def _greedy_keep(n: int, spectrum: Spectrum, dim_budget: float) -> tuple[np.ndarray, list[int]]:
-    """The ``weight_table`` rows and the indices of those ``greedy_budget_keep`` keeps."""
+    """The ``weight_table`` rows and the indices of those ``greedy_budget_keep`` keeps.
+
+    The dimensions are int64 where ``_weyl_dims`` finds that exact.  A row whose
+    dimension passes the budget can never be added, so only the rest are sorted
+    and enter the first-fit loop: comparing a dimension rounded to a float with
+    the float budget keeps every row that fits, and the loop decides on exact ints.
+    """
     if math.isnan(dim_budget):
         raise ParameterError("dimension budget is NaN")
     table = weight_table(n, spectrum)
-    dims = irrep_dims(table.rows)
-    # by density, then by ascending rows: the order of YoungDiagram keys
-    order = np.lexsort(tuple(table.rows.T[::-1]) + (-(table.weights / dims.astype(float)),))
+    dims = _weyl_dims(table.rows)
     keep: list[int] = []
     used = 0
-    for i, dim in zip(order.tolist(), dims[order].tolist()):  # exact int sums
+    for i, dim in zip(*_by_density(table, dims, np.flatnonzero(dims <= dim_budget))):
         if used + dim <= dim_budget:
             keep.append(i)
             used += dim
-    return table.rows, keep or order[:1].tolist()
+    return table.rows, keep or _by_density(table, dims, np.arange(len(dims)))[0][:1]
 
 
 def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[YoungDiagram]:

@@ -6,9 +6,10 @@ log Schur polynomials.  Half-integer spins are passed around as doubled
 integers 2j so they stay exact and hashable.
 
 Whole families of diagrams travel as one (M, d) integer array of rows
-(``diagram_rows``); ``irrep_dims`` and ``log_multiplicities`` take such an
-array, ``keep_mask`` reads a keep set against one, and ``young_diagrams``
-turns one into YoungDiagrams with a single check.
+(``diagram_rows``); ``irrep_dims``, ``log_multiplicities`` and
+``log_schur_polynomials`` take such an array, ``keep_mask`` reads a keep set
+against one, and ``young_diagrams`` turns one into YoungDiagrams with a single
+check.
 
 ``log_schur_polynomials`` works in difference coordinates: s_lambda / x^lambda
 depends only on a_i = l_i - l_(i+1), so each Gelfand-Tsetlin level is one dense
@@ -18,8 +19,10 @@ recurrence per axis that only multiplies by ratios x_k / x_i <= 1 and adds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -223,19 +226,67 @@ def diagram_array(diagrams: Sequence[YoungDiagram], d: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), d)
 
 
+@lru_cache(maxsize=4)
+def _place_values(base: int, d: int) -> np.ndarray:
+    """The place values -base^(d-1), .., -base^0 of ``keep_mask``'s numbers
+    (read-only): int64 when base^d fits one, exact Python ints otherwise.
+    Cached, since building them costs a tenth of a call on a 31-row table."""
+    scale = np.array([-base ** k for k in range(d - 1, -1, -1)],
+                     dtype=object if base ** d > 2 ** 63 else np.int64)
+    scale.flags.writeable = False
+    return scale
+
+
 def keep_mask(keep: Iterable[YoungDiagram] | np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Which rows of an (M, d) diagram array a keep set names, as a boolean mask:
-    ``keep`` is a (K, d) row array or YoungDiagrams, and a diagram without d rows,
-    like a row not in ``rows``, names nothing.  One dict of the rows per call."""
+    """Which rows of an (M, d) diagram array in ``diagram_rows`` order a keep set
+    names, as a boolean mask: ``keep`` is a (K, d) row array or YoungDiagrams, and
+    a diagram without d rows, like a row not in ``rows``, names nothing.
+
+    Every row is read as a negated big-endian number in base b = t + 2, with
+    t = rows[0, 0] the largest entry of the table, so the table's numbers ascend
+    and one ``np.searchsorted`` places every keep row.  Two rows with entries in
+    [-1, t + 1] differ by less than b in every place, so their numbers are equal
+    only when they are: array entries are clipped to that range, and a
+    YoungDiagram is skipped when its first, largest entry passes t.
+    """
     d = rows.shape[1]
-    array = isinstance(keep, np.ndarray)
-    if array and (keep.ndim != 2 or keep.shape[1] != d):
-        raise ParameterError(f"keep rows need {d} columns, got an array of shape {keep.shape}")
-    keys = map(tuple, keep.tolist()) if array else (lam.rows for lam in keep)
-    index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    top = rows.item(0) if len(rows) else -1
+    if isinstance(keep, np.ndarray):
+        if keep.ndim != 2 or keep.shape[1] != d:
+            raise ParameterError(f"keep rows need {d} columns, got an array of shape {keep.shape}")
+        keep = np.minimum(np.maximum(keep, -1), top + 1)
+    else:
+        keep = [lam.rows for lam in keep if len(lam.rows) == d and lam.rows[0] <= top]
+        keep = np.fromiter(itertools.chain.from_iterable(keep), np.int64,
+                           len(keep) * d).reshape(-1, d)
     mask = np.zeros(len(rows), dtype=bool)
-    mask[[i for i in map(index.get, keys) if i is not None]] = True
+    if len(rows) and len(keep):
+        scale = _place_values(top + 2, d)
+        keys, want = rows.dot(scale), keep.dot(scale)
+        at = keys.searchsorted(want)
+        mask.put(at[keys.take(at, mode="clip") == want], True)
     return mask
+
+
+def _weyl_dims(rows: np.ndarray) -> np.ndarray:
+    """``irrep_dims`` in int64 when that is exact, in Python ints otherwise.
+
+    Every Weyl factor l_i - l_j + j - i is at least 1, so no product, partial or
+    whole, passes the product over the pairs of each pair's largest factor; the
+    factors are multiplied in int64 when that bound is below 2^63, and as exact
+    Python ints (an object array) otherwise.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    d = rows.shape[1]
+    top = int((rows > 0).sum(axis=1).max(initial=0))
+    i, j = np.nonzero(np.arange(top)[:, None] < np.arange(d))  # every pair i < j, i < L
+    factors = rows[:, i] - rows[:, j] + (j - i)
+    if math.prod(np.abs(factors).max(axis=0, initial=1).tolist()) >= 2 ** 63:
+        factors = factors.astype(object)
+    num = np.multiply.reduce(factors, axis=1)
+    den = math.prod(map(math.factorial, range(d - top, d)))
+    assert not (num % den).any(), "Weyl numerator must be divisible by the superfactorial"
+    return num // den
 
 
 def irrep_dims(rows: np.ndarray) -> np.ndarray:
@@ -247,19 +298,19 @@ def irrep_dims(rows: np.ndarray) -> np.ndarray:
     their pairs give prod_{k<d-L} k! whatever the diagram; only pairs with
     i < L are multiplied, over prod_{d-L<=k<d} k!.
     """
-    d = rows.shape[1]
-    top = int((rows > 0).sum(axis=1).max(initial=0))
-    i, j = np.nonzero(np.arange(top)[:, None] < np.arange(d))  # every pair i < j, i < L
-    num = np.multiply.reduce((rows[:, i] - rows[:, j] + (j - i)).astype(object), axis=1)
-    den = math.prod(map(math.factorial, range(d - top, d)))
-    assert not (num % den).any(), "Weyl numerator must be divisible by the superfactorial"
-    return num // den
+    return _weyl_dims(rows).astype(object)
 
 
 def irrep_dim(diagram: YoungDiagram, d: int) -> int:
-    """Dimension of the GL(d) irrep labeled by the diagram (exact integer):
-    ``irrep_dims`` of one row."""
-    return irrep_dims(diagram_array([diagram], d))[0]
+    """Dimension of the GL(d) irrep labeled by the diagram (exact integer): the
+    Weyl formula of ``irrep_dims`` on one tuple of rows."""
+    rows = diagram.rows if len(diagram.rows) == d else diagram.padded(d).rows
+    top = diagram.num_rows
+    num = 1
+    for i in range(top):
+        for j in range(i + 1, d):
+            num *= rows[i] - rows[j] + j - i
+    return num // math.prod(map(math.factorial, range(d - top, d)))
 
 
 def multiplicity_dims(rows: np.ndarray) -> np.ndarray:
@@ -283,9 +334,18 @@ def multiplicity_dims(rows: np.ndarray) -> np.ndarray:
 
 
 def multiplicity_dim(diagram: YoungDiagram) -> int:
-    """Dimension of the symmetric-group multiplicity space (exact integer):
-    ``multiplicity_dims`` of one row."""
-    return multiplicity_dims(np.array([diagram.rows], dtype=np.int64))[0]
+    """Dimension of the symmetric-group multiplicity space (exact integer): the
+    formula of ``multiplicity_dims`` on one tuple, over the diagram's own
+    nonzero rows."""
+    lam = diagram.rows[:diagram.num_rows]
+    top, boxes, num, den = len(lam), 0, 1, 1
+    for i, row in enumerate(lam):
+        boxes += row
+        num *= math.comb(boxes, row)
+        for j in range(i + 1, top):
+            num *= row - lam[j] + j - i
+            den *= row + top - j
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +362,17 @@ def _two_row_log_schur(a: np.ndarray, b: np.ndarray, log_x: np.ndarray) -> np.nd
     return out + np.log(-np.expm1(-(a - b + 1) * delta)) - math.log(-math.expm1(-delta))
 
 
-def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
-    """log s_lambda(p) for each row of ``diagram_rows(n, rank)``, in that order.
+def log_schur_polynomials(rows: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """log s_lambda(p) for each row of an (M, r) array of partitions of one N into
+    at most r parts, r the spectrum rank, in its order: ``diagram_rows(N, rank)``
+    or any of its rows, built by the caller before the table (whose build
+    peaks above its result).
 
     Over the positive eigenvalues x_1 >= .. >= x_r, the normalised Schur function
     N_k(lambda) = s_lambda(x_1..x_k) / prod_i x_i^l_i depends only on the
     differences a_i = l_i - l_(i+1) (shifting every row by c multiplies both
     by (x_1..x_k)^c), and is a plain float in [1, dim lambda].  Level k is one
-    dense table over (a_1, .., a_(k-1)), axis i of length n // (i + 1) + 1.
+    dense table over (a_1, .., a_(k-1)), axis i of length N // (i + 1) + 1.
     Level 2 is the geometric sum G(a) = expm1(-(a + 1) delta) / expm1(-delta),
     delta = log(x_1 / x_2).  Gelfand-Tsetlin branching, divided by x^lambda,
     weights each mu_i = l_i - e_i by u_i^e_i, u_i = x_k / x_i <= 1, for
@@ -323,7 +386,7 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
 
     Steps 1 and 2 update one slice [.., y, 1:, ..] at a time, y descending, so
     each slice is a contiguous run and no temporary outgrows one slice.
-    A slice past the end of an axis drops only terms of more than n boxes.
+    A slice past the end of an axis drops only terms of more than N boxes.
     Every step multiplies by u <= 1 and adds a positive term, and every entry
     keeps its anchor term (all e_i = 0) of weight 1 and value >= 1: nothing
     overflows, a term that underflows is below 2^-1074 of its sum, and nothing
@@ -334,16 +397,17 @@ def log_schur_polynomials(n: int, spectrum: Spectrum) -> np.ndarray:
     """
     log_x = np.log(spectrum.positive())
     r = log_x.size
+    if rows.ndim != 2 or rows.shape[1] != r:
+        raise ParameterError(f"rows need {r} columns, the spectrum rank, got shape {rows.shape}")
+    n = int(rows[0].sum()) if len(rows) else 0
     if r == 1 or n == 0:
-        return np.array([n * log_x[0]])
+        return np.full(len(rows), n * log_x[0])
     if r == 2:
-        a = np.arange(n, (n - 1) // 2, -1)
-        return _two_row_log_schur(a, n - a, log_x)
+        return _two_row_log_schur(rows[:, 0], rows[:, 1], log_x)
     entries = math.prod(n // (i + 1) + 1 for i in range(r - 1))
     if entries > SCHUR_TABLE_CAP:
         raise ResourceLimitError(
             f"Schur table capped at {SCHUR_TABLE_CAP} entries, N={n} at rank {r} needs {entries}")
-    rows = diagram_rows(n, r)  # before the table: its build peaks above its result
     delta = log_x[0] - log_x[1]
     terms = np.arange(1.0, n + 2)  # a + 1 terms of the geometric sum
     table = terms if delta == 0.0 else np.expm1(-delta * terms) / math.expm1(-delta)

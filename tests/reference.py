@@ -95,8 +95,9 @@ def schur_polynomials(n: int, spectrum: Spectrum) -> dict[YoungDiagram, float]:
     """{lambda: s_lambda(p)} for every diagram of n boxes with at most d rows: exp
     of the entries of ``log_schur_polynomials``, and 0 beyond the spectrum rank."""
     values = dict.fromkeys(enumerate_diagrams(n, spectrum.d), 0.0)
-    inside = diagram_rows(n, spectrum.d, spectrum.rank).tolist()
-    for row, log_s in zip(inside, log_schur_polynomials(n, spectrum).tolist()):
+    inside = diagram_rows(n, spectrum.d, spectrum.rank)
+    logs = log_schur_polynomials(inside[:, :spectrum.rank], spectrum)
+    for row, log_s in zip(inside.tolist(), logs.tolist()):
         values[YoungDiagram(row)] = math.exp(log_s)
     return values
 
@@ -195,7 +196,8 @@ def cauchy_identity_residual(n: int, spectrum: Spectrum) -> float:
     """
     d, probs = spectrum.d, spectrum.probs
     rows = diagram_rows(n, d, spectrum.rank)
-    logs = np.log(irrep_dims(rows).astype(float)) + log_schur_polynomials(n, spectrum)
+    logs = (np.log(irrep_dims(rows).astype(float))
+            + log_schur_polynomials(rows[:, :spectrum.rank], spectrum))
     top = logs.max()
     lhs = float(top + math.log(np.exp(logs - top).sum()))
     k = np.arange(n + 1)

@@ -144,6 +144,46 @@ def test_block_weights_over_the_diagram_cap_raise(monkeypatch):
         block_weights(20, spectrum_of(0.5, 0.3, 0.2))
 
 
+def test_block_weights_is_a_read_only_view_of_the_table():
+    sp = spectrum_of(0.5, 0.3, 0.2)
+    table = blocksim.weight_table(9, sp)
+    view = block_weights(9, sp)
+    diagrams = enumerate_diagrams(9, 3)
+    assert list(view) == list(view.keys()) == diagrams
+    assert view == dict(zip(diagrams, table.weights.tolist())) and dict(view) == view
+    assert view.items() == list(zip(diagrams, table.weights.tolist()))
+    lam = YoungDiagram((4, 3, 2))
+    assert lam in view and view[lam] == view.get(lam) == table.weights[diagrams.index(lam)]
+    assert type(view[lam]) is float
+    for missing in (YoungDiagram((5, 5, 0)), YoungDiagram((9, 0)), YoungDiagram((9, 0, 0, 0))):
+        assert missing not in view and view.get(missing) is None
+        with pytest.raises(KeyError):
+            view[missing]
+    with pytest.raises(TypeError):
+        view[lam] = 0.5
+    with pytest.raises(TypeError):
+        del view[lam]
+
+
+def test_block_weights_length_and_values_build_no_young_diagram(monkeypatch):
+    sp = spectrum_of(0.4, 0.3, 0.2, 0.1)
+    calls, build = [], schur_core.young_diagrams
+
+    def counted(rows):
+        calls.append(len(rows))
+        return build(rows)
+
+    monkeypatch.setattr(schur_core, "young_diagrams", counted)
+    monkeypatch.setattr(blocksim, "young_diagrams", counted)
+    view = block_weights(40, sp)
+    table = blocksim.weight_table(40, sp)
+    assert len(view) == len(table.rows) and view.values() == table.weights.tolist()
+    assert calls == []
+    assert next(iter(view)) == YoungDiagram((40, 0, 0, 0)) and calls == [len(table.rows)]
+    view[YoungDiagram((10, 10, 10, 10))]
+    assert calls == [len(table.rows)]  # the keys are built once
+
+
 @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0),
                                         (1.0, -math.inf)])
 def test_bloch_vector_rejects_non_finite_angles(theta, phi):
@@ -488,7 +528,8 @@ def test_kostka_counts_sum_to_schur_polynomials(probs, n):
     firsts = np.cumsum(sizes) - sizes
     top = np.maximum.reduceat(terms, firsts)
     sums = top + np.log(np.add.reduceat(np.exp(terms - np.repeat(top, sizes)), firsts))
-    np.testing.assert_allclose(sums, schur_core.log_schur_polynomials(n, sp), rtol=0.0, atol=1e-12)
+    want = schur_core.log_schur_polynomials(schur_core.diagram_rows(n, sp.rank), sp)
+    np.testing.assert_allclose(sums, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +687,22 @@ def test_trace_distance_two_diagonal_blocks():
     a = block_state(1, 2, {two_row(1, 1): (1.0, m1)})
     b = block_state(1, 2, {two_row(1, 1): (1.0, m2)})
     assert trace_distance(a, b) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_trace_distance_rejects_a_non_hermitian_dense_block():
+    # the trace norm reads one triangle: [[0.5, 0.3], [0, 0.5]] against 1/2 read 0
+    skew = np.array([[0.5, 0.3], [0.0, 0.5]])
+    half = BlockState.from_matrices(1, 2, np.array([1.0]), [np.eye(2) / 2])
+    bad = BlockState.from_matrices(1, 2, np.array([1.0]), [skew])
+    for a, b in ((bad, half), (half, bad), (bad, product_state(spectrum_of(0.5, 0.5), 1))):
+        with pytest.raises(ContractViolationError, match=r"\[1, 0\] is not Hermitian"):
+            trace_distance(a, b)
+    # the tolerance is on the weighted difference, the scale of the state: the
+    # same block at weight 1e-13 is off Hermitian by 3e-14 there
+    weights = np.array([1.0 - 1e-13, 1e-13])
+    light = BlockState.from_matrices(3, 2, weights, [np.eye(4) / 4, skew])
+    even = BlockState.from_matrices(3, 2, weights, [np.eye(4) / 4, np.eye(2) / 2])
+    assert trace_distance(light, even) <= 1e-13
 
 
 def test_trace_distance_rejects_mismatched_shapes():

@@ -8,6 +8,7 @@ import pytest
 from schurcompress import oracle
 from schurcompress.blocksim import (
     BlochVector,
+    BlockState,
     block_weights,
     exact_protocol_error,
     product_state,
@@ -266,6 +267,20 @@ def test_trace_distance_in_one_frame_matches_the_dense_states():
             blocks = trace_distance(product_state(first, n, frame), product_state(second, n, frame))
             assert dense > 1e-3
             assert blocks == pytest.approx(dense, abs=1e-10), (n, frame)
+
+
+def test_trace_distance_reads_the_nearly_hermitian_oracle_blocks():
+    # at N = 10, p = 0.999 the extracted block of weight 4.2e-14 is off Hermitian
+    # by 3.0e-5; weighted, that is 1.2e-18 on the scale of the state, and passes
+    sp = spectrum_of(0.999, 0.001)
+    state = extract_blocks(dense_product_state(sp, 10, BlochVector(1.0, 0.5)), 10)
+    off = {i: np.abs(mat - mat.conj().T).max() for i, mat in state.dense.items()}
+    assert max(off.values()) > 1e-5 and state.weights[max(off, key=off.get)] < 1e-13
+    even = BlockState.from_matrices(10, 2, state.weights, [
+        (mat + mat.conj().T) / 2 for mat in state.dense.values()])
+    lab = product_state(sp, 10)
+    assert 0.5 < trace_distance(state, lab) <= 1.0
+    assert trace_distance(state, lab) == pytest.approx(trace_distance(even, lab), abs=1e-15)
 
 
 def test_dense_protocol_error_full_keep_is_zero():

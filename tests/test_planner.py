@@ -5,12 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from schurcompress import schur_core
+from schurcompress import planner, schur_core
 from schurcompress.blocksim import (
     block_weights,
     exact_protocol_error,
     qubit_weight_binomial,
     qubit_weights,
+    WeightTable,
     weight_table,
 )
 from schurcompress.errors import NotApplicableError, ParameterError, ResourceLimitError
@@ -48,17 +49,22 @@ from schurcompress.schur_core import (
 
 def reference_greedy(n, spectrum, budgets):
     """The greedy keep set at each budget, by a per-diagram sort on (-q / d_lambda, diagram)."""
-    items = list(block_weights(n, spectrum).items())
-    dims = {lam: irrep_dim(lam, spectrum.d) for lam, _ in items}
-    items.sort(key=lambda kv: (-kv[1] / dims[kv[0]], kv[0]))
+    weights = block_weights(n, spectrum)
+    return first_fit(dict(weights.items()), {lam: irrep_dim(lam, spectrum.d) for lam in weights},
+                     budgets)
+
+
+def first_fit(weights, dims, budgets):
+    """``reference_greedy`` over {diagram: weight} and {diagram: exact int dim}."""
+    items = sorted(weights, key=lambda lam: (-weights[lam] / dims[lam], lam))
     out = []
     for budget in budgets:
         keep, used = [], 0
-        for lam, _ in items:
+        for lam in items:
             if used + dims[lam] <= budget:
                 keep.append(lam)
                 used += dims[lam]
-        out.append(keep or [items[0][0]])
+        out.append(keep or items[:1])
     return out
 
 
@@ -380,16 +386,59 @@ def test_budgeted_lower_bound_grows():
 def test_greedy_matches_the_per_diagram_sort():
     rng = np.random.default_rng(11)
     cases = [((0.75, 0.25), 4096), ((0.5, 0.5), 40), ((1.0, 0.0), 9), ((0.6, 0.4, 0.0), 18),
-             ((0.5, 0.5, 0.0, 0.0), 12), ((0.25,) * 4, 10), ((0.4, 0.3, 0.2, 0.1), 30)]
+             ((0.5, 0.5, 0.0, 0.0), 12), ((0.25,) * 4, 10), ((0.4, 0.3, 0.2, 0.1), 30),
+             ((0.4, 0.3, 0.2, 0.1), 100), ((0.5, 0.3, 0.2), 200)]  # the benchmark's largest
     cases += [(random_probs(rng, int(rng.integers(2, 6))), int(rng.integers(1, 26)))
               for _ in range(60)]
     for probs, n in cases:
         sp = Spectrum(probs)
         total = int(irrep_dims(diagram_rows(n, sp.d)).sum())
         budgets = [0.0, 1.0, float(n) ** 1.4, math.inf, float(total), total // 2,
-                   float(rng.uniform(0, total))]
+                   float(rng.uniform(0, total)), 2.0 ** 53 + 2, 2.0 ** 62 + 2 ** 11]
         for budget, want in zip(budgets, reference_greedy(n, sp, budgets)):
             assert greedy_budget_keep(n, sp, budget) == want, (probs, n, budget)
+
+
+def _greedy_on(monkeypatch, rows, weights, budgets):
+    """greedy_budget_keep and the per-diagram reference on a table of the given rows."""
+    table = WeightTable(np.array(rows, dtype=np.int64), np.array(weights))
+    monkeypatch.setattr(planner, "weight_table", lambda n, spectrum: table)
+    lams = [YoungDiagram(tuple(row)) for row in rows]
+    d = len(rows[0])
+    want = first_fit(dict(zip(lams, weights)), {lam: irrep_dim(lam, d) for lam in lams}, budgets)
+    got = [greedy_budget_keep(0, spectrum_of(*[1.0 / d] * d), budget) for budget in budgets]
+    return got, want
+
+
+def test_greedy_decides_on_exact_dimensions_past_two_to_the_53(monkeypatch):
+    # (2^18 + 1)^3, the dimension of (2^19, 2^18, 0), is one more than its float:
+    # a budget of float(dim) must not admit that block, and the next float must
+    a = 2 ** 18
+    rows = [[2 * a, a, 0], [1, 0, 0]]
+    dim = (a + 1) ** 3
+    assert irrep_dim(YoungDiagram(tuple(rows[0])), 3) == dim and float(dim) == dim - 1
+    assert schur_core._weyl_dims(np.array(rows)).dtype == np.int64
+    budgets = [float(dim), float(dim) + 4.0, 2.0 ** 62 + 2 ** 11, 2.0]
+    got, want = _greedy_on(monkeypatch, rows, [1.0, 1e-20], budgets)
+    big, small = (YoungDiagram(tuple(row)) for row in rows)
+    assert want == [[small], [big, small], [big, small], [big]]
+    assert got == want
+
+
+def test_greedy_falls_back_to_exact_ints_past_int64(monkeypatch):
+    # a dimension past 2^63: the Weyl bound selects Python ints
+    rows = [[250, 150, 100, 60, 30, 10], [101, 100, 100, 100, 100, 99],
+            [100, 100, 100, 100, 100, 100]]
+    dim = int(irrep_dims(np.array(rows))[0])
+    assert schur_core._weyl_dims(np.array(rows)).dtype == object and dim > 2 ** 63
+    below = math.nextafter(float(dim), 0.0)
+    budgets = [float(dim), below, 2.0 ** 63, 2.0 ** 90, math.inf, 36.0, 0.5]
+    got, want = _greedy_on(monkeypatch, rows, [1.0, 1e-30, 1e-30], budgets)
+    big = YoungDiagram(tuple(rows[0]))
+    assert float(dim) > dim and below < dim  # the float above admits it, the one below not
+    assert [big in keep for keep in want] == [True, False, False, True, True, False, True]
+    assert len(want[5]) == 2  # 35 + 1 fills a budget of 36 exactly
+    assert got == want
 
 
 def test_greedy_rejects_a_nan_budget():

@@ -18,6 +18,7 @@ from schurcompress.schur_core import (
     enumerate_diagrams,
     irrep_dim,
     irrep_dims,
+    keep_mask,
     log_multiplicities,
     log_schur_polynomials,
     multiplicity_dim,
@@ -283,6 +284,62 @@ def test_diagram_array_pads_and_rejects_extra_rows():
         diagram_array(lams, 2)
 
 
+def test_scalar_dims_match_the_array_dims():
+    for d in (1, 2, 3, 4, 5):
+        for n in range(13):
+            rows = diagram_rows(n, d)
+            for row, dim, mult in zip(rows.tolist(), irrep_dims(rows), multiplicity_dims(rows)):
+                lam = YoungDiagram(tuple(row))
+                assert type(multiplicity_dim(lam)) is int and multiplicity_dim(lam) == mult, lam
+                assert type(irrep_dim(lam, d)) is int and irrep_dim(lam, d) == dim, lam
+                assert multiplicity_dim(YoungDiagram(tuple(row) + (0, 0))) == mult
+
+
+def _reference_mask(keep, rows):
+    wanted = {tuple(row) for row in np.asarray(keep).tolist()}
+    return np.array([tuple(row) in wanted for row in rows.tolist()], dtype=bool)
+
+
+def test_keep_mask_finds_the_rows_a_keep_set_names():
+    rng = np.random.default_rng(8)
+    rows = diagram_rows(12, 3)
+    # in base 14, [5, 18, 2] and [7, -10, 2] read as the number of [6, 4, 2] unclipped
+    outside = [[6, 4, 1], [6, 4, 3], [13, 0, 0], [12, 1, 0], [0, 0, 12], [-1, 13, 0],
+               [14, -1, -1], [2 ** 40, 0, 0], [-2 ** 40, 2 ** 41, 0], [7, 6, 0], [5, 18, 2],
+               [7, -10, 2]]
+    for keep in ([], rows[:0], rows, rows[::3], rows[::-2], np.array(outside),
+                 np.vstack([outside, rows[5:9], rows[5:6]])):
+        keep = np.asarray(keep, dtype=np.int64).reshape(-1, 3)
+        want = _reference_mask(keep, rows)
+        assert keep_mask(keep, rows).tolist() == want.tolist()
+        assert keep_mask(young_diagrams(keep[(keep >= 0).all(axis=1)
+                                             & (np.diff(keep, axis=1) <= 0).all(axis=1)]),
+                         rows).tolist() == want.tolist()
+    for _ in range(20):  # a table may be any rows of diagram_rows, in its order
+        table = rows[rng.random(len(rows)) < 0.5]
+        keep = rows[rng.random(len(rows)) < 0.3]
+        assert keep_mask(keep, table).tolist() == _reference_mask(keep, table).tolist()
+    huge = [YoungDiagram((10 ** 20, 0, 0)), YoungDiagram((12,)), YoungDiagram((4, 4, 4, 0)),
+            YoungDiagram((4, 4, 4))]
+    assert np.flatnonzero(keep_mask(huge, rows)).tolist() == [len(rows) - 1]
+    assert not keep_mask(huge, rows[:0]).size and not keep_mask([], rows).any()
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64),
+                np.zeros((1, 4), dtype=np.int64)):
+        with pytest.raises(ParameterError):
+            keep_mask(bad, rows)
+
+
+def test_keep_mask_reads_wide_rows_as_exact_ints():
+    # 22^20 passes 2^63, so the place values of diagram_rows(20, 20) are Python ints
+    for rows, wide in ((diagram_rows(20, 20), True), (diagram_rows(30, 4), False)):
+        top, d = int(rows[0, 0]), rows.shape[1]
+        assert schur_core._place_values(top + 2, d).dtype == (object if wide else np.int64)
+        keep = np.vstack([rows[::7], rows[3:4] + 1, np.full((1, d), top + 1)])
+        assert keep_mask(keep, rows).tolist() == _reference_mask(keep, rows).tolist()
+        assert keep_mask(young_diagrams(rows[::7]), rows).tolist() == \
+            _reference_mask(rows[::7], rows).tolist()
+
+
 def test_multiplicity_examples():
     assert multiplicity_dim(YoungDiagram((2, 1, 0))) == 2
     assert multiplicity_dim(YoungDiagram((9, 0))) == 1
@@ -363,7 +420,7 @@ def test_schur_uniform_spectrum_gives_dimension():
 def test_log_schur_uniform_spectrum_gives_dimension_at_scale():
     # every ratio x_k / x_i is exactly 1, so no branching weight decays
     rows = diagram_rows(100, 4)
-    logs = log_schur_polynomials(100, Spectrum((0.25,) * 4))
+    logs = log_schur_polynomials(rows, Spectrum((0.25,) * 4))
     expected = np.log(irrep_dims(rows).astype(float)) - 100 * math.log(4)
     np.testing.assert_allclose(logs, expected, rtol=0, atol=1e-12)
 
@@ -410,7 +467,7 @@ def test_log_schur_polynomials_follow_enumerate_diagrams_within_the_rank():
         sp = Spectrum(probs)
         for n in range(8):
             diagrams = enumerate_diagrams(n, sp.d, sp.rank)
-            logs = log_schur_polynomials(n, sp)
+            logs = log_schur_polynomials(diagram_rows(n, sp.rank), sp)
             assert logs.shape == (len(diagrams),), (probs, n)
             for lam, value in zip(diagrams, logs):
                 assert math.exp(value) == pytest.approx(
@@ -441,18 +498,32 @@ def test_log_schur_polynomials_match_the_principal_specialisation(d, n, q):
         for j in range(i + 1, d):
             want += (np.log(-np.expm1((rows[:, i] - rows[:, j] + j - i) * log_q))
                      - math.log(-math.expm1((j - i) * log_q)))
-    got = log_schur_polynomials(n, sp)
+    got = log_schur_polynomials(rows, sp)
     assert np.abs(got - want).max() <= LOG_IDENTITY_TOL, (d, n, q, np.abs(got - want).max())
 
 
 def test_log_schur_polynomials_table_cap_raises_before_allocating(monkeypatch):
     rank5 = Spectrum((0.3, 0.2, 0.2, 0.2, 0.1))
     with pytest.raises(ResourceLimitError):
-        log_schur_polynomials(400, rank5)  # would be a 401 x 201 x 134 x 101 float table
+        # one row of 400 boxes: the table would be 401 x 201 x 134 x 101 floats
+        log_schur_polynomials(np.array([[400, 0, 0, 0, 0]]), rank5)
     monkeypatch.setattr(schur_core, "SCHUR_TABLE_CAP", 11 * 6 * 4 - 1)
-    log_schur_polynomials(10, Spectrum((0.5, 0.3, 0.2)))  # 11 x 6 table
+    log_schur_polynomials(diagram_rows(10, 3), Spectrum((0.5, 0.3, 0.2)))  # 11 x 6 table
     with pytest.raises(ResourceLimitError):
-        log_schur_polynomials(10, Spectrum((0.4, 0.3, 0.2, 0.1)))  # 11 x 6 x 4 table
+        log_schur_polynomials(diagram_rows(10, 4), Spectrum((0.4, 0.3, 0.2, 0.1)))  # 11 x 6 x 4
+
+
+def test_log_schur_polynomials_read_any_rows_of_the_table():
+    for probs, n in [((1.0,), 5), ((0.7, 0.3), 9), ((0.5, 0.3, 0.2), 12), ((0.4, 0.3, 0.2, 0.1), 9),
+                     ((0.5, 0.5), 0)]:
+        sp = Spectrum(probs)
+        rows = diagram_rows(n, sp.rank)
+        whole = log_schur_polynomials(rows, sp)
+        pick = np.arange(len(rows))[::-2]
+        assert log_schur_polynomials(rows[pick], sp).tolist() == whole[pick].tolist()
+    for rows in (diagram_rows(6, 3), np.arange(6)):
+        with pytest.raises(ParameterError):
+            log_schur_polynomials(rows, Spectrum((0.5, 0.5, 0.0)))
 
 
 def _rank_spectra(r: int) -> list[Spectrum]:
@@ -470,7 +541,7 @@ ENGINE_REFERENCE_TOL = 1e-13
 
 
 def _assert_engine_matches_planes(n: int, sp: Spectrum):
-    got, want = log_schur_polynomials(n, sp), log_schur_planes(n, sp)
+    got, want = log_schur_polynomials(diagram_rows(n, sp.rank), sp), log_schur_planes(n, sp)
     assert got.shape == want.shape == (len(diagram_rows(n, sp.rank)),), (sp, n)
     excess = np.abs(got - want) - np.spacing(np.abs(want))
     assert excess.max() <= ENGINE_REFERENCE_TOL, (sp, n, excess.max())
@@ -494,10 +565,10 @@ def test_log_schur_polynomials_peak_memory_is_its_table():
     # temporary of (N + 1)^2 x (N/3 + 1) floats is 2.77 MB on its own, and with
     # the table or the diagram rows beside it the peak passes twice the table
     sp = Spectrum((0.4, 0.3, 0.2, 0.1))
-    log_schur_polynomials(100, sp)
+    log_schur_polynomials(diagram_rows(100, 4), sp)
     tracemalloc.start()
     try:
-        log_schur_polynomials(100, sp)
+        log_schur_polynomials(diagram_rows(100, 4), sp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -186,8 +186,11 @@ def _row_reduce(offsets: np.ndarray, pairs: np.ndarray, ufunc=np.add) -> np.ndar
 
 def validate_block_state(state: BlockState) -> None:
     """Assert the ensemble invariants: weights sum to 1, the counts of each
-    diagonal block sum to its dimension, blocks PSD with unit trace.  Raises for
-    the first row, in ``diagram_rows`` order, that breaks one."""
+    diagonal block sum to its dimension, blocks Hermitian and PSD with unit
+    trace.  Raises for the first row, in ``diagram_rows`` order, that breaks one.
+    Each tolerance applies to the weighted block w * B, on the scale of the
+    state as in ``trace_distance``, so a block of weight 1e-13 may be off
+    Hermitian by 1e-5, as the oracle's extracted blocks of tiny weight are."""
     total = sum(state.weights.tolist())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ContractViolationError(f"block weights sum to {total!r}")
@@ -196,20 +199,18 @@ def validate_block_state(state: BlockState) -> None:
     dims = irrep_dims(rows)
     dim = _row_reduce(state.offsets, state.counts)
     trace = _row_reduce(state.offsets, state.values * state.counts)
-    largest = _row_reduce(state.offsets, np.abs(state.values), np.maximum)
-    checked = state.pair_rows & ~((w == 0.0) & (largest == 0.0))  # not an underflowed zero block
-    psd = checked & (_row_reduce(state.offsets, state.values, np.minimum) < -PSD_TOL)
+    psd = w * _row_reduce(state.offsets, state.values, np.minimum) < -PSD_TOL
     hermitian = np.zeros(len(w), dtype=bool)
     for i, mat in state.dense.items():
-        if w[i] == 0.0 and not np.any(mat):
+        if w[i] == 0.0:
             continue
-        checked[i], trace[i] = True, np.trace(mat).real
-        hermitian[i] = np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL
-        psd[i] = not hermitian[i] and np.linalg.eigvalsh(mat).min() < -PSD_TOL
+        trace[i] = np.trace(mat).real
+        hermitian[i] = w[i] * np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL
+        psd[i] = not hermitian[i] and w[i] * np.linalg.eigvalsh(mat).min() < -PSD_TOL
     checks = {"weight": (w < 0) | (~state.held & (w != 0)),
               "dimension": state.pair_rows & (dim != dims),
               "Hermitian": hermitian,
-              "trace": checked & (np.abs(trace - 1.0) > WEIGHT_SUM_TOL), "PSD": psd}
+              "trace": state.held & (w * np.abs(trace - 1.0) > WEIGHT_SUM_TOL), "PSD": psd}
     failing = np.flatnonzero(np.logical_or.reduce(list(checks.values())))
     if len(failing):
         i = failing[0]

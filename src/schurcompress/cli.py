@@ -31,13 +31,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedFeatureError,
 )
-from .oracle import (
-    block_spectrum_mismatch,
-    character_projection_weights,
-    dense_product_state,
-    dense_protocol_error,
-    extract_blocks,
-)
+from .oracle import _qubit_reference, block_spectrum_mismatch, character_projection_weights
 from .planner import (
     ceil_log2,
     circuit_resource_estimate,
@@ -378,8 +372,7 @@ def cmd_oracle_check(args):
 
     checks: list[tuple[str, float]] = []
     if spectrum.d == 2:
-        dense = dense_product_state(spectrum, n, rotation)
-        oracle_state = extract_blocks(dense, n)
+        oracle_state, dense_error = _qubit_reference(spectrum, n, rotation)
         block_state = product_state(spectrum, n, rotation)
         weight_diff = float(np.abs(oracle_state.weights - block_state.weights).max())
         checks.append(("weights", weight_diff))
@@ -388,8 +381,7 @@ def cmd_oracle_check(args):
         mask = np.random.default_rng(seed).random(len(rows)) < 0.5  # one draw per row
         keep = rows[mask] if mask.any() else rows[:1]
         exact = exact_protocol_error(n, spectrum, keep, rotation).exact_error
-        dense_err = dense_protocol_error(n, spectrum, young_diagrams(keep),
-                                         rotation)  # the oracle takes diagrams
+        dense_err = dense_error(young_diagrams(keep))  # the oracle takes diagrams
         checks.append(("protocol error", abs(exact - dense_err)))
     else:
         theirs = np.fromiter(character_projection_weights(spectrum, n).values(), float)

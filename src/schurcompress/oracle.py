@@ -18,8 +18,10 @@ What is batched is the bookkeeping around it.  All copies of one spin are one
 (2^N, m, 2j+1) array, so a coupling step is two matrix products, a projection
 onto a spin is one Gram product V^T rho V, and the encode-decode map on a spin
 is one product back into the full space, instead of a few small products per
-copy.  Tr[rho^{ox N} U_pi] is read as a gather of d^N entries of the dense
-state rather than through a built U_pi.  A real rho is held as a real array.
+copy; ``oracle-check`` builds rho^{ox N} once and reads one W^T rho per spin
+for both the extraction and the protocol error.  Tr[rho^{ox N} U_pi] is read
+as a gather of d^N entries of the dense state rather than through a built
+U_pi.  A real rho is held as a real array.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def dense_product_state(spectrum: Spectrum, n: int,
     if not rho.imag.any():
         rho = rho.real
     full = rho
-    for _ in range(n - 1):
-        full = np.kron(full, rho)
+    for _ in range(n - 1):  # np.kron(full, rho), one product per entry
+        dim = full.shape[0] * d
+        full = (full[:, None, :, None] * rho[None, :, None, :]).reshape(dim, dim)
     return full
 
 
@@ -177,13 +180,13 @@ def _real_times(real: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (real @ pairs).view(np.complex128)
 
 
-def _gram(dense: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """W^T rho W for the copies W (D, m, k) of one spin, viewed as (m, k, m, k):
-    entry [a, :, b, :] is V_a^T rho V_b."""
-    dim, mult, k = w.shape
-    flat = w.reshape(dim, mult * k)
-    left = _real_times(flat.T, dense)  # W^T rho
-    return _real_times(flat.T, left.T).T.reshape(mult, k, mult, k)  # (W^T rho^T W)^T
+def _spin_projections(dense: np.ndarray, n: int):
+    """(2j, W, W^T rho) for every spin, in diagram_rows order (descending 2j):
+    the copies W (D, m, k) of the spin and W^T rho viewed as (m, k, D), one
+    spin at a time."""
+    for two_j, w in sorted(_spin_bases(n).items(), reverse=True):
+        dim, mult, k = w.shape
+        yield two_j, w, _real_times(w.reshape(dim, -1).T, dense).reshape(mult, k, dim)
 
 
 def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
@@ -199,13 +202,21 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
     if dense.shape != (2 ** n, 2 ** n):
         raise ParameterError(f"a dense state of {n} qubits is {2 ** n} x {2 ** n}, "
                              f"got shape {dense.shape}")
+    return _blocks(_spin_projections(dense, n), n)
+
+
+def _blocks(projections, n: int) -> BlockState:
+    """``extract_blocks`` from the ``_spin_projections`` of the state: per spin the
+    Gram matrix W^T rho W, viewed as (m, k, m, k) so that entry [a, :, b, :] is
+    V_a^T rho V_b."""
     blocks = []
-    for two_j, w in sorted(_spin_bases(n).items(), reverse=True):  # diagram_rows order
+    for two_j, w, left in projections:
         lam = YoungDiagram.from_two_j(n, two_j)
-        mult = w.shape[1]
+        mult, k, dim = left.shape
         if mult != multiplicity_dim(lam):
             raise OracleMismatchError(f"coupling produced wrong multiplicity for 2j={two_j}")
-        gram = _gram(dense, w)
+        flat = w.reshape(dim, mult * k)
+        gram = _real_times(flat.T, left.reshape(mult * k, dim).T).T.reshape(mult, k, mult, k)
         cross = np.abs(gram).max(axis=(1, 3))
         np.fill_diagonal(cross, 0.0)
         bad = np.argwhere(cross > STRUCTURE_TOL)
@@ -282,36 +293,58 @@ def dense_protocol_error(n: int, spectrum: Spectrum,
     _check_cap(2, n)
     if spectrum.d != 2:
         raise UnsupportedFeatureError(f"the dense protocol error is for qubits, got d={spectrum.d}")
-    bases = _spin_bases(n)
-    kept = set(keep)
-    d_enc = sum(two_j + 1 for two_j in bases if YoungDiagram.from_two_j(n, two_j) in kept)
-    if not d_enc:
-        raise ParameterError("keep set holds no block of the state")
+    kept = _kept_spins(n, keep)
     dense = dense_product_state(spectrum, n, orientation)
-    inner: dict[int, np.ndarray] = {}
-    tail = 0.0
-    for two_j, w in sorted(bases.items(), reverse=True):
-        dim, mult, k = w.shape
-        projected = _real_times(w.reshape(dim, -1).T, dense).reshape(mult, k, dim)  # W^T rho
-        block = np.einsum("akr,ral->kl", projected, w)  # sum_a V_a^T rho V_a
-        if YoungDiagram.from_two_j(n, two_j) in kept:
-            inner[two_j] = block
-        else:
-            tail += np.trace(block).real
-    for two_j, block in inner.items():
-        dim = two_j + 1
-        inner[two_j] = block + tail * (dim / d_enc) * (np.eye(dim) / dim)
-    out = np.zeros(dense.shape, np.result_type(dense, *inner.values()))
-    for two_j, block in inner.items():
-        w = bases[two_j]
+    residual = _residual(dense, _spin_sums(_spin_projections(dense, n)), kept)
+    del dense  # before the eigendecomposition copies the residual
+    return _half_trace_norm(residual)
+
+
+def _qubit_reference(spectrum: Spectrum, n: int, orientation: BlochVector | None):
+    """``extract_blocks`` of the dense qubit product state, and its
+    ``dense_protocol_error`` as a function of the keep set, from one dense state
+    and one W^T rho per spin."""
+    dense = dense_product_state(spectrum, n, orientation)
+    projections = list(_spin_projections(dense, n))
+    sums = _spin_sums(projections)
+
+    def protocol_error(keep: Iterable[YoungDiagram]) -> float:
+        return _half_trace_norm(_residual(dense, sums, _kept_spins(n, keep)))
+
+    return _blocks(projections, n), protocol_error
+
+
+def _kept_spins(n: int, keep: Iterable[YoungDiagram]) -> set[int]:
+    """The 2j of the spins of N qubits that ``keep`` names; ParameterError for none."""
+    keep = set(keep)
+    kept = {two_j for two_j in range(n % 2, n + 1, 2) if YoungDiagram.from_two_j(n, two_j) in keep}
+    if not kept:
+        raise ParameterError("keep set holds no block of the state")
+    return kept
+
+
+def _spin_sums(projections) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(2j, W, sum_a V_a^T rho V_a) for every spin of ``_spin_projections``, in its order."""
+    return [(two_j, w, np.einsum("akr,ral->kl", left, w)) for two_j, w, left in projections]
+
+
+def _residual(dense: np.ndarray, sums, kept: set[int]) -> np.ndarray:
+    """rho - decode(encode(rho)) for the state ``dense``, from its ``_spin_sums``."""
+    d_enc = sum(two_j + 1 for two_j in kept)
+    tail = sum((np.trace(block).real for two_j, _, block in sums if two_j not in kept), 0.0)
+    inner = [(w, block + tail * ((two_j + 1) / d_enc) * (np.eye(two_j + 1) / (two_j + 1)))
+             for two_j, w, block in sums if two_j in kept]
+    out = np.zeros(dense.shape, np.result_type(dense, *(block for _, block in inner)))
+    for w, block in inner:
         dim, mult, k = w.shape
         # Z^T = W (1_m ox B/m)^T, so that W Z = W (1_m ox B/m) W^T = sum_a V_a (B/m) V_a^T
         spread = _real_times(w.reshape(-1, k), block.T / mult).reshape(dim, mult * k)
         out += _real_times(w.reshape(dim, -1), spread.T)
-    np.subtract(dense, out, out=out)  # rho - decode(encode(rho)), in place
-    del dense
-    eigs = np.linalg.eigvalsh(out)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return np.subtract(dense, out, out=out)  # in place
+
+
+def _half_trace_norm(residual: np.ndarray) -> float:
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(residual))))
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,19 @@ def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
     """All partitions of n into at most r parts, padded to d rows, as an (M, d)
     int64 array in lexicographically decreasing order (read-only).
 
-    Built one column at a time: a prefix with ``left`` boxes still to place in
-    k rows takes every next row from ceil(left / k), which keeps the rest
-    fillable, up to min(left, previous row).  Raises ResourceLimitError,
-    before the array grows past it, when it would hold more than
-    DIAGRAM_ENTRY_CAP entries.
+    One table per (n, d, r) and cap: the last two built are cached and shared,
+    so every caller in one command reads the same read-only array, and a table
+    built under another DIAGRAM_ENTRY_CAP is never reused.  Raises
+    ResourceLimitError, before the array grows past it, when it would hold more
+    than DIAGRAM_ENTRY_CAP entries.
+
+    At most two nonzero rows (min(r, n) <= 2) is the closed form
+    (n - k, k, 0, ..), k = 0 .. n // 2 (one row when r = 1), checked against
+    the cap before it is written.  Otherwise the table is built one level at a
+    time: a prefix with ``left`` boxes still to place in k rows takes every
+    next row from ceil(left / k), which keeps the rest fillable, up to
+    min(left, previous row); each level keeps only its values and the prefix
+    each extends, and every column is gathered once at the end.
     """
     if r is None:
         r = d
@@ -175,21 +183,46 @@ def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
         raise ParameterError(f"negative box count {n}")
     if r < 1 or r > d:
         raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
-    rows = np.empty((1, 0), dtype=np.int64)
-    left = np.array([n], dtype=np.int64)
-    for k in range(min(r, max(n, 1)), 0, -1):  # rows past the n-th are 0
-        hi = np.minimum(left, rows[:, -1]) if rows.shape[1] else left
-        lo = -(-left // k)
-        count = int((hi - lo + 1).sum())
-        if count * d > DIAGRAM_ENTRY_CAP:
-            raise ResourceLimitError(
-                f"diagram table capped at {DIAGRAM_ENTRY_CAP} entries, N={n} with "
-                f"{d} rows needs at least {count * d}")
-        owner, value = _ranges(lo, hi)
-        value = lo[owner] + hi[owner] - value  # each range descending
-        rows = np.column_stack([rows[owner], value])
-        left = left[owner] - value
-    rows = np.pad(rows, ((0, 0), (0, d - rows.shape[1])))
+    return _diagram_table(n, d, r, DIAGRAM_ENTRY_CAP)
+
+
+def _check_diagram_count(count: int, n: int, d: int, cap: int) -> None:
+    if count * d > cap:
+        raise ResourceLimitError(
+            f"diagram table capped at {cap} entries, N={n} with {d} rows needs at least "
+            f"{count * d}")
+
+
+@lru_cache(maxsize=2)
+def _diagram_table(n: int, d: int, r: int, cap: int) -> np.ndarray:
+    """``diagram_rows(n, d, r)`` under the cap ``cap`` (read-only)."""
+    if min(r, n) <= 2:
+        count = 1 if r == 1 else n // 2 + 1
+        _check_diagram_count(count, n, d, cap)
+        rows = np.zeros((count, d), dtype=np.int64)
+        k = np.arange(count)
+        rows[:, 0] = n - k
+        if r > 1:
+            rows[:, 1] = k
+    else:
+        levels = []  # per column: (the prefix each entry extends, its value)
+        left = value = np.array([n], dtype=np.int64)
+        for k in range(min(r, n), 0, -1):  # rows past the n-th are 0
+            hi = np.minimum(left, value)
+            lo = -(-left // k)
+            _check_diagram_count(int((hi - lo + 1).sum()), n, d, cap)
+            owner, value = _ranges(lo, hi)
+            value = lo[owner] + hi[owner] - value  # each range descending
+            left = left[owner] - value
+            levels.append((owner, value))
+        rows = np.zeros((len(value), d), dtype=np.int64)
+        at = levels.pop()[0]  # every row's prefix, at the column being read
+        rows[:, len(levels)] = value
+        for col in range(len(levels) - 1, -1, -1):
+            owner, value = levels[col]
+            rows[:, col] = value[at]
+            if col:
+                at = owner[at]
     rows.flags.writeable = False
     return rows
 
@@ -278,6 +311,8 @@ def _weyl_dims(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[1]
+    if d == 2:  # one pair, over 0! 1! = 1
+        return rows[:, 0] - rows[:, 1] + 1
     top = int((rows > 0).sum(axis=1).max(initial=0))
     i, j = np.nonzero(np.arange(top)[:, None] < np.arange(d))  # every pair i < j, i < L
     factors = rows[:, i] - rows[:, j] + (j - i)

@@ -5,7 +5,9 @@ the Schur polynomial summed over it, the binomial-difference qubit
 multiplicity, the Clebsch-Gordan square in exact rationals, the tableau
 contents of a shape in Gelfand-Tsetlin order from the branching rule, the
 log Schur polynomials of rank >= 3 by branching over rows one l_1 at a time
-(``log_schur_planes``) and the Cauchy identity on the engine's weights.  The
+(``log_schur_planes``), the diagram table built one column at a time with
+every earlier column gathered again (``diagram_rows_by_columns``) and the
+Cauchy identity on the engine's weights.  The
 Schur polynomial of each diagram is a thin lookup into the package's batched
 engine, and ``block_state`` lays out a hand-written
 {YoungDiagram: (weight, matrix)} mapping on the rows a ``BlockState`` is
@@ -182,6 +184,21 @@ def log_schur_planes(n: int, spectrum: Spectrum) -> np.ndarray:
     out = [_interlacing_sums(table, n - i, n, delta[:-1, -1], block)
            for i, block in enumerate(blocks)]
     return np.log(np.concatenate(out)) + rows @ log_x
+
+
+def diagram_rows_by_columns(n: int, d: int, r: int) -> np.ndarray:
+    """``diagram_rows(n, d, r)`` without its cap, closed form or cache: one column
+    at a time, each level re-gathering every earlier column by its prefix."""
+    rows = np.empty((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for k in range(min(r, max(n, 1)), 0, -1):  # rows past the n-th are 0
+        hi = np.minimum(left, rows[:, -1]) if rows.shape[1] else left
+        lo = -(-left // k)
+        owner, value = _ranges(lo, hi)
+        value = lo[owner] + hi[owner] - value  # each range descending
+        rows = np.column_stack([rows[owner], value])
+        left = left[owner] - value
+    return np.pad(rows, ((0, 0), (0, d - rows.shape[1])))
 
 
 def cauchy_identity_residual(n: int, spectrum: Spectrum) -> float:

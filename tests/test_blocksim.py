@@ -138,7 +138,6 @@ def test_weight_views_share_one_read_only_table():
 
 def test_block_weights_over_the_diagram_cap_raise(monkeypatch):
     monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 100)
-    blocksim.weight_table.cache_clear()
     block_weights(12, spectrum_of(0.5, 0.3, 0.2))  # 19 diagrams of 3 rows
     with pytest.raises(ResourceLimitError):
         block_weights(20, spectrum_of(0.5, 0.3, 0.2))
@@ -581,6 +580,20 @@ def test_validate_rejects_weight_where_no_block_is_held():
         validate_block_state(state)
 
 
+@pytest.mark.parametrize("weight, hermitian", [(0.5, False), (1e-4, True)])
+def test_validate_weighs_the_hermitian_tolerance(weight, hermitian):
+    # off Hermitian by 1e-9: 5e-10 on the scale of the state at weight 0.5,
+    # 1e-13 at weight 1e-4, against a tolerance of 1e-12
+    mat = np.eye(3) / 3
+    mat[0, 1] += 1e-9
+    state = BlockState.from_matrices(2, 2, np.array([weight, 1.0 - weight]), [mat, np.eye(1)])
+    if hermitian:
+        validate_block_state(state)
+    else:
+        with pytest.raises(ContractViolationError, match=r"^block \[2, 0\] not Hermitian$"):
+            validate_block_state(state)
+
+
 def test_dense_blocks_of_the_wrong_shape_raise_at_construction():
     # a 2 x 2 block on the dimension-3 row of N = 2 qubits used to pass
     # validate_block_state and then fail inside a numpy broadcast in encode
@@ -733,7 +746,6 @@ def test_trace_distance_between_crossing_layouts(monkeypatch):
     # state's top block are one zero pair, so the two layouts differ and every
     # row is compared as its expanded diagonals
     monkeypatch.setattr(blocksim, "UNDERFLOW", 0.05)
-    blocksim.weight_table.cache_clear()
     a = product_state(spectrum_of(0.9, 0.1), 8)
     b = product_state(spectrum_of(0.55, 0.45), 8)
     assert ((a.sizes == 1) & (b.sizes > 1)).any() and ((a.sizes > 1) & (b.sizes == 1)).any()

@@ -126,7 +126,6 @@ def test_simulate_over_the_block_entry_cap_exits_4(capsys, monkeypatch):
 ])
 def test_weight_path_over_its_caps_exits_4(capsys, monkeypatch, cap, argv):
     monkeypatch.setattr(schur_core, cap, 100)
-    blocksim.weight_table.cache_clear()
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert err.startswith("resource limit: ") and "100" in err

@@ -193,6 +193,35 @@ def test_extract_blocks_on_symmetrized_random_state():
         validate_block_state(state)
 
 
+def test_extracted_blocks_of_tiny_weight_validate():
+    # the blocks of weight 7.5e-8 and 4.2e-14 are off Hermitian by 2.4e-10 and
+    # 3e-5 as matrices, far inside the tolerance on the scale of the state
+    dense = dense_product_state(Spectrum((0.999, 0.001)), 10, BlochVector(1.0, 0.5))
+    validate_block_state(extract_blocks(dense, 10))
+
+
+def test_dense_product_state_is_the_kronecker_power():
+    for sp, orient, n in [(Spectrum((0.75, 0.25)), None, 6),
+                          (Spectrum((0.75, 0.25)), BlochVector(1.0, 0.5), 5),
+                          (Spectrum((0.9, 0.1)), BlochVector(0.7, 0.0), 4),
+                          (Spectrum((0.5, 0.3, 0.2)), None, 4)]:
+        rho = dense_product_state(sp, 1, orient)
+        got, want = dense_product_state(sp, n, orient), reduce(np.kron, [rho] * n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (sp, orient, n)
+
+
+def test_one_dense_state_serves_the_blocks_and_the_protocol_error():
+    sp, orient, n = Spectrum((0.75, 0.25)), BlochVector(1.0, 0.5), 7
+    state, protocol_error = oracle._qubit_reference(sp, n, orient)
+    want = extract_blocks(dense_product_state(sp, n, orient), n)
+    assert np.array_equal(state.weights, want.weights)
+    assert all(np.array_equal(state.dense[i], mat) for i, mat in want.dense.items())
+    keep = enumerate_diagrams(n, 2)[1:3]
+    assert protocol_error(keep) == dense_protocol_error(n, sp, keep, orient)
+    with pytest.raises(ParameterError, match="holds no block"):
+        protocol_error([YoungDiagram((7, 0, 0))])
+
+
 def _basis_state(bits: str) -> np.ndarray:
     dense = np.zeros((2 ** len(bits), 2 ** len(bits)))
     dense[int(bits, 2), int(bits, 2)] = 1.0

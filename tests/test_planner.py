@@ -448,7 +448,6 @@ def test_greedy_rejects_a_nan_budget():
 
 def test_planning_over_the_diagram_cap_raises(monkeypatch):
     monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 100)
-    weight_table.cache_clear()
     sp = spectrum_of(0.5, 0.3, 0.2)
     greedy_budget_keep(12, sp, 50.0)  # 19 diagrams of 3 rows
     for call in (lambda: greedy_budget_keep(20, sp, 50.0),

@@ -30,6 +30,7 @@ from schurcompress.schur_core import (
 from reference import (
     LOG_IDENTITY_TOL,
     cauchy_identity_residual,
+    diagram_rows_by_columns,
     gelfand_tsetlin_contents,
     log_schur_planes,
     qubit_multiplicity,
@@ -156,6 +157,64 @@ def test_diagram_rows_cap_raises_before_building(monkeypatch):
         diagram_rows(12, 3)
     with pytest.raises(ResourceLimitError):
         enumerate_diagrams(5, 10 ** 9)  # the padding alone is over the cap
+
+
+def test_diagram_rows_match_partitions_by_conjugation():
+    # a partition into at most 6 parts is the conjugate of one into parts of
+    # size at most 6: its rows are the tail sums of the multiplicities c_1..c_6
+    # of the parts 1..6, and c_1 = n - (2 c_2 + .. + 6 c_6) is fixed by the rest
+    top, sizes = 60, np.arange(2, 7)
+    boxes = sum(np.ix_(*(size * np.arange(top // size + 1) for size in sizes)))
+    mults = np.column_stack(np.nonzero(boxes <= top))  # c_2..c_6
+    for n in range(top + 1):
+        mult = mults[mults @ sizes <= n]
+        every = np.cumsum(np.column_stack([n - mult @ sizes, mult])[:, ::-1], axis=1)[:, ::-1]
+        every = every[np.lexsort(every.T[::-1])[::-1]]  # lexicographically decreasing
+        for d in range(1, 7):
+            for r in range(1, d + 1):
+                rows = diagram_rows(n, d, r)
+                assert rows.dtype == np.int64 and not rows.flags.writeable
+                assert np.array_equal(rows, every[~every[:, r:].any(axis=1), :d]), (n, d, r)
+
+
+@pytest.mark.parametrize("n, d", [(16384, 2), (2000, 3), (300, 4), (100, 5)])
+def test_diagram_rows_match_the_column_route_at_scale(n, d):
+    for r in {2, d}:
+        rows = diagram_rows(n, d, r)
+        assert rows.dtype == np.int64 and not rows.flags.writeable and rows.flags.c_contiguous
+        assert np.array_equal(rows, diagram_rows_by_columns(n, d, r)), (n, d, r)
+
+
+def test_diagram_rows_share_one_table_per_cap(monkeypatch):
+    rows = diagram_rows(12, 3)
+    assert diagram_rows(12, 3) is rows and diagram_rows(12, 3, 3) is rows
+    monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 19 * 3 - 1)
+    with pytest.raises(ResourceLimitError):  # the cached table was built under another cap
+        diagram_rows(12, 3)
+    monkeypatch.setattr(schur_core, "DIAGRAM_ENTRY_CAP", 100)
+    assert len(diagram_rows(98, 2)) == 50  # 100 entries
+    with pytest.raises(ResourceLimitError, match="needs at least 102$"):
+        diagram_rows(100, 2)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_diagram_rows_refuse_a_huge_padding_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"needs at least {(n // 2 + 1) * 10 ** 9}$"):
+            diagram_rows(n, 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_two_row_weyl_dims_match_irrep_dim():
+    for n in range(301):
+        rows = diagram_rows(n, 2)
+        dims = schur_core._weyl_dims(rows)
+        assert dims.dtype == np.int64
+        assert dims.tolist() == [irrep_dim(YoungDiagram(row), 2) for row in rows.tolist()]
 
 
 def test_young_diagram_validation():

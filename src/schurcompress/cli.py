@@ -7,8 +7,9 @@ byte-identical across runs.  Exit codes: 0 ok, 1 oracle mismatch, 2 usage
 or input error, 3 not-applicable request, 4 resource cap exceeded.
 
 ``build_parser`` alone declares each flag's type, default and choices, and
-``--format`` offers only the forms its command prints.  ``--config`` values
-become parser defaults, checked the same way, so a command-line flag wins.
+``--format`` offers only the forms its command prints; ``main`` builds it
+once per process.  ``--config`` values become the defaults of a parser built
+for that run, checked the same way, so a command-line flag wins.
 Each ``cmd_*`` returns (exit code, JSON params, JSON results, text lines).
 """
 
@@ -20,6 +21,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -462,11 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()  # one per process, never changed: --config runs build their own
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.config:
+            parser = build_parser()
             apply_config(parser, args.command, load_config(args.config))
             args = parser.parse_args(argv)
         code, params, results, lines = args.func(args)

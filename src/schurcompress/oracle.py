@@ -3,25 +3,26 @@
 Everything here works in the full d^N-dimensional space: Kronecker powers,
 a Schur basis built one qubit at a time by coupling a spin j with a spin 1/2
 (the two-term Condon-Shortley j x 1/2 rule, written out here), block
-extraction by explicit projection, and the protocol error evaluated literally.
+extraction by explicit projection, and the protocol error in that basis.
 These paths share no code with the block-level simulator beyond the data
 types (a ``BlockState`` follows the rows of ``diagram_rows``, descending 2j),
 ``enumerate_diagrams`` and ``multiplicity_dim``, so agreement between the two
 is a real cross-check.
 
 Every entry point takes N >= 1 copies.  Hard size caps: d^N <= 4096, and
-N! <= 7! for the character projection.  The computation stays literal: a
-dense rho^{ox N} in the computational basis, explicit basis columns,
-projections by matrix products and the trace norm from a dense Hermitian
-eigendecomposition, with the same structure assertions whatever the input.
-What is batched is the bookkeeping around it.  All copies of one spin are one
-(2^N, m, 2j+1) array, so a coupling step is two matrix products, a projection
-onto a spin is one Gram product V^T rho V, and the encode-decode map on a spin
-is one product back into the full space, instead of a few small products per
-copy; ``oracle-check`` builds rho^{ox N} once and reads one W^T rho per spin
-for both the extraction and the protocol error.  Tr[rho^{ox N} U_pi] is read
-as a gather of d^N entries of the dense state rather than through a built
-U_pi.  A real rho is held as a real array.
+N! <= 7! for the character projection.  The inputs stay literal: a dense
+rho^{ox N} in the computational basis and explicit basis columns, with the
+same structure assertions whatever the input.  The qubit basis is one
+orthogonal matrix Q, its columns grouped by spin, so a coupling step is two
+matrix products per spin and every projection reads the Gram matrix
+G = Q^T rho Q, one spin's strip at a time.  Its diagonal spin blocks give the
+extracted blocks and the protocol error, half the summed trace norms of the
+residual's diagonal spin blocks, one dense Hermitian eigendecomposition per
+spin.  By pinching the full residual's trace norm is within sqrt(D) ||C||_F
+of that sum, where C, the cross-spin part of G, is checked to vanish.
+``oracle-check`` builds rho^{ox N} and G once for both.  Tr[rho^{ox N} U_pi]
+is read as a gather of d^N entries of the dense state rather than through a
+built U_pi.  A real rho is held as a real array.
 """
 
 from __future__ import annotations
@@ -115,42 +116,42 @@ def _coupling_matrix(two_j: int, two_s: int, two_jt: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _spin_bases(n: int) -> dict[int, np.ndarray]:
-    """{2j: W} with W of shape (2^N, m_j, 2j+1) holding every copy of spin j
-    (read-only): W[:, a, :] is copy a, its columns |j, m> for ascending m.
+def _spin_bases(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, slice], ...]]:
+    """(Q^T, spins): the coupled basis as the rows of one read-only 2^N x 2^N
+    orthogonal matrix, and (2j, m_j, its rows) for every spin in row order,
+    descending 2j.  Spin j holds m_j (2j+1) consecutive rows, copy by copy, each
+    copy's |j, m> for ascending m.
 
-    One coupling step adds qubit k+1 as the last tensor factor: copies of spin
-    j go to j' = j +- 1/2 through two matrix products, W @ C_up and W @ C_down,
-    which fill the rows |r>|0> and |r>|1>.  Copies coupled down from 2j'+1 come
-    before those coupled up from 2j'-1.  Each cached entry is a full 2^N x 2^N
-    orthogonal matrix (134 MB at N = 12), so the cache holds only two.
+    One coupling step adds qubit k+1 as the last tensor factor: the copies of
+    spin j go to j' = j +- 1/2 through two products C_s^T B, which fill the
+    columns |r>|0> and |r>|1>.  Copies coupled down from 2j'+1 come before
+    those coupled up from 2j'-1.  Each cached matrix is 2^N x 2^N (134 MB at
+    N = 12), so the cache holds only two.
     """
     _check_cap(2, n)
-    # ascending m: col 0 is m=-1/2 -> |1>, col 1 is m=+1/2 -> |0>
-    level = {1: np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 1, 2)}
+    # ascending m: row 0 is m=-1/2 -> |1>, row 1 is m=+1/2 -> |0>
+    basis, spins = np.array([[0.0, 1.0], [1.0, 0.0]]), [(1, 1, slice(0, 2))]
     for _ in range(n - 1):
+        dim = basis.shape[1]
         sources: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for two_j, w in sorted(level.items(), reverse=True):
+        for two_j, mult, rows in spins:
             for two_jt in (two_j + 1, two_j - 1):
                 if two_jt >= 0:
-                    sources.setdefault(two_jt, []).append((two_j, w))
-        nxt = {}
-        for two_jt, parts in sources.items():
-            dim = parts[0][1].shape[0]
-            new = np.empty((dim, 2, sum(w.shape[1] for _, w in parts), two_jt + 1))
-            start = 0
-            for two_j, w in parts:
-                mult = w.shape[1]
-                flat = w.reshape(-1, two_j + 1)
+                    block = basis[rows].reshape(mult, two_j + 1, dim)
+                    sources.setdefault(two_jt, []).append((two_j, block))
+        nxt, spins, start = np.empty((2 * dim, dim, 2)), [], 0
+        for two_jt, parts in sorted(sources.items(), reverse=True):
+            first = start
+            for two_j, block in parts:
+                stop = start + len(block) * (two_jt + 1)
+                new = nxt[start:stop].reshape(len(block), two_jt + 1, dim, 2)
                 for bit, two_s in enumerate((1, -1)):  # |0> is spin up
-                    coupled = flat @ _coupling_matrix(two_j, two_s, two_jt)
-                    new[:, bit, start:start + mult] = coupled.reshape(dim, mult, two_jt + 1)
-                start += mult
-            nxt[two_jt] = new.reshape(2 * dim, -1, two_jt + 1)
-        level = nxt
-    for w in level.values():
-        w.flags.writeable = False
-    return level
+                    new[..., bit] = np.matmul(_coupling_matrix(two_j, two_s, two_jt).T, block)
+                start = stop
+            spins.append((two_jt, (start - first) // (two_jt + 1), slice(first, start)))
+        basis = nxt.reshape(2 * dim, 2 * dim)
+    basis.flags.writeable = False
+    return basis, tuple(spins)
 
 
 def schur_basis_qubits(n: int) -> dict[int, list[np.ndarray]]:
@@ -160,15 +161,17 @@ def schur_basis_qubits(n: int) -> dict[int, list[np.ndarray]]:
     columns are |j, m> for ascending m.  Coupling order: qubit 1 with 2, the
     result with 3, and so on; the copy order follows that tree, which is an
     arbitrary but fixed convention.  Computational |0> is spin up (m = +1/2).
-    The V are read-only views of one cached array per spin.
+    The V are read-only views of one cached matrix.
     """
-    return {two_j: list(w.transpose(1, 0, 2)) for two_j, w in _spin_bases(n).items()}
+    basis, spins = _spin_bases(n)
+    return {two_j: list(basis[rows].reshape(mult, two_j + 1, -1).transpose(0, 2, 1))
+            for two_j, mult, rows in spins}
 
 
 def schur_isometry(n: int) -> np.ndarray:
-    """All basis columns side by side: a full 2^N x 2^N orthogonal matrix."""
-    return np.concatenate([w.reshape(w.shape[0], -1)
-                           for _, w in sorted(_spin_bases(n).items(), reverse=True)], axis=1)
+    """All basis columns side by side, spins in descending 2j: a full 2^N x 2^N
+    orthogonal matrix Q, a read-only view of the cached Q^T."""
+    return _spin_bases(n)[0].T
 
 
 def _real_times(real: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -180,13 +183,23 @@ def _real_times(real: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (real @ pairs).view(np.complex128)
 
 
-def _spin_projections(dense: np.ndarray, n: int):
-    """(2j, W, W^T rho) for every spin, in diagram_rows order (descending 2j):
-    the copies W (D, m, k) of the spin and W^T rho viewed as (m, k, D), one
-    spin at a time."""
-    for two_j, w in sorted(_spin_bases(n).items(), reverse=True):
-        dim, mult, k = w.shape
-        yield two_j, w, _real_times(w.reshape(dim, -1).T, dense).reshape(mult, k, dim)
+def _coupled_gram(dense: np.ndarray, n: int):
+    """The Gram matrix G = Q^T rho Q of a Hermitian rho in the coupled basis:
+    per spin (2j, G_jj viewed as (m, k, m, k), so that entry [a, :, b, :] is
+    V_a^T rho V_b), in row order, and sqrt(D) ||C||_F, with C the cross-spin
+    blocks of G.  Spin j's rows from its first column on, (W_j^T rho) Q[:, j:],
+    are one strip (Q[:, j:]^T (W_j^T rho)^T)^T, so both products keep Q real; as
+    G is Hermitian, C is twice the strips' views right of G_jj."""
+    basis, spins = _spin_bases(n)
+    grams, cross = [], 0.0
+    for two_j, mult, rows in spins:
+        left = _real_times(basis[rows], dense).T  # (W_j^T rho)^T
+        # a complex one as the pairs _real_times reads, copied here so the original is freed
+        left = np.ascontiguousarray(left) if np.iscomplexobj(left) else left
+        strip, size = _real_times(basis[rows.start:], left), rows.stop - rows.start
+        cross += 2.0 * float(np.vdot(strip[size:], strip[size:]).real)
+        grams.append((two_j, strip[:size].T.copy().reshape(mult, two_j + 1, mult, two_j + 1)))
+    return grams, math.sqrt(len(basis) * cross)
 
 
 def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
@@ -202,21 +215,17 @@ def extract_blocks(dense: np.ndarray, n: int) -> BlockState:
     if dense.shape != (2 ** n, 2 ** n):
         raise ParameterError(f"a dense state of {n} qubits is {2 ** n} x {2 ** n}, "
                              f"got shape {dense.shape}")
-    return _blocks(_spin_projections(dense, n), n)
+    return _blocks(_coupled_gram(dense, n)[0], n)
 
 
-def _blocks(projections, n: int) -> BlockState:
-    """``extract_blocks`` from the ``_spin_projections`` of the state: per spin the
-    Gram matrix W^T rho W, viewed as (m, k, m, k) so that entry [a, :, b, :] is
-    V_a^T rho V_b."""
+def _blocks(grams, n: int) -> BlockState:
+    """``extract_blocks`` from the diagonal spin blocks of ``_coupled_gram``."""
     blocks = []
-    for two_j, w, left in projections:
+    for two_j, gram in grams:
         lam = YoungDiagram.from_two_j(n, two_j)
-        mult, k, dim = left.shape
+        mult = len(gram)
         if mult != multiplicity_dim(lam):
             raise OracleMismatchError(f"coupling produced wrong multiplicity for 2j={two_j}")
-        flat = w.reshape(dim, mult * k)
-        gram = _real_times(flat.T, left.reshape(mult * k, dim).T).T.reshape(mult, k, mult, k)
         cross = np.abs(gram).max(axis=(1, 3))
         np.fill_diagonal(cross, 0.0)
         bad = np.argwhere(cross > STRUCTURE_TOL)
@@ -280,38 +289,35 @@ def block_spectrum_mismatch(block_state: BlockState, oracle_state: BlockState) -
 def dense_protocol_error(n: int, spectrum: Spectrum,
                          keep: Iterable[YoungDiagram],
                          orientation: BlochVector | None = None) -> float:
-    """(1/2) || rho - decode(encode(rho)) ||_1 evaluated in the full space.
+    """(1/2) || rho - decode(encode(rho)) ||_1 evaluated in the coupled basis Q.
 
-    The encode-decode composite is assembled from the coupled basis columns:
-    per kept spin one block B_j, sum_a V_a^T rho V_a plus its share of the
-    tail mass in the maximally mixed dump, tail * ((2j+1)/d_enc) * 1/(2j+1),
-    goes back as sum_a V_a (B_j / m_j) V_a^T.  The
-    trace norm comes from a dense Hermitian eigendecomposition.  Qubits only
-    (the qudit oracle validates weights, not channels): a spectrum with d != 2
-    raises UnsupportedFeatureError.
+    Per kept spin the channel keeps B_j, sum_a V_a^T rho V_a plus its share of
+    the tail mass in the maximally mixed dump, tail * ((2j+1)/d_enc) * 1/(2j+1),
+    and returns sum_a V_a (B_j / m_j) V_a^T; a dropped spin returns nothing.
+    With G = Q^T rho Q the residual is G - 1_m ox B_j/m on each kept spin's
+    diagonal block, G on a dropped one's, and C, the cross-spin part of G, off
+    them.  The error is (1/2) sum_j ||R_jj||_1, one dense Hermitian
+    eigendecomposition per spin; by pinching the full trace norm is within
+    sqrt(D) ||C||_F of it, and a bound above 1e-10 raises OracleMismatchError.
+    Qubits only (the qudit oracle validates weights, not channels): a spectrum
+    with d != 2 raises UnsupportedFeatureError.
     """
     _check_cap(2, n)
     if spectrum.d != 2:
         raise UnsupportedFeatureError(f"the dense protocol error is for qubits, got d={spectrum.d}")
     kept = _kept_spins(n, keep)
-    dense = dense_product_state(spectrum, n, orientation)
-    residual = _residual(dense, _spin_sums(_spin_projections(dense, n)), kept)
-    del dense  # before the eigendecomposition copies the residual
-    return _half_trace_norm(residual)
+    return _protocol_error(*_coupled_gram(dense_product_state(spectrum, n, orientation), n), kept)
 
 
 def _qubit_reference(spectrum: Spectrum, n: int, orientation: BlochVector | None):
-    """``extract_blocks`` of the dense qubit product state, and its
-    ``dense_protocol_error`` as a function of the keep set, from one dense state
-    and one W^T rho per spin."""
-    dense = dense_product_state(spectrum, n, orientation)
-    projections = list(_spin_projections(dense, n))
-    sums = _spin_sums(projections)
+    """``extract_blocks`` of the dense qubit product state, and its ``dense_protocol_error``
+    as a function of the keep set, from one dense state and one Gram matrix."""
+    grams, bound = _coupled_gram(dense_product_state(spectrum, n, orientation), n)
 
     def protocol_error(keep: Iterable[YoungDiagram]) -> float:
-        return _half_trace_norm(_residual(dense, sums, _kept_spins(n, keep)))
+        return _protocol_error(grams, bound, _kept_spins(n, keep))
 
-    return _blocks(projections, n), protocol_error
+    return _blocks(grams, n), protocol_error
 
 
 def _kept_spins(n: int, keep: Iterable[YoungDiagram]) -> set[int]:
@@ -323,28 +329,22 @@ def _kept_spins(n: int, keep: Iterable[YoungDiagram]) -> set[int]:
     return kept
 
 
-def _spin_sums(projections) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(2j, W, sum_a V_a^T rho V_a) for every spin of ``_spin_projections``, in its order."""
-    return [(two_j, w, np.einsum("akr,ral->kl", left, w)) for two_j, w, left in projections]
-
-
-def _residual(dense: np.ndarray, sums, kept: set[int]) -> np.ndarray:
-    """rho - decode(encode(rho)) for the state ``dense``, from its ``_spin_sums``."""
+def _protocol_error(grams, bound: float, kept: set[int]) -> float:
+    """(1/2) sum_j ||R_jj||_1 from the ``_coupled_gram`` of the state."""
+    if bound > STRUCTURE_TOL:
+        raise OracleMismatchError(f"pinching bound sqrt(D) ||C||_F = {bound:.3g} of the "
+                                  f"cross-spin blocks exceeds {STRUCTURE_TOL}")
     d_enc = sum(two_j + 1 for two_j in kept)
-    tail = sum((np.trace(block).real for two_j, _, block in sums if two_j not in kept), 0.0)
-    inner = [(w, block + tail * ((two_j + 1) / d_enc) * (np.eye(two_j + 1) / (two_j + 1)))
-             for two_j, w, block in sums if two_j in kept]
-    out = np.zeros(dense.shape, np.result_type(dense, *(block for _, block in inner)))
-    for w, block in inner:
-        dim, mult, k = w.shape
-        # Z^T = W (1_m ox B/m)^T, so that W Z = W (1_m ox B/m) W^T = sum_a V_a (B/m) V_a^T
-        spread = _real_times(w.reshape(-1, k), block.T / mult).reshape(dim, mult * k)
-        out += _real_times(w.reshape(dim, -1), spread.T)
-    return np.subtract(dense, out, out=out)  # in place
-
-
-def _half_trace_norm(residual: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(residual))))
+    tail = sum((np.einsum("akak->", gram).real for two_j, gram in grams if two_j not in kept), 0.0)
+    norm = 0.0
+    for two_j, gram in grams:
+        mult, k = gram.shape[:2]
+        residual = gram.reshape(mult * k, mult * k)
+        if two_j in kept:  # B_j plus its share of the tail, tail * ((2j+1)/d_enc) * 1/(2j+1)
+            block = np.einsum("akal->kl", gram) + tail * ((two_j + 1) / d_enc) * (np.eye(k) / k)
+            residual = residual - np.kron(np.eye(mult), block / mult)
+        norm += float(np.sum(np.abs(np.linalg.eigvalsh(residual))))
+    return 0.5 * norm
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ multiplicity, the Clebsch-Gordan square in exact rationals, the tableau
 contents of a shape in Gelfand-Tsetlin order from the branching rule, the
 log Schur polynomials of rank >= 3 by branching over rows one l_1 at a time
 (``log_schur_planes``), the diagram table built one column at a time with
-every earlier column gathered again (``diagram_rows_by_columns``) and the
-Cauchy identity on the engine's weights.  The
+every earlier column gathered again (``diagram_rows_by_columns``), the
+Cauchy identity on the engine's weights, and the dense protocol error as the
+trace norm of the whole residual in the computational basis
+(``dense_protocol_error_by_residual``).  The
 Schur polynomial of each diagram is a thin lookup into the package's batched
 engine, and ``block_state`` lays out a hand-written
 {YoungDiagram: (weight, matrix)} mapping on the rows a ``BlockState`` is
@@ -23,6 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from schurcompress.blocksim import BlockState
+from schurcompress.oracle import dense_product_state, schur_basis_qubits
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
@@ -306,3 +309,23 @@ def clebsch_gordan_signed_square(two_j1: int, two_m1: int, two_j2: int, two_m2: 
             acc += Fraction((-1) ** k, math.prod(map(math.factorial, args)))
     square = pref * acc * acc
     return square if acc >= 0 else -square
+
+
+def dense_protocol_error_by_residual(n: int, spectrum: Spectrum, keep,
+                                     orientation=None) -> float:
+    """(1/2) || rho - decode(encode(rho)) ||_1 with the residual built in the
+    computational basis and diagonalized whole: per kept spin B_j, the sum of
+    V_a^T rho V_a over its copies plus tail * ((2j+1)/d_enc) * 1/(2j+1), goes back
+    as sum_a V_a (B_j / m_j) V_a^T."""
+    dense = dense_product_state(spectrum, n, orientation)
+    kept = {lam.two_j for lam in keep}
+    sums = {two_j: sum(v.T @ dense @ v for v in copies)
+            for two_j, copies in schur_basis_qubits(n).items()}
+    d_enc = sum(two_j + 1 for two_j in kept)
+    tail = sum(np.trace(block).real for two_j, block in sums.items() if two_j not in kept)
+    residual = dense.astype(complex)
+    for two_j in kept:
+        block = sums[two_j] + tail * ((two_j + 1) / d_enc) * (np.eye(two_j + 1) / (two_j + 1))
+        copies = schur_basis_qubits(n)[two_j]
+        residual -= sum(v @ block @ v.T for v in copies) / len(copies)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(residual))))

@@ -466,6 +466,25 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     assert "sum of irrep_dim*mult_dim = 4" in out
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # the caches start empty (conftest), as in a fresh process
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for argv in (["dims", "--n", "4", "--d", "2"], ["qdist", "--n", "4", "--spectrum", "0.75,0.25"],
+                 ["plan", "--n", "8", "--spectrum", "0.75,0.25", "--zero-error"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_a_config_run_leaves_the_shared_parser_alone(tmp_path, capsys):
+    argv = ["plan", "--n", "20", "--spectrum", "0.6,0.4"]
+    code, out, _ = run_cli(capsys, *argv, "--config", _config(tmp_path, "epsilon=0.01\n"))
+    assert code == 0 and "epsilon=0.01" in out
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: plan requires --epsilon or --zero-error\n"
+
+
 def test_float_output_precision(capsys):
     code, out, _ = run_cli(capsys, "qdist", "--n", "6", "--spectrum", "0.9,0.1",
                            "--format", "csv")

@@ -41,7 +41,7 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
-from reference import clebsch_gordan_signed_square
+from reference import clebsch_gordan_signed_square, dense_protocol_error_by_residual
 
 
 def test_dense_product_state_basics():
@@ -332,6 +332,48 @@ def test_dense_protocol_error_orientation_invariant():
     plain = dense_protocol_error(5, sp, keep)
     rotated = dense_protocol_error(5, sp, keep, BlochVector(1.0, 0.5))
     assert rotated == pytest.approx(plain, abs=1e-8)
+
+
+def test_dense_protocol_error_matches_the_whole_residual():
+    # the coupled-basis route against the residual built in the computational
+    # basis and diagonalized whole
+    rng = np.random.default_rng(37)
+    for n in range(1, 9):
+        grid = enumerate_diagrams(n, 2)
+        frames = (None, BlochVector(1.0, 0.5),
+                  BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+        for sp in (Spectrum((0.75, 0.25)), Spectrum((0.999, 0.001))):
+            for orient in frames:
+                for _ in range(3):
+                    mask = rng.random(len(grid)) < 0.5
+                    keep = [lam for lam, kept in zip(grid, mask) if kept] or grid[-1:]
+                    want = dense_protocol_error_by_residual(n, sp, keep, orient)
+                    got = dense_protocol_error(n, sp, keep, orient)
+                    assert got == pytest.approx(want, abs=1e-12), (n, sp, orient, keep)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_dense_protocol_error_refuses_a_state_that_leaks_across_spins(monkeypatch, eps):
+    # eps (u v^T + v u^T) with u and v basis columns of two different spins
+    # leaves every diagonal spin block as it was; only the pinching bound sees it
+    n, sp = 6, Spectrum((0.75, 0.25))
+    basis = schur_basis_qubits(n)
+    u, v = basis[6][0][:, 3], basis[2][1][:, 0]
+    clean = oracle.dense_product_state
+
+    def leaky(spectrum, n, orientation=None):
+        return clean(spectrum, n, orientation) + eps * (np.outer(u, v) + np.outer(v, u))
+
+    monkeypatch.setattr(oracle, "dense_product_state", leaky)
+    keep = enumerate_diagrams(n, 2)[:2]
+    if eps:
+        with pytest.raises(OracleMismatchError, match=r"^pinching bound sqrt\(D\) \|\|C\|\|_F"):
+            dense_protocol_error(n, sp, keep)
+        with pytest.raises(OracleMismatchError, match="pinching bound"):
+            oracle._qubit_reference(sp, n, None)[1](keep)
+    else:
+        assert dense_protocol_error(n, sp, keep) == pytest.approx(
+            exact_protocol_error(n, sp, keep).exact_error, abs=1e-12)
 
 
 def test_dense_protocol_error_rejects_a_keep_set_that_names_no_spin():

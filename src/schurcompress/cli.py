@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 
@@ -461,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=0)
     common(p_oracle, cmd_oracle_check, ("table", "json"))
 
+    for p in (parser, *sub.choices.values()):  # so that "-1e-3" is a value, not a flag
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

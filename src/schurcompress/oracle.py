@@ -10,19 +10,21 @@ types (a ``BlockState`` follows the rows of ``diagram_rows``, descending 2j),
 is a real cross-check.
 
 Every entry point takes N >= 1 copies.  Hard size caps: d^N <= 4096, and
-N! <= 7! for the character projection.  The inputs stay literal: a dense
-rho^{ox N} in the computational basis and explicit basis columns, with the
-same structure assertions whatever the input.  The qubit basis is one
-orthogonal matrix Q, its columns grouped by spin, so a coupling step is two
-matrix products per spin and every projection reads the Gram matrix
-G = Q^T rho Q, one spin's strip at a time.  Its diagonal spin blocks give the
-extracted blocks and the protocol error, half the summed trace norms of the
-residual's diagonal spin blocks, one dense Hermitian eigendecomposition per
-spin.  By pinching the full residual's trace norm is within sqrt(D) ||C||_F
-of that sum, where C, the cross-spin part of G, is checked to vanish.
-``oracle-check`` builds rho^{ox N} and G once for both.  Tr[rho^{ox N} U_pi]
-is read as a gather of d^N entries of the dense state rather than through a
-built U_pi.  A real rho is held as a real array.
+N! <= 7! for the character projection.  The inputs stay literal: rho^{ox N} is
+a dense matrix in the computational basis, used as an arbitrary Hermitian
+matrix, with the same structure assertions whatever the input.  The qubit
+basis Q^T is stored by magnetization sector: |j, m> lives on the strings of
+Hamming weight N/2 - m, so Q^T is a permutation of N + 1 square blocks
+holding C(2N, N) entries, and only products with Q's structural zeros are
+skipped.  Every projection reads the Gram matrix G = Q^T rho Q one row sector
+at a time.  Its diagonal spin blocks give the extracted blocks and the
+protocol error, half the summed trace norms of the residual's diagonal spin
+blocks, one dense Hermitian eigendecomposition per spin.  By pinching the
+full residual's trace norm is within sqrt(D) ||C||_F of that sum, where C,
+the cross-spin part of G, is checked to vanish.  ``oracle-check`` builds
+rho^{ox N} and G once for both.  Tr[rho^{ox N} U_pi] is read as a gather of
+d^N entries of the dense state rather than through a built U_pi.  A real rho
+is held as a real array.
 """
 
 from __future__ import annotations
@@ -88,9 +90,11 @@ def dense_product_state(spectrum: Spectrum, n: int,
     if not rho.imag.any():
         rho = rho.real
     full = rho
-    for _ in range(n - 1):  # np.kron(full, rho), one product per entry
-        dim = full.shape[0] * d
-        full = (full[:, None, :, None] * rho[None, :, None, :]).reshape(dim, dim)
+    for _ in range(n - 1):  # np.kron(full, rho), one strided product per entry of rho
+        out = np.empty((len(full), d, len(full), d), rho.dtype)
+        for a, b in np.ndindex(d, d):
+            np.multiply(full, rho[a, b], out=out[:, a, :, b])
+        full = out.reshape(len(full) * d, len(full) * d)
     return full
 
 
@@ -98,60 +102,87 @@ def dense_product_state(spectrum: Spectrum, n: int,
 # Schur basis for qubits, by iterated coupling
 # ---------------------------------------------------------------------------
 
-def _coupling_matrix(two_j: int, two_s: int, two_jt: int) -> np.ndarray:
-    """<j m; 1/2 s | j' m'> for one s and j' = j +- 1/2, rows ascending m and
-    columns ascending m'.
-
-    The Condon-Shortley j x 1/2 rule: with sigma = 2s = +-1 and M = 2m' = 2m + sigma,
-    the entry is sqrt((2j+1 + sigma M) / (2(2j+1))) going up and
-    -sigma sqrt((2j+1 - sigma M) / (2(2j+1))) going down, and only the diagonal
-    m' = m + s is nonzero.
-    """
-    two_mt = np.arange(-two_j, two_j + 1, 2) + two_s
+def _coupling_coefficients(two_j: int, two_s: int, two_jt: int) -> np.ndarray:
+    """<j, m'-s; 1/2, s | j', m'> for one s, j' = j +- 1/2 and every m' of j'
+    ascending, zero where m' - s is no m of j: the Condon-Shortley j x 1/2 rule.
+    With sigma = 2s = +-1 and M = 2m' it is sqrt((2j+1 + sigma M) / (2(2j+1)))
+    going up and -sigma sqrt((2j+1 - sigma M) / (2(2j+1))) going down."""
+    two_mt = np.arange(-two_jt, two_jt + 1, 2)
     if two_jt == two_j + 1:
-        coeff = np.sqrt((two_j + 1 + two_s * two_mt) / (2 * (two_j + 1)))
-    else:
-        coeff = -two_s * np.sqrt((two_j + 1 - two_s * two_mt) / (2 * (two_j + 1)))
-    return coeff[:, None] * np.eye(two_j + 1, two_jt + 1, (two_s + two_jt - two_j) // 2)
+        return np.sqrt((two_j + 1 + two_s * two_mt) / (2 * (two_j + 1)))
+    return -two_s * np.sqrt((two_j + 1 - two_s * two_mt) / (2 * (two_j + 1)))
+
+
+def _spin_rows(n: int) -> list[tuple[int, int, int]]:
+    """(2j, m_j, first) for the spins of N qubits, descending 2j: spin j = N/2 - w
+    has m_j = C(N, w) - C(N, w-1) copies, which follow the C(N, w-1) copies of
+    the larger spins in every magnetization sector that holds j."""
+    below = [0] + [math.comb(n, w) for w in range(n // 2)]
+    return [(n - 2 * w, math.comb(n, w) - below[w], below[w]) for w in range(n // 2 + 1)]
 
 
 @lru_cache(maxsize=2)
-def _spin_bases(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, slice], ...]]:
-    """(Q^T, spins): the coupled basis as the rows of one read-only 2^N x 2^N
-    orthogonal matrix, and (2j, m_j, its rows) for every spin in row order,
-    descending 2j.  Spin j holds m_j (2j+1) consecutive rows, copy by copy, each
-    copy's |j, m> for ascending m.
+def _spin_bases(n: int):
+    """(blocks, columns, spins): the coupled basis Q^T of N qubits by magnetization
+    sector.  Sector w holds |j, m> for m = N/2 - w, every copy of every spin
+    j >= |m|, on the C(N, w) strings of Hamming weight w: Q^T is a permutation
+    of diag(Q_0, ..., Q_N), C(2N, N) floats in all.  ``blocks[w]`` is the
+    read-only square Q_w, ``columns[w]`` its strings, and ``spins`` is
+    ``_spin_rows(n)``: spin j's copies are one run of rows at the same place
+    in every sector that holds it.
 
-    One coupling step adds qubit k+1 as the last tensor factor: the copies of
-    spin j go to j' = j +- 1/2 through two products C_s^T B, which fill the
-    columns |r>|0> and |r>|1>.  Copies coupled down from 2j'+1 come before
-    those coupled up from 2j'-1.  Each cached matrix is 2^N x 2^N (134 MB at
-    N = 12), so the cache holds only two.
+    One coupling step adds qubit k+1 as the last tensor factor: string r becomes
+    2r (|0>, spin up, same sector) and 2r + 1 (|1>, next sector), and the copies
+    of spin j go to j' = j +- 1/2 as [a_+ (rows of old Q_w) | a_- (rows of old
+    Q_{w-1})], a_s the j x 1/2 coefficient: a row scaling and a copy.  Copies
+    coupled down from 2j'+1 come before those coupled up from 2j'-1.
     """
     _check_cap(2, n)
-    # ascending m: row 0 is m=-1/2 -> |1>, row 1 is m=+1/2 -> |0>
-    basis, spins = np.array([[0.0, 1.0], [1.0, 0.0]]), [(1, 1, slice(0, 2))]
-    for _ in range(n - 1):
-        dim = basis.shape[1]
-        sources: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for two_j, mult, rows in spins:
-            for two_jt in (two_j + 1, two_j - 1):
-                if two_jt >= 0:
-                    block = basis[rows].reshape(mult, two_j + 1, dim)
-                    sources.setdefault(two_jt, []).append((two_j, block))
-        nxt, spins, start = np.empty((2 * dim, dim, 2)), [], 0
-        for two_jt, parts in sorted(sources.items(), reverse=True):
-            first = start
-            for two_j, block in parts:
-                stop = start + len(block) * (two_jt + 1)
-                new = nxt[start:stop].reshape(len(block), two_jt + 1, dim, 2)
-                for bit, two_s in enumerate((1, -1)):  # |0> is spin up
-                    new[..., bit] = np.matmul(_coupling_matrix(two_j, two_s, two_jt).T, block)
-                start = stop
-            spins.append((two_jt, (start - first) // (two_jt + 1), slice(first, start)))
-        basis = nxt.reshape(2 * dim, 2 * dim)
-    basis.flags.writeable = False
-    return basis, tuple(spins)
+    # one qubit: sector 0 is |0> (m = +1/2), sector 1 is |1> (m = -1/2)
+    blocks, columns = [np.ones((1, 1)), np.ones((1, 1))], [np.array([0]), np.array([1])]
+    empty, no_strings = np.zeros((0, 0)), np.zeros(0, int)
+    for k in range(1, n):  # k qubits coupled so far
+        runs, row = [], 0  # the copies of spin j coupled to j', in the new row order
+        for two_j, mult, first in _spin_rows(k):
+            for two_jt in (two_j + 1, two_j - 1)[:1 + (two_j > 0)]:
+                coeffs = {s: _coupling_coefficients(two_j, s, two_jt) for s in (1, -1)}
+                runs.append((two_jt, row, mult, first, coeffs))
+                row += mult
+        sectors = []
+        for w, halves in enumerate(zip(blocks + [empty], [empty] + blocks)):
+            two_mt, size = k + 1 - 2 * w, math.comb(k + 1, w)
+            block, col = np.zeros((size, size)), 0
+            for two_s, old in zip((1, -1), halves):
+                for two_jt, row, mult, first, coeffs in runs:
+                    if row >= size:  # the spins below |m'| are not in this sector
+                        break
+                    if first + mult <= len(old):  # |j, m' - s> is in the old sector
+                        np.multiply(old[first:first + mult], coeffs[two_s][(two_mt + two_jt) // 2],
+                                    out=block[row:row + mult, col:col + len(old)])
+                col += len(old)
+            sectors.append(block)
+        blocks = sectors
+        columns = [np.concatenate((2 * low, 2 * high + 1))
+                   for low, high in zip(columns + [no_strings], [no_strings] + columns)]
+    for block in blocks:
+        block.flags.writeable = False
+    return tuple(blocks), tuple(columns), _spin_rows(n)
+
+
+def _dense_rows(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Q^T assembled as one new 2^N x 2^N orthogonal matrix from the sector
+    blocks, and per spin (2j, its rows viewed as (m_j, 2j+1, 2^N)): spins in
+    descending 2j, each spin's rows copy by copy, each copy's |j, m> ascending m."""
+    blocks, columns, spins = _spin_bases(n)
+    dense, views, start = np.zeros((2 ** n, 2 ** n)), [], 0
+    for two_j, mult, first in spins:
+        copies = dense[start:start + mult * (two_j + 1)].reshape(mult, two_j + 1, -1)
+        for w, (block, cols) in enumerate(zip(blocks, columns)):
+            if first + mult <= len(block):
+                copies[:, (n - 2 * w + two_j) // 2, cols] = block[first:first + mult]
+        views.append((two_j, copies))
+        start += mult * (two_j + 1)
+    return dense, views
 
 
 def schur_basis_qubits(n: int) -> dict[int, list[np.ndarray]]:
@@ -161,17 +192,15 @@ def schur_basis_qubits(n: int) -> dict[int, list[np.ndarray]]:
     columns are |j, m> for ascending m.  Coupling order: qubit 1 with 2, the
     result with 3, and so on; the copy order follows that tree, which is an
     arbitrary but fixed convention.  Computational |0> is spin up (m = +1/2).
-    The V are read-only views of one cached matrix.
+    The V are views of one 2^N x 2^N matrix assembled anew on every call.
     """
-    basis, spins = _spin_bases(n)
-    return {two_j: list(basis[rows].reshape(mult, two_j + 1, -1).transpose(0, 2, 1))
-            for two_j, mult, rows in spins}
+    return {two_j: list(copies.transpose(0, 2, 1)) for two_j, copies in _dense_rows(n)[1]}
 
 
 def schur_isometry(n: int) -> np.ndarray:
     """All basis columns side by side, spins in descending 2j: a full 2^N x 2^N
-    orthogonal matrix Q, a read-only view of the cached Q^T."""
-    return _spin_bases(n)[0].T
+    orthogonal matrix Q, assembled anew from the sector blocks on every call."""
+    return _dense_rows(n)[0].T
 
 
 def _real_times(real: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -187,19 +216,30 @@ def _coupled_gram(dense: np.ndarray, n: int):
     """The Gram matrix G = Q^T rho Q of a Hermitian rho in the coupled basis:
     per spin (2j, G_jj viewed as (m, k, m, k), so that entry [a, :, b, :] is
     V_a^T rho V_b), in row order, and sqrt(D) ||C||_F, with C the cross-spin
-    blocks of G.  Spin j's rows from its first column on, (W_j^T rho) Q[:, j:],
-    are one strip (Q[:, j:]^T (W_j^T rho)^T)^T, so both products keep Q real; as
-    G is Hermitian, C is twice the strips' views right of G_jj."""
-    basis, spins = _spin_bases(n)
-    grams, cross = [], 0.0
-    for two_j, mult, rows in spins:
-        left = _real_times(basis[rows], dense).T  # (W_j^T rho)^T
-        # a complex one as the pairs _real_times reads, copied here so the original is freed
-        left = np.ascontiguousarray(left) if np.iscomplexobj(left) else left
-        strip, size = _real_times(basis[rows.start:], left), rows.stop - rows.start
-        cross += 2.0 * float(np.vdot(strip[size:], strip[size:]).real)
-        grams.append((two_j, strip[:size].T.copy().reshape(mult, two_j + 1, mult, two_j + 1)))
-    return grams, math.sqrt(len(basis) * cross)
+    blocks of G.  One row sector w at a time, T_w = Q_w rho[S_w, S_>=w] gives
+    the sector blocks G_wv = T_w[:, S_v] Q_v^T for v >= w, each as the left
+    product Q_v T_w[:, S_v]^T, so that Q stays real.  As G is Hermitian, G_vw is
+    G_wv's conjugate transpose, and ||C||^2 counts the cross-spin entries of
+    G_ww once and those of G_wv twice.  Only Q's structural zeros are skipped."""
+    blocks, columns, spins = _spin_bases(n)
+    grams = [(two_j, np.empty((mult, two_j + 1) * 2, dense.dtype)) for two_j, mult, _ in spins]
+    cross = 0.0
+    for w, block in enumerate(blocks):
+        t = _real_times(block, dense[np.ix_(columns[w], np.concatenate(columns[w:]))])
+        t = np.ascontiguousarray(t.T)  # T_w^T: each sector's rows are pairs _real_times reads
+        for v, part in enumerate(np.split(t, np.cumsum([len(b) for b in blocks[w:-1]])), start=w):
+            gt = _real_times(blocks[v], part)  # G_wv^T
+            for (two_j, mult, first), (_, gram) in zip(spins, grams):
+                if first + mult > min(gt.shape):  # j is not in both sectors, nor a smaller spin
+                    break
+                run = slice(first, first + mult)
+                i, l = (n - 2 * w + two_j) // 2, (n - 2 * v + two_j) // 2  # m ascending
+                gram[:, i, :, l] = gt[run, run].T
+                if v > w:
+                    gram[:, l, :, i] = gt[run, run].conj()
+                gt[run, run] = 0.0
+            cross += (2.0 if v > w else 1.0) * float(np.vdot(gt, gt).real)
+    return grams, math.sqrt(2 ** n * cross)
 
 
 def extract_blocks(dense: np.ndarray, n: int) -> BlockState:

@@ -7,9 +7,11 @@ contents of a shape in Gelfand-Tsetlin order from the branching rule, the
 log Schur polynomials of rank >= 3 by branching over rows one l_1 at a time
 (``log_schur_planes``), the diagram table built one column at a time with
 every earlier column gathered again (``diagram_rows_by_columns``), the
-Cauchy identity on the engine's weights, and the dense protocol error as the
+Cauchy identity on the engine's weights, the dense protocol error as the
 trace norm of the whole residual in the computational basis
-(``dense_protocol_error_by_residual``).  The
+(``dense_protocol_error_by_residual``), and the dense qubit coupled basis
+built by matrix products over the whole space (``coupled_basis_by_products``,
+from the j x 1/2 rule as a matrix, ``coupling_matrix``).  The
 Schur polynomial of each diagram is a thin lookup into the package's batched
 engine, and ``block_state`` lays out a hand-written
 {YoungDiagram: (weight, matrix)} mapping on the rows a ``BlockState`` is
@@ -329,3 +331,45 @@ def dense_protocol_error_by_residual(n: int, spectrum: Spectrum, keep,
         copies = schur_basis_qubits(n)[two_j]
         residual -= sum(v @ block @ v.T for v in copies) / len(copies)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(residual))))
+
+
+def coupling_matrix(two_j: int, two_s: int, two_jt: int) -> np.ndarray:
+    """<j m; 1/2 s | j' m'> for one s and j' = j +- 1/2 as a matrix, rows ascending
+    m and columns ascending m', with only the diagonal m' = m + s nonzero."""
+    two_mt = np.arange(-two_j, two_j + 1, 2) + two_s
+    if two_jt == two_j + 1:
+        coeff = np.sqrt((two_j + 1 + two_s * two_mt) / (2 * (two_j + 1)))
+    else:
+        coeff = -two_s * np.sqrt((two_j + 1 - two_s * two_mt) / (2 * (two_j + 1)))
+    return coeff[:, None] * np.eye(two_j + 1, two_jt + 1, (two_s + two_jt - two_j) // 2)
+
+
+def coupled_basis_by_products(n: int) -> tuple[np.ndarray, list[tuple[int, int, slice]]]:
+    """(Q^T, spins): the coupled basis of N qubits as one dense 2^N x 2^N matrix,
+    built one qubit at a time by two matrix products C_s^T B per spin, zeros
+    and all, and (2j, m_j, its rows) per spin in row order, descending 2j.  Spin
+    j holds m_j (2j+1) consecutive rows, copy by copy, each copy's |j, m> for
+    ascending m; copies coupled down from 2j'+1 come before those coupled up
+    from 2j'-1, and the new qubit is the last tensor factor, |0> spin up."""
+    # ascending m: row 0 is m=-1/2 -> |1>, row 1 is m=+1/2 -> |0>
+    basis, spins = np.array([[0.0, 1.0], [1.0, 0.0]]), [(1, 1, slice(0, 2))]
+    for _ in range(n - 1):
+        dim = basis.shape[1]
+        sources: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for two_j, mult, rows in spins:
+            for two_jt in (two_j + 1, two_j - 1):
+                if two_jt >= 0:
+                    block = basis[rows].reshape(mult, two_j + 1, dim)
+                    sources.setdefault(two_jt, []).append((two_j, block))
+        nxt, spins, start = np.empty((2 * dim, dim, 2)), [], 0
+        for two_jt, parts in sorted(sources.items(), reverse=True):
+            first = start
+            for two_j, block in parts:
+                stop = start + len(block) * (two_jt + 1)
+                new = nxt[start:stop].reshape(len(block), two_jt + 1, dim, 2)
+                for bit, two_s in enumerate((1, -1)):  # |0> is spin up
+                    new[..., bit] = np.matmul(coupling_matrix(two_j, two_s, two_jt).T, block)
+                start = stop
+            spins.append((two_jt, (start - first) // (two_jt + 1), slice(first, start)))
+        basis = nxt.reshape(2 * dim, 2 * dim)
+    return basis, spins

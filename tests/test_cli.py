@@ -525,6 +525,19 @@ def test_non_finite_angles_and_budgets_exit_2(capsys, argv):
     assert err.startswith("error: ") and ("non-finite" in err or "NaN" in err)
 
 
+def test_negative_numbers_in_exponent_notation_are_values(capsys):
+    base = ["oracle-check", "--n", "3", "--spectrum", "0.75,0.25", "--theta", "1.0"]
+    runs = {run_cli(capsys, *base, *phi) for phi in (["--phi", "-1e-3"], ["--phi=-1e-3"],
+                                                      ["--phi", "-0.001"])}
+    assert len(runs) == 1 and next(iter(runs))[0] == 0
+    code, out, _ = run_cli(capsys, "oracle-check", "--n", "3", "--spectrum", "0.75,0.25",
+                           "--theta", "-2E0")
+    assert code == 0 and out.endswith("PASS\n")
+    code, out, err = run_cli(capsys, "plan", "--n", "10", "--spectrum", "0.75,0.25",
+                             "--epsilon", "-1e-3")
+    assert (code, out, err) == (2, "", "error: need 0 < epsilon < 1, got -0.001\n")
+
+
 def test_budget_beyond_the_float_range_keeps_every_block(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n-list", "10", "--spectrum", "0.75,0.25",
                            "--budget-exponent", "1000")

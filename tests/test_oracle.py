@@ -41,7 +41,11 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
-from reference import clebsch_gordan_signed_square, dense_protocol_error_by_residual
+from reference import (
+    clebsch_gordan_signed_square,
+    coupled_basis_by_products,
+    dense_protocol_error_by_residual,
+)
 
 
 def test_dense_product_state_basics():
@@ -104,21 +108,57 @@ def test_schur_isometry_unitary():
 
 
 def test_coupling_matrix_matches_exact_rationals():
-    # every entry of the j x 1/2 rule for 2j <= 40 against sign * sqrt of Racah's
-    # formula in exact rationals, zeros included; the reference vanishes off the
-    # diagonal M = 2m + 2s, so only that diagonal is looked up
+    # every coefficient of the j x 1/2 rule for 2j <= 40 against sign * sqrt of
+    # Racah's formula in exact rationals, zeros included: those m' whose m' - s is
+    # not an m of spin j
     for two_j in range(41):
         for two_s in (1, -1):
             for two_jt in [t for t in (two_j + 1, two_j - 1) if t >= 0]:
-                expected = np.zeros((two_j + 1, two_jt + 1))
-                for i, two_m in enumerate(range(-two_j, two_j + 1, 2)):
-                    two_mt = two_m + two_s
-                    if abs(two_mt) <= two_jt:
+                expected = np.zeros(two_jt + 1)
+                for i, two_mt in enumerate(range(-two_jt, two_jt + 1, 2)):
+                    two_m = two_mt - two_s
+                    if abs(two_m) <= two_j:
                         sq = clebsch_gordan_signed_square(two_j, two_m, 1, two_s, two_jt, two_mt)
-                        expected[i, (two_mt + two_jt) // 2] = math.copysign(math.sqrt(abs(sq)), sq)
-                got = oracle._coupling_matrix(two_j, two_s, two_jt)
+                        expected[i] = math.copysign(math.sqrt(abs(sq)), sq)
+                got = oracle._coupling_coefficients(two_j, two_s, two_jt)
                 assert np.array_equal(got != 0, expected != 0), (two_j, two_s, two_jt)
                 assert np.max(np.abs(got - expected)) <= 1e-15, (two_j, two_s, two_jt)
+
+
+def test_sector_blocks_assemble_the_dense_coupled_basis():
+    # the sector blocks skip Q's structural zeros at run time; this checks, for every
+    # N the dense cap admits, that Q^T assembled from them equals the basis built by
+    # dense products over the whole space, entry for entry
+    for n in range(1, 13):
+        want, spins = coupled_basis_by_products(n)
+        got, views = oracle._dense_rows(n)
+        assert np.array_equal(got, want), n
+        assert [(two_j, copies.shape[0]) for two_j, copies in views] == [
+            (two_j, mult) for two_j, mult, _ in spins]
+        assert sum(block.size for block in oracle._spin_bases(n)[0]) == math.comb(2 * n, n)
+
+
+def test_sector_gram_matches_the_dense_products():
+    # G_jj and sqrt(D) ||C||_F from the sector blocks against V_a^T rho V_b with the
+    # reference basis, for product states and a permutation-invariant random state;
+    # a random state that is not invariant has a cross-spin part C far from zero
+    rng = np.random.default_rng(41)
+    frames = (None, BlochVector(1.0, 0.5), BlochVector(0.7, 0.0))
+    cases = [(n, dense_product_state(Spectrum((0.75, 0.25)), n, orient))
+             for n in range(1, 9) for orient in frames]
+    cases += [(n, _symmetrized_random_state(n, rng)) for n in (3, 4, 5)]
+    cases += [(n, _random_state(n, rng)) for n in (4, 6)]
+    for n, dense in cases:
+        qt, spins = coupled_basis_by_products(n)
+        full = qt @ dense @ qt.T
+        grams, bound = oracle._coupled_gram(dense, n)
+        assert [two_j for two_j, _ in grams] == [two_j for two_j, _, _ in spins]
+        for (two_j, gram), (_, mult, rows) in zip(grams, spins):
+            want = full[rows, rows].reshape(mult, two_j + 1, mult, two_j + 1)
+            assert gram.dtype == dense.dtype and np.max(np.abs(gram - want)) <= 1e-14, (n, two_j)
+            full[rows, rows] = 0.0
+        want = math.sqrt(2 ** n) * np.linalg.norm(full)
+        assert bound == pytest.approx(want, rel=1e-13, abs=1e-14), n
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -173,11 +213,14 @@ def test_extract_blocks_frozen_weights():
     assert w4[0] == pytest.approx(0.0703125, abs=1e-12)
 
 
-def _symmetrized_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    dim = 2 ** n
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
     rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    return rho / np.trace(rho).real
+
+
+def _symmetrized_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    rho = _random_state(n, rng)
     out = np.zeros_like(rho)
     for perm in permutations(range(n)):
         u = permutation_operator(perm, 2)
@@ -204,7 +247,9 @@ def test_dense_product_state_is_the_kronecker_power():
     for sp, orient, n in [(Spectrum((0.75, 0.25)), None, 6),
                           (Spectrum((0.75, 0.25)), BlochVector(1.0, 0.5), 5),
                           (Spectrum((0.9, 0.1)), BlochVector(0.7, 0.0), 4),
-                          (Spectrum((0.5, 0.3, 0.2)), None, 4)]:
+                          (Spectrum((0.75, 0.25)), None, 9),
+                          (Spectrum((0.5, 0.3, 0.2)), None, 4),
+                          (Spectrum((0.5, 0.3, 0.2)), None, 5)]:
         rho = dense_product_state(sp, 1, orient)
         got, want = dense_product_state(sp, n, orient), reduce(np.kron, [rho] * n)
         assert got.dtype == want.dtype and np.array_equal(got, want), (sp, orient, n)
@@ -338,18 +383,24 @@ def test_dense_protocol_error_matches_the_whole_residual():
     # the coupled-basis route against the residual built in the computational
     # basis and diagonalized whole
     rng = np.random.default_rng(37)
-    for n in range(1, 9):
+
+    def check(n, sp, orient):
         grid = enumerate_diagrams(n, 2)
+        for _ in range(3):
+            mask = rng.random(len(grid)) < 0.5
+            keep = [lam for lam, kept in zip(grid, mask) if kept] or grid[-1:]
+            want = dense_protocol_error_by_residual(n, sp, keep, orient)
+            got = dense_protocol_error(n, sp, keep, orient)
+            assert got == pytest.approx(want, abs=1e-12), (n, sp, orient, keep)
+
+    for n in range(1, 9):
         frames = (None, BlochVector(1.0, 0.5),
                   BlochVector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
         for sp in (Spectrum((0.75, 0.25)), Spectrum((0.999, 0.001))):
             for orient in frames:
-                for _ in range(3):
-                    mask = rng.random(len(grid)) < 0.5
-                    keep = [lam for lam, kept in zip(grid, mask) if kept] or grid[-1:]
-                    want = dense_protocol_error_by_residual(n, sp, keep, orient)
-                    got = dense_protocol_error(n, sp, keep, orient)
-                    assert got == pytest.approx(want, abs=1e-12), (n, sp, orient, keep)
+                check(n, sp, orient)
+    check(9, Spectrum((0.75, 0.25)), None)
+    check(8, Spectrum((0.9, 0.1)), BlochVector(2.1, 1.3))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6])

@@ -6,11 +6,12 @@ applies).  Floats print with 10 significant digits so golden files stay
 byte-identical across runs.  Exit codes: 0 ok, 1 oracle mismatch, 2 usage
 or input error, 3 not-applicable request, 4 resource cap exceeded.
 
-``build_parser`` alone declares each flag's type, default and choices, and
-``--format`` offers only the forms its command prints; ``main`` builds it
-once per process.  ``--config`` values become the defaults of a parser built
-for that run, checked the same way, so a command-line flag wins.
-Each ``cmd_*`` returns (exit code, JSON params, JSON results, text lines).
+``FLAGS`` declares each flag once, and ``COMMANDS`` gives each command its
+flags, required flags, ``--format`` forms, function and text view;
+``build_parser`` loops over both, and ``main`` builds it once per process.
+``--config`` values become the defaults of a parser built for that run,
+checked the same way, so a command-line flag wins.  Each ``cmd_*`` returns
+(exit code, JSON params, JSON results); text and CSV are renderings of those.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +54,8 @@ from .schur_core import (Spectrum, diagram_rows, irrep_dims, multiplicity_dims, 
 ORACLE_TOL = 1e-8
 EXACT_ERROR_CAP = 256  # largest N for which sweeps evaluate the exact error
 CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+SWEEP_COLUMNS = ["n", "epsilon", "d_enc", "qubit_count", "bound_qubits",
+                 "exact_error", "tail_mass", "lower_bound"]
 
 
 def fmt(x) -> str:
@@ -155,12 +159,10 @@ def orientation(args, spectrum: Spectrum) -> BlochVector | None:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (exit code, JSON params, JSON results, text lines)
+# Commands return (exit code, JSON params, JSON results); views render those as lines
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args):
-    if args.n is None or args.d is None:
-        raise ParameterError("dims requires --n and --d")
     n, d, r = args.n, args.d, args.r
     diagrams = diagram_rows(n, d, r)
     # every number printed is at most d^N; str() of a longer int raises ValueError
@@ -169,40 +171,43 @@ def cmd_dims(args):
         raise ResourceLimitError(f"d^N = {d}^{n} has more than {limit} decimal digits, "
                                  "the most this interpreter converts to text")
     dims, mults = irrep_dims(diagrams).tolist(), multiplicity_dims(diagrams).tolist()
-    diagrams = diagrams.tolist()
-    total = sum(dim * mult for dim, mult in zip(dims, mults))
-    rows = [[diagram_label(row, d) if d == 2 else str(row), str(dim), str(mult), str(dim * mult)]
-            for row, dim, mult in zip(diagrams, dims, mults)]
-    full = d ** n if (r is None or r == d) else None
-    headers = ["j" if d == 2 else "diagram", "irrep_dim", "mult_dim", "product"]
+    results = {"rows": [{"diagram": row, "irrep_dim": dim, "mult_dim": mult}
+                        for row, dim, mult in zip(diagrams.tolist(), dims, mults)],
+               "total": sum(dim * mult for dim, mult in zip(dims, mults)),
+               "full_space": d ** n if (r is None or r == d) else None}
+    return 0, {"n": n, "d": d, "r": r}, results
+
+
+def view_dims(params, results, out_format):
+    d, total, full = params["d"], results["total"], results["full_space"]
+    rows = [[diagram_label(row["diagram"], d) if d == 2 else str(row["diagram"]),
+             str(row["irrep_dim"]), str(row["mult_dim"]), str(row["irrep_dim"] * row["mult_dim"])]
+            for row in results["rows"]]
     footer = [f"sum of irrep_dim*mult_dim = {total}"]
     if full is not None:
         footer.append(f"d^N = {full}" + ("  (match)" if full == total else "  (MISMATCH)"))
-    if args.format == "csv":
+    if out_format == "csv":
         rows.append(["TOTAL", "", "", str(total)])
-    results = {"rows": [{"diagram": row, "irrep_dim": dim, "mult_dim": mult}
-                        for row, dim, mult in zip(diagrams, dims, mults)],
-               "total": total, "full_space": full}
-    return 0, {"n": n, "d": d, "r": r}, results, tabulate(headers, rows, args.format, footer)
+    headers = ["j" if d == 2 else "diagram", "irrep_dim", "mult_dim", "product"]
+    return tabulate(headers, rows, out_format, footer)
 
 
 def cmd_qdist(args):
-    if args.n is None or args.spectrum is None:
-        raise ParameterError("qdist requires --n and --spectrum")
     spectrum = parse_spectrum(args.spectrum)
     table = weight_table(args.n, spectrum)
-    diagrams, weights = table.rows.tolist(), table.weights.tolist()
-    rows = []
-    cum = 0.0
-    for row, w in zip(diagrams, weights):
-        cum += w
-        rows.append([diagram_label(row, spectrum.d), fmt(w), fmt(cum)])
-    headers = ["j" if spectrum.d == 2 else "diagram", "weight", "cumulative"]
-    total = sum(weights)
-    results = {"rows": [{"diagram": row, "weight": w} for row, w in zip(diagrams, weights)],
-               "total": total}
-    lines = tabulate(headers, rows, args.format, [f"total = {fmt(total)}"])
-    return 0, {"n": args.n, "spectrum": list(spectrum.probs)}, results, lines
+    rows, weights = table.rows.tolist(), table.weights.tolist()
+    results = {"rows": [{"diagram": row, "weight": w} for row, w in zip(rows, weights)],
+               "total": sum(weights)}
+    return 0, {"n": args.n, "spectrum": list(spectrum.probs)}, results
+
+
+def view_qdist(params, results, out_format):
+    d, cum, rows = len(params["spectrum"]), 0.0, []
+    for row in results["rows"]:
+        cum += row["weight"]
+        rows.append([diagram_label(row["diagram"], d), fmt(row["weight"]), fmt(cum)])
+    headers = ["j" if d == 2 else "diagram", "weight", "cumulative"]
+    return tabulate(headers, rows, out_format, [f"total = {fmt(results['total'])}"])
 
 
 def _build_plan(n: int, spectrum: Spectrum, epsilon: float | None, zero_error: bool):
@@ -214,56 +219,48 @@ def _build_plan(n: int, spectrum: Spectrum, epsilon: float | None, zero_error: b
 
 
 def cmd_plan(args):
-    if args.n is None or args.spectrum is None:
-        raise ParameterError("plan requires --n and --spectrum")
     n, epsilon, zero_error = args.n, args.epsilon, args.zero_error
     if epsilon is None and not zero_error:
         raise ParameterError("plan requires --epsilon or --zero-error")
     spectrum = parse_spectrum(args.spectrum)
-    plan = _build_plan(n, spectrum, epsilon, zero_error)
-    # the circuit model covers the qubit protocol only
-    resources = circuit_resource_estimate(n) if n >= 2 and spectrum.d == 2 else None
-
-    extras: dict[str, float] = {}
-    if not zero_error and epsilon is not None and spectrum.d == 2:
+    results = _build_plan(n, spectrum, epsilon, zero_error).as_dict()
+    extras = results["extras"] = {}
+    if not zero_error and spectrum.d == 2:
         extras["error_upper_bound"] = qubit_error_upper_bound(n, spectrum.max_eigenvalue, epsilon)
         extras["threshold_copies"] = error_threshold_copies(spectrum.max_eigenvalue, epsilon)
     if zero_error and spectrum.d == 2 and n % 2 == 0:
         extras["closed_form_qubits"] = ceil_log2((n // 2 + 1) ** 2)
-
-    results = plan.as_dict()
-    results["extras"] = extras
-    if resources is not None:
-        results["resources"] = resources.as_dict()
+    if n >= 2 and spectrum.d == 2:  # the circuit model covers the qubit protocol only
+        results["resources"] = circuit_resource_estimate(n).as_dict()
     params = {"n": n, "spectrum": list(spectrum.probs), "epsilon": epsilon,
               "zero_error": zero_error}
+    return 0, params, results
 
-    largest, smallest = plan.rows[[0, -1]].tolist()
-    lines = [f"plan: N={plan.n} d={plan.d} "
-             + ("zero-error" if plan.epsilon is None else f"epsilon={fmt(plan.epsilon)}")]
-    if plan.d == 2:
-        lines.append(f"keep {len(plan.rows)} blocks: "
-                     f"j = {diagram_label(smallest, 2)} .. {diagram_label(largest, 2)}")
+
+def view_plan(params, results, out_format):
+    keep, d, epsilon = results["keep"], results["d"], results["epsilon"]
+    lines = [f"plan: N={results['n']} d={d} "
+             + ("zero-error" if epsilon is None else f"epsilon={fmt(epsilon)}")]
+    if d == 2:
+        lines.append(f"keep {len(keep)} blocks: "
+                     f"j = {diagram_label(keep[-1], 2)} .. {diagram_label(keep[0], 2)}")
     else:
-        lines.append(f"keep {len(plan.rows)} blocks (largest {largest})")
-    lines += [f"d_enc = {plan.d_enc}",
-              f"qubits = {plan.qubit_count}",
-              f"hybrid = ({plan.hybrid_qubits} qubits, {plan.hybrid_bits} bits)"]
-    if plan.bound_qubits is not None:
-        lines.append(f"bound_qubits = {fmt(plan.bound_qubits)}")
-    lines += [f"{key} = {fmt(val)}" for key, val in extras.items()]
-    if resources is not None:
-        lines.append(f"registers: index={resources.index_register_qubits} "
-                     f"representation={resources.representation_register_qubits} "
-                     f"multiplicity={resources.multiplicity_register_qubits} "
-                     f"ancilla={resources.ancilla_qubits} "
-                     f"coherent={resources.coherent_qubits}")
-    return 0, params, results, lines
+        lines.append(f"keep {len(keep)} blocks (largest {keep[0]})")
+    lines += [f"d_enc = {results['d_enc']}",
+              f"qubits = {results['qubit_count']}",
+              f"hybrid = ({results['hybrid_qubits']} qubits, {results['hybrid_bits']} bits)"]
+    if results["bound_qubits"] is not None:
+        lines.append(f"bound_qubits = {fmt(results['bound_qubits'])}")
+    lines += [f"{key} = {fmt(val)}" for key, val in sorted(results["extras"].items())]
+    if "resources" in results:
+        lines.append("registers: index={index_register_qubits} representation="
+                     "{representation_register_qubits} multiplicity={multiplicity_register_qubits}"
+                     " ancilla={ancilla_qubits} coherent={coherent_qubits}"
+                     .format(**results["resources"]))
+    return lines
 
 
 def cmd_simulate(args):
-    if args.n is None or args.spectrum is None:
-        raise ParameterError("simulate requires --n and --spectrum")
     n, epsilon, zero_error = args.n, args.epsilon, args.zero_error
     if epsilon is None and not zero_error:
         raise ParameterError("simulate requires --epsilon or --zero-error")
@@ -273,30 +270,26 @@ def cmd_simulate(args):
     report = exact_protocol_error(n, spectrum, plan.rows, rotation)
     target = epsilon if epsilon is not None else 0.0
     passed = report.exact_error <= target + 1e-12
-    results = {
-        "exact_error": report.exact_error,
-        "tail_mass": report.tail_mass,
-        "lower_bound": report.lower_bound,
-        "epsilon": epsilon,
-        "qubit_count": plan.qubit_count,
-        "d_enc": plan.d_enc,
-        "pass": passed,
-    }
+    results = {**asdict(report), "epsilon": epsilon, "qubit_count": plan.qubit_count,
+               "d_enc": plan.d_enc, "pass": passed}
     if spectrum.d == 2 and epsilon is not None:
-        results["error_upper_bound"] = qubit_error_upper_bound(
-            n, spectrum.max_eigenvalue, epsilon)
+        results["error_upper_bound"] = qubit_error_upper_bound(n, spectrum.max_eigenvalue, epsilon)
     params = {"n": n, "spectrum": list(spectrum.probs), "epsilon": epsilon,
               "zero_error": zero_error, "theta": args.theta, "phi": args.phi}
-    lines = [f"simulate: N={n} d={spectrum.d} "
-             + ("zero-error" if zero_error or epsilon is None else f"epsilon={fmt(epsilon)}"),
-             f"d_enc = {plan.d_enc}, qubits = {plan.qubit_count}",
-             f"exact_error = {fmt(report.exact_error)}",
-             f"tail_mass (upper bound) = {fmt(report.tail_mass)}",
-             f"half-tail (lower bound) = {fmt(report.lower_bound)}"]
+    return (0 if passed else 1), params, results
+
+
+def view_simulate(params, results, out_format):
+    lines = [f"simulate: N={params['n']} d={len(params['spectrum'])} "
+             + ("zero-error" if params["zero_error"] or params["epsilon"] is None
+                else f"epsilon={fmt(params['epsilon'])}"),
+             f"d_enc = {results['d_enc']}, qubits = {results['qubit_count']}",
+             f"exact_error = {fmt(results['exact_error'])}",
+             f"tail_mass (upper bound) = {fmt(results['tail_mass'])}",
+             f"half-tail (lower bound) = {fmt(results['lower_bound'])}"]
     if "error_upper_bound" in results:
         lines.append(f"closed-form bound = {fmt(results['error_upper_bound'])}")
-    lines.append("PASS" if passed else "FAIL")
-    return (0 if passed else 1), params, results, lines
+    return lines + ["PASS" if results["pass"] else "FAIL"]
 
 
 def _parse_n_values(args) -> list[int]:
@@ -327,8 +320,6 @@ def _dimension_budget(n: int, exponent: float) -> float:
 
 
 def cmd_sweep(args):
-    if args.spectrum is None:
-        raise ParameterError("sweep requires --spectrum")
     zero_error, budget_exponent = args.zero_error, args.budget_exponent
     spectrum = parse_spectrum(args.spectrum)
     n_values = _parse_n_values(args)
@@ -342,9 +333,7 @@ def cmd_sweep(args):
     else:
         raise ParameterError("sweep requires --epsilon-list (or --zero-error / --budget-exponent)")
 
-    headers = ["n", "epsilon", "d_enc", "qubit_count", "bound_qubits",
-               "exact_error", "tail_mass", "lower_bound"]
-    rows = []
+    results = []
     for n in n_values:
         for eps in epsilons:
             if budget_exponent is not None:
@@ -355,115 +344,113 @@ def cmd_sweep(args):
             exact = (fmt(exact_protocol_error(n, spectrum, plan.rows).exact_error)
                      if n <= EXACT_ERROR_CAP else "")
             bound = "" if plan.bound_qubits is None else fmt(plan.bound_qubits)
-            rows.append([str(n), "" if eps is None else fmt(eps), str(plan.d_enc),
-                         str(plan.qubit_count), bound, exact, fmt(2.0 * lower), fmt(lower)])
+            results.append(dict(zip(SWEEP_COLUMNS, [
+                str(n), "" if eps is None else fmt(eps), str(plan.d_enc), str(plan.qubit_count),
+                bound, exact, fmt(2.0 * lower), fmt(lower)])))
     params = {"spectrum": list(spectrum.probs), "n_values": n_values,
               "epsilons": [e for e in epsilons if e is not None],
               "zero_error": zero_error, "budget_exponent": budget_exponent}
-    results = [dict(zip(headers, row)) for row in rows]
-    return 0, params, results, tabulate(headers, rows, "csv")
+    return 0, params, results
+
+
+def view_sweep(params, results, out_format):
+    return tabulate(SWEEP_COLUMNS, [[row[key] for key in SWEEP_COLUMNS] for row in results],
+                    out_format)
 
 
 def cmd_oracle_check(args):
-    if args.n is None or args.spectrum is None:
-        raise ParameterError("oracle-check requires --n and --spectrum")
     n, seed = args.n, args.seed
     if seed < 0:
         raise ParameterError(f"--seed must be non-negative, got {seed}")
     spectrum = parse_spectrum(args.spectrum)
     rotation = orientation(args, spectrum)
 
-    checks: list[tuple[str, float]] = []
     if spectrum.d == 2:
         oracle_state, dense_error = _qubit_reference(spectrum, n, rotation)
         block_state = product_state(spectrum, n, rotation)
-        weight_diff = float(np.abs(oracle_state.weights - block_state.weights).max())
-        checks.append(("weights", weight_diff))
-        checks.append(("block spectra", block_spectrum_mismatch(block_state, oracle_state)))
+        checks = {"weights": float(np.abs(oracle_state.weights - block_state.weights).max()),
+                  "block spectra": block_spectrum_mismatch(block_state, oracle_state)}
         rows = diagram_rows(n, 2)
         mask = np.random.default_rng(seed).random(len(rows)) < 0.5  # one draw per row
         keep = rows[mask] if mask.any() else rows[:1]
         exact = exact_protocol_error(n, spectrum, keep, rotation).exact_error
         dense_err = dense_error(young_diagrams(keep))  # the oracle takes diagrams
-        checks.append(("protocol error", abs(exact - dense_err)))
+        checks["protocol error"] = abs(exact - dense_err)
     else:
         theirs = np.fromiter(character_projection_weights(spectrum, n).values(), float)
-        weight_diff = float(np.abs(theirs - weight_table(n, spectrum).weights).max())  # row order
-        checks.append(("weights (character projection)", weight_diff))
+        checks = {"weights (character projection)":  # both in row order
+                  float(np.abs(theirs - weight_table(n, spectrum).weights).max())}
 
-    ok = all(diff < ORACLE_TOL for _, diff in checks)
+    ok = all(diff < ORACLE_TOL for diff in checks.values())
     params = {"n": n, "spectrum": list(spectrum.probs), "theta": args.theta,
               "phi": args.phi, "seed": seed}
-    results = {"checks": [{"name": name, "max_diff": diff} for name, diff in checks],
+    results = {"checks": [{"name": name, "max_diff": diff} for name, diff in checks.items()],
                "tolerance": ORACLE_TOL, "pass": ok}
-    lines = [f"{name}: max diff {fmt(diff)}  {'PASS' if diff < ORACLE_TOL else 'FAIL'}"
-             for name, diff in checks]
-    lines.append("PASS" if ok else "FAIL")
-    return (0 if ok else 1), params, results, lines
+    return (0 if ok else 1), params, results
+
+
+def view_oracle_check(params, results, out_format):
+    lines = [f"{check['name']}: max diff {fmt(check['max_diff'])}  "
+             + ("PASS" if check["max_diff"] < results["tolerance"] else "FAIL")
+             for check in results["checks"]]
+    return lines + ["PASS" if results["pass"] else "FAIL"]
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+FLAGS = {
+    "--n": {"type": int},
+    "--d": {"type": int},
+    "--r": {"type": int},
+    "--n-range": {"help": "a:b:step inclusive"},
+    "--n-list": {"help": "comma-separated N values"},
+    "--spectrum": {},
+    "--epsilon": {"type": float},
+    "--epsilon-list": {},
+    "--zero-error": {"action": "store_true"},
+    "--budget-exponent": {"type": float, "help": "greedy keep sets under d_enc <= N^exponent"},
+    "--theta": {"type": float},
+    "--phi": {"type": float},
+    "--seed": {"type": int, "default": 0},
+    "--config": {"help": "flat key=value file with defaults for these flags"},
+}
+
+# name: (help, flags in order, required flags, --format forms (default first), command, view)
+ALL_FORMATS, TABLE_OR_JSON = ("table", "csv", "json"), ("table", "json")
+N_AND_SPECTRUM = ("--n", "--spectrum")
+COMMANDS = {
+    "dims": ("block dimensions and multiplicities", ("--n", "--d", "--r"), ("--n", "--d"),
+             ALL_FORMATS, cmd_dims, view_dims),
+    "qdist": ("block weight distribution", N_AND_SPECTRUM, N_AND_SPECTRUM, ALL_FORMATS,
+              cmd_qdist, view_qdist),
+    "plan": ("compression plan and qubit counts", (*N_AND_SPECTRUM, "--epsilon", "--zero-error"),
+             N_AND_SPECTRUM, TABLE_OR_JSON, cmd_plan, view_plan),
+    "simulate": ("plan plus exact protocol error", (*N_AND_SPECTRUM, "--epsilon", "--zero-error",
+                 "--theta", "--phi"), N_AND_SPECTRUM, TABLE_OR_JSON, cmd_simulate, view_simulate),
+    "sweep": ("CSV sweep over N and epsilon", ("--n-range", "--n-list", "--spectrum",
+              "--epsilon-list", "--zero-error", "--budget-exponent"), ("--spectrum",),
+              ("csv", "json"), cmd_sweep, view_sweep),
+    "oracle-check": ("dense brute-force cross-validation", (*N_AND_SPECTRUM, "--theta", "--phi",
+                     "--seed"), N_AND_SPECTRUM, TABLE_OR_JSON, cmd_oracle_check, view_oracle_check),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schurcompress",
         description="Block-level simulator and planner for compressing N identical mixed states")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, func, formats: tuple[str, ...]) -> None:
-        p.add_argument("--config", help="flat key=value file with defaults for these flags")
+    for name, (help_text, flags, required, formats, func, view) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--config"):
+            p.add_argument(flag, **FLAGS[flag])
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.set_defaults(func=func)
-
-    p_dims = sub.add_parser("dims", help="block dimensions and multiplicities")
-    p_dims.add_argument("--n", type=int)
-    p_dims.add_argument("--d", type=int)
-    p_dims.add_argument("--r", type=int)
-    common(p_dims, cmd_dims, ("table", "csv", "json"))
-
-    p_qdist = sub.add_parser("qdist", help="block weight distribution")
-    p_qdist.add_argument("--n", type=int)
-    p_qdist.add_argument("--spectrum")
-    common(p_qdist, cmd_qdist, ("table", "csv", "json"))
-
-    p_plan = sub.add_parser("plan", help="compression plan and qubit counts")
-    p_plan.add_argument("--n", type=int)
-    p_plan.add_argument("--spectrum")
-    p_plan.add_argument("--epsilon", type=float)
-    p_plan.add_argument("--zero-error", action="store_true")
-    common(p_plan, cmd_plan, ("table", "json"))
-
-    p_sim = sub.add_parser("simulate", help="plan plus exact protocol error")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--spectrum")
-    p_sim.add_argument("--epsilon", type=float)
-    p_sim.add_argument("--zero-error", action="store_true")
-    p_sim.add_argument("--theta", type=float)
-    p_sim.add_argument("--phi", type=float)
-    common(p_sim, cmd_simulate, ("table", "json"))
-
-    p_sweep = sub.add_parser("sweep", help="CSV sweep over N and epsilon")
-    p_sweep.add_argument("--n-range", help="a:b:step inclusive")
-    p_sweep.add_argument("--n-list", help="comma-separated N values")
-    p_sweep.add_argument("--spectrum")
-    p_sweep.add_argument("--epsilon-list")
-    p_sweep.add_argument("--zero-error", action="store_true")
-    p_sweep.add_argument("--budget-exponent", type=float,
-                         help="greedy keep sets under d_enc <= N^exponent")
-    common(p_sweep, cmd_sweep, ("csv", "json"))
-
-    p_oracle = sub.add_parser("oracle-check", help="dense brute-force cross-validation")
-    p_oracle.add_argument("--n", type=int)
-    p_oracle.add_argument("--spectrum")
-    p_oracle.add_argument("--theta", type=float)
-    p_oracle.add_argument("--phi", type=float)
-    p_oracle.add_argument("--seed", type=int, default=0)
-    common(p_oracle, cmd_oracle_check, ("table", "json"))
-
-    for p in (parser, *sub.choices.values()):  # so that "-1e-3" is a value, not a flag
-        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        p.set_defaults(func=func, view=view, required=required)
+    for p in (parser, *sub.choices.values()):  # "-1e-3", "-inf" and "-NaN" are values, not flags
+        p._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
     return parser
 
 
@@ -479,7 +466,9 @@ def main(argv=None) -> int:
             parser = build_parser()
             apply_config(parser, args.command, load_config(args.config))
             args = parser.parse_args(argv)
-        code, params, results, lines = args.func(args)
+        if any(getattr(args, flag[2:].replace("-", "_")) is None for flag in args.required):
+            raise ParameterError(f"{args.command} requires {' and '.join(args.required)}")
+        code, params, results = args.func(args)
     except (NotApplicableError, UnsupportedFeatureError) as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 3
@@ -490,11 +479,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        doc = {"command": args.command, "params": params, "results": results,
-               "version": __version__}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps({"command": args.command, "params": params, "results": results,
+                          "version": __version__}, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(args.view(params, results, args.format)))
     return code
 
 

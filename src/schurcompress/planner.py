@@ -311,11 +311,14 @@ def _greedy_keep(n: int, spectrum: Spectrum, dim_budget: float) -> tuple[np.ndar
 
 
 def greedy_budget_keep(n: int, spectrum: Spectrum, dim_budget: float) -> list[YoungDiagram]:
-    """Largest-mass keep set under a dimension budget.
+    """A keep set under a dimension budget, by first fit in order of density.
 
-    Blocks are added in order of decreasing weight density q / d_lambda,
-    which minimizes the discarded mass among block truncations at this
-    budget.  At least one block is always kept.
+    Blocks are taken in order of decreasing weight density q / d_lambda, each
+    one kept if it still fits the budget.  Choosing the blocks of largest mass
+    under a budget is a 0/1 knapsack, and this first fit is a heuristic: it
+    can keep less mass than the best truncation at the same budget (at
+    (0.6, 0.4), N = 10, budget 6 it keeps 0.260 where (7,3) and (5,5) keep
+    0.383).  At least one block is always kept.
     """
     rows, keep = _greedy_keep(n, spectrum, dim_budget)
     return young_diagrams(rows[keep])

@@ -181,6 +181,8 @@ def diagram_rows(n: int, d: int, r: int | None = None) -> np.ndarray:
         r = d
     if n < 0:
         raise ParameterError(f"negative box count {n}")
+    if d < 1:
+        raise ParameterError(f"need d >= 1, got d={d}")
     if r < 1 or r > d:
         raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
     return _diagram_table(n, d, r, DIAGRAM_ENTRY_CAP)

@@ -11,7 +11,9 @@ Cauchy identity on the engine's weights, the dense protocol error as the
 trace norm of the whole residual in the computational basis
 (``dense_protocol_error_by_residual``), and the dense qubit coupled basis
 built by matrix products over the whole space (``coupled_basis_by_products``,
-from the j x 1/2 rule as a matrix, ``coupling_matrix``).  The
+from the j x 1/2 rule as a matrix, ``coupling_matrix``), and the heaviest
+block truncation under a dimension budget by a search over every subset
+(``best_budget_keep``).  The
 Schur polynomial of each diagram is a thin lookup into the package's batched
 engine, and ``block_state`` lays out a hand-written
 {YoungDiagram: (weight, matrix)} mapping on the rows a ``BlockState`` is
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -228,6 +231,22 @@ def cauchy_identity_residual(n: int, spectrum: Spectrum) -> float:
     for p in probs:
         series = np.convolve(series, binomials * (p / probs[0]) ** k)[: n + 1]
     return lhs - (n * math.log(probs[0]) + math.log(series[n]))
+
+
+def best_budget_keep(weights: dict, dims: dict, budget: float) -> tuple[float, tuple]:
+    """The largest kept mass over every subset of the blocks whose dimensions sum
+    to at most ``budget``, and the first subset (in ``combinations`` order over
+    the keys of ``weights``) that reaches it.  Visits all 2^M subsets: M <= 20."""
+    blocks = list(weights)
+    if len(blocks) > 20:
+        raise ValueError(f"{len(blocks)} blocks is too many for a subset search")
+    best: tuple[float, tuple] = (0.0, ())
+    for size in range(len(blocks) + 1):
+        for chosen in combinations(blocks, size):
+            mass = sum(weights[lam] for lam in chosen)
+            if sum(dims[lam] for lam in chosen) <= budget and mass > best[0]:
+                best = (mass, chosen)
+    return best
 
 
 def block_state(n: int, d: int, blocks: dict) -> BlockState:

@@ -11,6 +11,8 @@ import pytest
 from schurcompress import blocksim, cli, planner, schur_core
 from schurcompress.cli import main
 
+from test_golden import CASES, GOLDEN, _same_line
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -77,6 +79,12 @@ def test_dims_usage_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "dims", "--n", "4", "--d", "2", "--r", "3")
     assert code == 2
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_dims_without_rows_names_d(capsys, d):
+    code, out, err = run_cli(capsys, "dims", "--n", "4", "--d", d)
+    assert (code, out, err) == (2, "", f"error: need d >= 1, got d={d}\n")
 
 
 def test_qdist_qubit_values(capsys):
@@ -538,6 +546,18 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys):
     assert (code, out, err) == (2, "", "error: need 0 < epsilon < 1, got -0.001\n")
 
 
+@pytest.mark.parametrize("flag, value", [("--theta", "-inf"), ("--phi", "-NaN"),
+                                         ("--theta", "-Infinity")])
+def test_negative_inf_and_nan_are_values(capsys, flag, value):
+    base = ["simulate", "--n", "10", "--spectrum", "0.75,0.25", "--epsilon", "0.1"]
+    spaced = run_cli(capsys, *base, flag, value)
+    assert spaced == run_cli(capsys, *base, f"{flag}={value}")
+    assert spaced[:2] == (2, "") and spaced[2].startswith("error: non-finite Bloch angles ")
+    code, out, err = run_cli(capsys, "plan", "--n", "10", "--spectrum", "0.75,0.25",
+                             "--epsilon", "-inf")
+    assert (code, out, err) == (2, "", "error: need 0 < epsilon < 1, got -inf\n")
+
+
 def test_budget_beyond_the_float_range_keeps_every_block(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n-list", "10", "--spectrum", "0.75,0.25",
                            "--budget-exponent", "1000")
@@ -590,13 +610,16 @@ def test_config_keys_that_name_no_flag_are_ignored(tmp_path, capsys):
 
 
 def test_config_cannot_set_config_func_or_command(tmp_path, capsys):
-    cfg = _config(tmp_path, "n=4\nd=2\nconfig=/no/such/file\nfunc=cmd_plan\ncommand=plan\n")
+    cfg = _config(tmp_path, "n=4\nd=2\nconfig=/no/such/file\nfunc=cmd_plan\ncommand=plan\n"
+                            "view=view_plan\nrequired=--spectrum\n")
     parser = cli.build_parser()
     cli.apply_config(parser, "dims", cli.load_config(cfg))
     args = parser.parse_args(["dims", "--config", cfg])
     assert (args.n, args.d) == (4, 2)
     assert args.config == cfg
     assert args.func is cli.cmd_dims
+    assert args.view is cli.view_dims
+    assert args.required == ("--n", "--d")
     assert args.command == "dims"
     code, out, _ = run_cli(capsys, "dims", "--config", cfg)
     assert code == 0
@@ -657,3 +680,68 @@ def test_every_command_prints_one_json_document(capsys, argv):
     doc = json.loads(out)
     assert set(doc) == {"command", "params", "results", "version"}
     assert doc["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "--n", "4"], "dims requires --n and --d"),
+    (["dims", "--d", "0"], "dims requires --n and --d"),
+    (["qdist", "--spectrum", "0.75,0.25"], "qdist requires --n and --spectrum"),
+    (["plan", "--n", "4"], "plan requires --n and --spectrum"),
+    (["simulate", "--spectrum", "0.75,0.25", "--theta", "nan"],
+     "simulate requires --n and --spectrum"),
+    (["sweep", "--n-list", "x"], "sweep requires --spectrum"),
+    (["oracle-check", "--n", "4", "--seed", "-1"], "oracle-check requires --n and --spectrum"),
+])
+def test_required_flags_are_checked_before_the_command_runs(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def _text_case(name):
+    """(argv without --format, the text form the golden file holds) of a golden case."""
+    argv = CASES[name]
+    if "--format" not in argv:
+        return argv, cli.COMMANDS[argv[0]][3][0]
+    i = argv.index("--format")
+    return argv[:i] + argv[i + 2:], argv[i + 1]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if not name.endswith(".json")))
+def test_text_is_a_view_of_the_json_document(capsys, name):
+    argv, out_format = _text_case(name)
+    code, text, _ = run_cli(capsys, *argv, "--format", out_format)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    lines = cli.COMMANDS[argv[0]][5](doc["params"], doc["results"], out_format)
+    assert "\n".join(lines) + "\n" == text
+    want = (GOLDEN / name).read_text().splitlines()
+    assert len(lines) == len(want) and all(map(_same_line, lines, want))
+
+
+def test_each_command_declares_its_flags_in_order():
+    table, table_json, csv_json = ("table", "csv", "json"), ("table", "json"), ("csv", "json")
+    n, spectrum = ("n", int, None, None), ("spectrum", None, None, None)
+    epsilon, zero_error = ("epsilon", float, None, None), ("zero_error", None, False, None)
+    theta, phi = ("theta", float, None, None), ("phi", float, None, None)
+    config = ("config", None, None, None)
+    want = {
+        "dims": [n, ("d", int, None, None), ("r", int, None, None), config,
+                 ("format", None, "table", table)],
+        "qdist": [n, spectrum, config, ("format", None, "table", table)],
+        "plan": [n, spectrum, epsilon, zero_error, config, ("format", None, "table", table_json)],
+        "simulate": [n, spectrum, epsilon, zero_error, theta, phi, config,
+                     ("format", None, "table", table_json)],
+        "sweep": [("n_range", None, None, None), ("n_list", None, None, None), spectrum,
+                  ("epsilon_list", None, None, None), zero_error,
+                  ("budget_exponent", float, None, None), config,
+                  ("format", None, "csv", csv_json)],
+        "oracle-check": [n, spectrum, theta, phi, ("seed", int, 0, None), config,
+                         ("format", None, "table", table_json)],
+    }
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert list(commands) == list(want)
+    for name, flags in want.items():
+        got = [(a.dest, a.type, a.default, a.choices and tuple(a.choices))
+               for a in commands[name]._actions if a.dest != "help"]
+        assert got == flags, name

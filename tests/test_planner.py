@@ -46,6 +46,8 @@ from schurcompress.schur_core import (
     spectrum_of,
 )
 
+from reference import best_budget_keep
+
 
 def reference_greedy(n, spectrum, budgets):
     """The greedy keep set at each budget, by a per-diagram sort on (-q / d_lambda, diagram)."""
@@ -381,6 +383,20 @@ def test_budgeted_lower_bound_grows():
         assert sum(irrep_dim(lam, 2) for lam in keep) <= n ** 1.4
         values.append(truncation_lower_bound(n, sp, keep))
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_greedy_is_first_fit_not_the_heaviest_truncation():
+    # the heaviest keep set under a budget is a 0/1 knapsack; first fit by density
+    # keeps (6,4) and (5,5) here, while (7,3) and (5,5) fit the same budget
+    sp = spectrum_of(0.6, 0.4)
+    weights = dict(block_weights(10, sp).items())
+    dims = {lam: irrep_dim(lam, 2) for lam in weights}
+    greedy = greedy_budget_keep(10, sp, 6.0)
+    assert [lam.rows for lam in greedy] == [(6, 4), (5, 5)]
+    assert sum(weights[lam] for lam in greedy) == pytest.approx(0.2604, abs=1e-4)
+    best_mass, best = best_budget_keep(weights, dims, 6.0)
+    assert sorted(lam.rows for lam in best) == [(5, 5), (7, 3)]
+    assert best_mass == pytest.approx(0.3835, abs=1e-4)
 
 
 def test_greedy_matches_the_per_diagram_sort():

@@ -124,6 +124,13 @@ def test_enumerate_rejects_bad_row_count():
         enumerate_diagrams(4, 2, 0)
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_diagram_rows_report_a_row_count_below_one_as_d(d):
+    # r defaults to d, and the r check named an r the caller never gave
+    with pytest.raises(ParameterError, match=rf"^need d >= 1, got d={d}$"):
+        diagram_rows(4, d)
+
+
 def test_enumerate_order_is_lex_decreasing():
     for n, d in [(6, 3), (8, 4), (5, 2)]:
         rows = [lam.rows for lam in enumerate_diagrams(n, d)]

@@ -18,7 +18,7 @@ from schurcompress import blocksim, schur_core
 def main(argv: list[str]) -> int:
     n, d = map(int, argv) if argv else (200, 3)
     rows = schur_core.diagram_rows(n, d)
-    _, _, counts, sizes = blocksim._content_pairs(rows, rows)
+    _, _, counts, sizes = blocksim._content_pairs(rows, np.arange(len(rows)))
     sums = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
     dims = schur_core.irrep_dims(rows).astype(np.int64)
     bad = np.flatnonzero(sums != dims)

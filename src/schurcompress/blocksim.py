@@ -433,11 +433,12 @@ def _pair_counts(lams: np.ndarray, mus: np.ndarray, orbits: np.ndarray, extra: i
     return sizes
 
 
-def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Kostka numbers K > 0 of shapes ``lams`` and contents ``mus`` (rows
-    of partitions of one n in ``diagram_rows`` order), grouped by shape in
-    row order: the content row of each and K, the number of semistandard
-    tableaux of that shape and content.
+def _kostka_numbers(mus: np.ndarray, shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Kostka numbers K > 0 of the shapes at ascending row positions
+    ``shapes`` of ``mus`` (every partition of one n, in ``diagram_rows``
+    order) and every content in ``mus``, grouped by shape in row order: the
+    content row of each and K, the number of semistandard tableaux of that
+    shape and content.
 
     Kostant's multiplicity formula in GL(r), r the most nonzero rows any
     partition of n can have: K = sum over w in S_r of sgn(w) P(w(lambda + rho)
@@ -445,10 +446,10 @@ def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.n
     coordinates a_k, the prefix sums of that weight, and zero unless every
     a_k >= 0.  Only the terms of ``_kostant_terms`` are summed,
     one w at a time over blocks of about 2^17 (lambda, mu), and only over the
-    mu from the block's first shape on in lexicographic order (K = 0 unless
-    mu <= lambda in dominance).
+    mu from the block's first shape's own row on (K = 0 unless mu <= lambda
+    in dominance, so unless mu comes no earlier in lexicographic order).
     """
-    n = int(mus[0].sum())
+    n, lams = int(mus[0].sum()), mus[shapes]
     r = max(1, min(n, lams.shape[1]))
     rho = np.arange(r - 1, -1, -1, dtype=np.int32)
     lower = np.cumsum(mus[:, :r] + rho, axis=1, dtype=np.int32)[:, :-1]
@@ -457,10 +458,9 @@ def _kostka_numbers(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.n
     table = _kostant_table(n, r)
     strides = [math.prod(table.shape[k + 1:]) for k in range(r - 1)]
     table = table.ravel()
-    ranks = _lex_ranks(mus, n)[::-1]  # ascending
     found = []
     for block in _shape_blocks(lams, mus):
-        lo = len(mus) - np.searchsorted(ranks, _lex_ranks(lams[block[:1]], n), "right")[0]
+        lo = shapes[block[0]]
         part = np.zeros((len(block), len(mus) - lo), dtype=np.int64)
         terms = np.arange(*np.searchsorted(shape, [block[0], block[-1] + 1]))
         terms = terms[np.argsort(key[terms], kind="stable")]
@@ -489,65 +489,51 @@ def _orbits(mus: np.ndarray) -> np.ndarray:
     return orbit
 
 
-def _lex_ranks(contents: np.ndarray, n: int) -> np.ndarray:
-    """The position of each composition of n (a row of ``contents``) among all
-    compositions of n into as many parts, in lexicographic order: before
-    position k come the ones that agree up to k and are smaller at k,
-    C(l + m, m) - C(l - c_k + m, m) of them, with l = n - (c_0 + .. + c_{k-1})
-    and m the parts after k."""
-    d = contents.shape[1]
-    ways = np.array([[math.comb(left + m, m) for m in range(d)] for left in range(n + 1)],
-                    dtype=np.int64)
-    left = n - np.cumsum(contents, axis=1) + contents
-    rank = np.zeros(len(contents), dtype=np.int64)
-    for k in range(d - 1):
-        rank += ways[left[:, k], d - 1 - k] - ways[left[:, k] - contents[:, k], d - 1 - k]
-    return rank
-
-
-def _compositions(n: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _compositions(n: int, mus: np.ndarray, orbits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every composition of n into d parts, grouped by the partition ``mus``
     row it sorts to (in row order, lexicographic within a group): the (C, d)
-    contents and the start of each row's group (M + 1)."""
-    d = mus.shape[1]
+    contents and the start of each row's group (M + 1), ``orbits`` (the
+    ``_orbits`` of ``mus``) apart.  The compositions are made in
+    lexicographic order, so one stable sort on their parts, largest first and
+    descending as ``diagram_rows`` is, groups them."""
     contents, left = np.zeros((1, 0), dtype=np.int64), np.array([n])
-    for _ in range(d - 1):
+    for _ in range(mus.shape[1] - 1):
         owner, value = _ranges(np.zeros_like(left), left)
         contents = np.column_stack([contents[owner], value])
         left = left[owner] - value
     contents = np.column_stack([contents, left])
-    ranks = _lex_ranks(mus, n)  # descending, as diagram_rows is
-    part = len(mus) - 1 - np.searchsorted(ranks[::-1], _lex_ranks(-np.sort(-contents), n))
-    starts = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=len(mus)))])
-    return contents[np.argsort(part, kind="stable")], starts
+    order = np.lexsort(-np.sort(contents, axis=1).T)  # by the last key first: the largest part
+    return contents[order], np.concatenate([[0], np.cumsum(orbits)])
 
 
-def _content_pairs(lams: np.ndarray, mus: np.ndarray, extra: int = 0
+def _content_pairs(mus: np.ndarray, shapes: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (content, Kostka number) pairs of every shape in ``lams`` (rows of
-    partitions of n, ``mus`` being all of them): each content c with
-    K_lambda,c > 0, grouped by shape.  Returns the (C, d) contents, the
-    content index of each pair, its count, and the pairs per shape.
+    """The (content, Kostka number) pairs of every shape at the ascending row
+    positions ``shapes`` of ``mus`` (every partition of n, in ``diagram_rows``
+    order): each content c with K_lambda,c > 0, grouped by shape.  Returns
+    the (C, d) contents, the content index of each pair, its count, and the
+    pairs per shape.
 
     For two rows the contents are (c, n - c) for c = lambda_2..lambda_1, each
     once, which is ascending m.  Otherwise K_lambda,c = K_lambda,sort(c), so
     ``_kostka_numbers`` over partitions suffices, and each (lambda, mu) with
     K > 0 expands to the compositions that sort to mu, in ``_compositions``
     order; ``_pair_counts`` counts them first.  Raises ResourceLimitError,
-    before allocating them, when the pairs and ``extra`` more would be more
-    than BLOCK_ENTRY_CAP.
+    before allocating them, when the pairs, plus one for each row not in
+    ``shapes``, would be more than BLOCK_ENTRY_CAP.
     """
     n, d = int(mus[0].sum()), mus.shape[1]
+    lams, dead = mus[shapes], len(mus) - len(shapes)
     if d == 2:
         sizes = lams[:, 0] - lams[:, 1] + 1
-        _check_pairs(int(sizes.sum()) + extra, n)
+        _check_pairs(int(sizes.sum()) + dead, n)
         _, index = _ranges(lams[:, 1], lams[:, 0])
         contents = np.column_stack([np.arange(n + 1), np.arange(n, -1, -1)])
         return contents, index, np.ones(len(index), dtype=np.int64), sizes
     orbits = _orbits(mus)
-    sizes = _pair_counts(lams, mus, orbits, extra)
-    mu, kostka = _kostka_numbers(lams, mus)
-    contents, starts = _compositions(n, mus)
+    sizes = _pair_counts(lams, mus, orbits, dead)
+    mu, kostka = _kostka_numbers(mus, shapes)
+    contents, starts = _compositions(n, mus, orbits)
     runs = orbits[mu]
     index = np.repeat(starts[mu] - (np.cumsum(runs) - runs), runs)
     index += np.arange(len(index))  # each (lambda, mu) runs over the compositions of mu
@@ -601,7 +587,7 @@ def product_state(spectrum: Spectrum, n: int,
     table = weight_table(n, spectrum)
     live = table.weights >= UNDERFLOW
     dead = np.flatnonzero(~live)
-    contents, index, counts, sizes = _content_pairs(table.rows[live], table.rows, len(dead))
+    contents, index, counts, sizes = _content_pairs(table.rows, np.flatnonzero(live))
     rank = spectrum.rank  # the zero eigenvalues come last
     logs = contents[:, :rank] @ np.log(spectrum.probs[:rank])
     if rank < d:

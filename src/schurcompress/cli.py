@@ -81,7 +81,9 @@ def parse_spectrum(text: str) -> Spectrum:
     bad = [tok for tok, v in zip(tokens, vals) if not math.isfinite(v)]
     if bad:
         raise ParameterError(f"non-finite spectrum entry {bad[0]!r} in {text!r}")
-    if not vals or any(v < 0 for v in vals):
+    if not vals:
+        raise ParameterError(f"empty spectrum {text!r}")
+    if any(v < 0 for v in vals):
         raise ParameterError(f"spectrum entries must be non-negative, got {text!r}")
     return spectrum_of(*vals)
 
@@ -341,12 +343,11 @@ def cmd_sweep(args):
             else:
                 plan = _build_plan(n, spectrum, eps, zero_error)
             lower = truncation_lower_bound(n, spectrum, plan.rows)
-            exact = (fmt(exact_protocol_error(n, spectrum, plan.rows).exact_error)
-                     if n <= EXACT_ERROR_CAP else "")
-            bound = "" if plan.bound_qubits is None else fmt(plan.bound_qubits)
+            exact = (exact_protocol_error(n, spectrum, plan.rows).exact_error
+                     if n <= EXACT_ERROR_CAP else None)
             results.append(dict(zip(SWEEP_COLUMNS, [
-                str(n), "" if eps is None else fmt(eps), str(plan.d_enc), str(plan.qubit_count),
-                bound, exact, fmt(2.0 * lower), fmt(lower)])))
+                n, eps, plan.d_enc, plan.qubit_count, plan.bound_qubits, exact, 2.0 * lower,
+                lower])))
     params = {"spectrum": list(spectrum.probs), "n_values": n_values,
               "epsilons": [e for e in epsilons if e is not None],
               "zero_error": zero_error, "budget_exponent": budget_exponent}
@@ -354,8 +355,8 @@ def cmd_sweep(args):
 
 
 def view_sweep(params, results, out_format):
-    return tabulate(SWEEP_COLUMNS, [[row[key] for key in SWEEP_COLUMNS] for row in results],
-                    out_format)
+    return tabulate(SWEEP_COLUMNS, [["" if row[key] is None else fmt(row[key])
+                                     for key in SWEEP_COLUMNS] for row in results], out_format)
 
 
 def cmd_oracle_check(args):
@@ -448,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **FLAGS[flag])
         p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(func=func, view=view, required=required)
-    for p in (parser, *sub.choices.values()):  # "-1e-3", "-inf" and "-NaN" are values, not flags
+    for p in (parser, *sub.choices.values()):  # "-1e-3", "-inf", "-4,8", "-4:8:2" are values
         p._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)([,:].*)?$", re.IGNORECASE)
     return parser
 
 

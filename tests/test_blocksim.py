@@ -35,6 +35,7 @@ from schurcompress.planner import qubit_approx_plan, qudit_approx_plan, zero_err
 from schurcompress.schur_core import (
     Spectrum,
     YoungDiagram,
+    diagram_rows,
     enumerate_diagrams,
     irrep_dim,
     multiplicity_dim,
@@ -101,6 +102,7 @@ def test_qubit_weight_maximally_mixed():
 def test_qubit_weight_pure():
     assert qubit_weight(8, 1.0, 8) == 1.0
     assert qubit_weight(8, 1.0, 4) == 0.0
+    assert [qubit_weight_binomial(8, 1.0, two_j) for two_j in range(0, 9, 2)] == [0.0] * 4 + [1.0]
 
 
 def test_qubit_weight_rejects_bad_args():
@@ -108,6 +110,8 @@ def test_qubit_weight_rejects_bad_args():
         qubit_weight(4, 0.3, 2)
     with pytest.raises(ParameterError):
         qubit_weight(4, 0.75, 3)  # parity
+    with pytest.raises(ParameterError, match=r"^binomial-difference form needs p > 1/2, got 0\.5$"):
+        qubit_weight_binomial(4, 0.5, 2)
 
 
 def test_qubit_weights_normalized_at_large_n_maximally_mixed():
@@ -294,7 +298,7 @@ def test_kostant_caps_raise_before_anything_past_them_is_built(monkeypatch):
             product_state(sp, 12)
     with monkeypatch.context() as patch:
         patch.setattr(blocksim, "KOSTKA_CAP", 44)
-        patch.setattr(blocksim, "_lex_ranks", boom)
+        patch.setattr(blocksim, "_compositions", boom)
         with pytest.raises(ResourceLimitError, match="Kostant table capped at 44 entries, "
                                                      "N=12 with 3 rows needs 45"):
             product_state(sp, 12)
@@ -425,6 +429,11 @@ def test_block_diagonals_with_a_zero_eigenvalue(sp):
         assert np.allclose(np.sort(blk.matrix), np.sort(monomials / s_val), rtol=1e-12, atol=0.0)
 
 
+def test_product_state_needs_a_copy():
+    with pytest.raises(ParameterError, match=r"^need at least one copy, got N=0$"):
+        product_state(spectrum_of(0.75, 0.25), 0)
+
+
 def test_product_state_qudit_rejects_rotation():
     with pytest.raises(UnsupportedFeatureError):
         product_state(spectrum_of(0.5, 0.3, 0.2), 3, BlochVector(0.3, 0.1))
@@ -465,7 +474,7 @@ def test_content_pairs_match_the_tableau_histogram(probs, n):
         if state.weights[i] == 0.0:  # an underflowed block: one zero pair
             assert lam.num_rows > sp.rank and values.tolist() == [0.0], lam
             continue
-        contents, index, engine_counts, _ = blocksim._content_pairs(rows[i:i + 1], rows)
+        contents, index, engine_counts, _ = blocksim._content_pairs(rows, np.array([i]))
         contents = contents[index]
         assert np.array_equal(counts, engine_counts), lam
         expected, tally = np.unique(gelfand_tsetlin_contents(lam, sp.d), axis=0,
@@ -478,11 +487,35 @@ def test_content_pairs_match_the_tableau_histogram(probs, n):
                                    rtol=1e-12, atol=0.0)
 
 
+def _brute_compositions(n, d):
+    """Every composition of n into d parts, by recursion on the first part."""
+    if d == 1:
+        return [[n]]
+    return [[first, *rest] for first in range(n + 1)
+            for rest in _brute_compositions(n - first, d - 1)]
+
+
+@pytest.mark.parametrize("d, ns", [(1, range(1, 11)), (2, range(1, 11)), (3, range(1, 11)),
+                                   (4, range(1, 11)), (5, range(1, 11)), (25, [3])])
+def test_compositions_group_by_partition_in_row_order(d, ns):
+    # the content order of d >= 3 blocks: by the partition each composition
+    # sorts to, in diagram_rows order (lexicographically decreasing), then
+    # lexicographic within a partition; each group starts where _orbits says
+    for n in ns:
+        mus = schur_core.diagram_rows(n, d)
+        contents, starts = blocksim._compositions(n, mus, blocksim._orbits(mus))
+        expected = sorted(_brute_compositions(n, d),
+                          key=lambda c: ([-x for x in sorted(c, reverse=True)], c))
+        assert contents.tolist() == expected, (d, n)
+        parts = -np.sort(-contents, axis=1)
+        assert np.array_equal(parts, np.repeat(mus, np.diff(starts), axis=0)), (d, n)
+
+
 @functools.lru_cache(maxsize=2)
 def _all_pairs(n, d):
     """The content pairs of every shape of n boxes and d rows."""
     rows = schur_core.diagram_rows(n, d)
-    return (rows, *blocksim._content_pairs(rows, rows))
+    return (rows, *blocksim._content_pairs(rows, np.arange(len(rows))))
 
 
 @pytest.mark.parametrize("d, n", [(3, 100), (4, 30)])
@@ -580,6 +613,18 @@ def test_validate_rejects_weight_where_no_block_is_held():
         validate_block_state(state)
 
 
+def test_validate_rejects_weights_that_do_not_sum_to_one():
+    state = BlockState.from_matrices(2, 2, np.array([0.5, 0.4]), (np.eye(3) / 3, np.eye(1)))
+    with pytest.raises(ContractViolationError, match=r"^block weights sum to 0\.9$"):
+        validate_block_state(state)
+
+
+def test_validate_skips_a_dense_block_of_weight_zero():
+    # a block no weight reaches is not looked at, so its trace of 5 passes
+    validate_block_state(BlockState.from_matrices(2, 2, np.array([0.0, 1.0]),
+                                                  (np.eye(3) * 5 / 3, np.eye(1))))
+
+
 @pytest.mark.parametrize("weight, hermitian", [(0.5, False), (1e-4, True)])
 def test_validate_weighs_the_hermitian_tolerance(weight, hermitian):
     # off Hermitian by 1e-9: 5e-10 on the scale of the state at weight 0.5,
@@ -652,6 +697,17 @@ def test_encode_mixes_dense_and_missing_blocks_with_the_dump():
     back = decode(enc)
     validate_block_state(back)
     assert trace_distance(state, back) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_encode_gives_a_kept_row_without_weight_or_dump_a_zero_block():
+    # nothing is discarded, so no dump; the singlet is kept at weight 0
+    state = BlockState.from_matrices(2, 2, np.array([1.0, 0.0]), [np.eye(3) / 3, np.eye(1)])
+    enc = encode(state, diagram_rows(2, 2))
+    assert enc.weights[1] == 0.0
+    assert np.array_equal(enc.dense[1], np.zeros((1, 1)))
+    back = decode(enc)
+    validate_block_state(back)
+    assert trace_distance(state, back) == 0.0
 
 
 def test_decode_requires_encoded_form():

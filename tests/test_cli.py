@@ -155,6 +155,8 @@ def test_qdist_rejects_bad_spectrum(capsys):
     code, _, err = run_cli(capsys, "qdist", "--n", "2", "--spectrum", "0.7,0.2")
     assert code == 2
     assert "sums to" in err
+    code, out, err = run_cli(capsys, "qdist", "--n", "2", "--spectrum", ",")
+    assert (code, out, err) == (2, "", "error: empty spectrum ','\n")
 
 
 def test_qdist_rejects_non_finite_spectrum_exit_2(capsys):
@@ -380,7 +382,7 @@ def test_sweep_evaluates_the_exact_error_up_to_a_fixed_cap(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n-list", "256,258", "--spectrum", "0.75,0.25",
                            "--epsilon-list", "0.1", "--format", "json")
     assert code == 0
-    assert [row["exact_error"] != "" for row in json.loads(out)["results"]] == [True, False]
+    assert [row["exact_error"] is not None for row in json.loads(out)["results"]] == [True, False]
     with pytest.raises(SystemExit) as exc:  # the cap is no flag
         main(["sweep", "--n-list", "4", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1",
               "--exact-cap", "4"])
@@ -468,7 +470,7 @@ def test_config_file_supplies_flags(tmp_path, capsys):
 
 def test_config_flag_overrides_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=4\nspectrum=0.75,0.25\n")
+    cfg.write_text("# defaults\nn=4\n\nspectrum=0.75,0.25\n")
     code, out, _ = run_cli(capsys, "dims", "--config", str(cfg), "--n", "2", "--d", "2")
     assert code == 0
     assert "sum of irrep_dim*mult_dim = 4" in out
@@ -507,6 +509,15 @@ def test_float_output_precision(capsys):
     (["plan", "--zero-error"], "n=abc\nspectrum=0.75,0.25\n"),
     (["plan", "--n", "0", "--spectrum", "0.75,0.25", "--epsilon", "0.01"], None),
     (["plan", "--n", "0", "--spectrum", "0.5,0.3,0.2", "--epsilon", "0.1"], None),
+    (["qdist", "--n", "4", "--spectrum", "0.5,abc"], None),
+    (["qdist", "--n", "4", "--spectrum", "0.5,-0.5,1"], None),
+    (["dims", "--n", "4"], "d 2\n"),
+    (["simulate", "--n", "4", "--spectrum", "0.75,0.25"], None),
+    (["sweep", "--n-range", "1:2", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1"], None),
+    (["sweep", "--n-range", "1:5:0", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1"], None),
+    (["sweep", "--spectrum", "0.75,0.25", "--epsilon-list", "0.1"], None),
+    (["sweep", "--n-list", "4", "--spectrum", "0.75,0.25", "--epsilon-list", ","], None),
+    (["sweep", "--n-list", "4", "--spectrum", "0.75,0.25"], None),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -546,13 +557,29 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys):
     assert (code, out, err) == (2, "", "error: need 0 < epsilon < 1, got -0.001\n")
 
 
+SWEEP_QUBIT = ["sweep", "--spectrum", "0.75,0.25"]
+NEGATIVE_VALUES = {  # flag: (the rest of the command, the typed error of its value)
+    "--theta": (["simulate", "--n", "10", "--spectrum", "0.75,0.25", "--epsilon", "0.1"],
+                "non-finite Bloch angles "),
+    "--spectrum": (["plan", "--n", "10", "--epsilon", "0.1"],
+                   "spectrum entries must be non-negative, got '-0.1,1.1'"),
+    "--n-list": (SWEEP_QUBIT + ["--epsilon-list", "0.1"], "need N >= 1, got -4"),
+    "--n-range": (SWEEP_QUBIT + ["--epsilon-list", "0.1"], "need N >= 1, got -4"),
+    "--epsilon-list": (SWEEP_QUBIT + ["--n-list", "4"], "need 0 < epsilon < 1, got -0.1"),
+}
+NEGATIVE_VALUES["--phi"] = NEGATIVE_VALUES["--theta"]
+
+
 @pytest.mark.parametrize("flag, value", [("--theta", "-inf"), ("--phi", "-NaN"),
-                                         ("--theta", "-Infinity")])
+                                         ("--theta", "-Infinity"), ("--spectrum", "-0.1,1.1"),
+                                         ("--n-list", "-4,8"), ("--epsilon-list", "-0.1,0.2"),
+                                         ("--n-range", "-4:8:2")])
 def test_negative_inf_and_nan_are_values(capsys, flag, value):
-    base = ["simulate", "--n", "10", "--spectrum", "0.75,0.25", "--epsilon", "0.1"]
+    # a value, or a list or range whose first entry is negative, is no flag
+    base, message = NEGATIVE_VALUES[flag]
     spaced = run_cli(capsys, *base, flag, value)
     assert spaced == run_cli(capsys, *base, f"{flag}={value}")
-    assert spaced[:2] == (2, "") and spaced[2].startswith("error: non-finite Bloch angles ")
+    assert spaced[:2] == (2, "") and spaced[2].startswith("error: " + message)
     code, out, err = run_cli(capsys, "plan", "--n", "10", "--spectrum", "0.75,0.25",
                              "--epsilon", "-inf")
     assert (code, out, err) == (2, "", "error: need 0 < epsilon < 1, got -inf\n")

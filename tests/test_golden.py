@@ -8,7 +8,10 @@ recorded while qudit block diagonals still came from a tableau walk.  The
 rest (every table from ``simulate`` and ``oracle-check``, the ``dims`` CSV and
 JSON, the ``qdist`` tables, the remaining ``plan`` forms and the ``sweep``
 JSON) were recorded after rotated qubit states became a frame label and
-before the CLI read its flags and printed its output in one place.
+before the CLI read its flags and printed its output in one place.  The two
+``sweep_*.json`` files were recorded again when sweep JSON began to hold
+numbers in place of the CSV's text: only the quoting changed, and digits
+past the tenth appeared.
 Non-numeric text must match exactly.  Numbers must agree within 1e-9
 relative, which leaves room for the last of the ten printed digits, or within
 1e-13 absolute: the recorded sweeps printed ``tail_mass`` and ``lower_bound``

@@ -436,6 +436,17 @@ def test_dense_protocol_error_rejects_a_keep_set_that_names_no_spin():
 def test_dense_protocol_error_rejects_a_qudit_spectrum():
     with pytest.raises(UnsupportedFeatureError):
         dense_protocol_error(3, Spectrum((0.5, 0.3, 0.2)), enumerate_diagrams(3, 2))
+    with pytest.raises(UnsupportedFeatureError, match="^dense qudit states are diagonal only$"):
+        dense_product_state(Spectrum((0.5, 0.3, 0.2)), 2, BlochVector(1.0, 0.5))
+
+
+def test_block_spectrum_mismatch_counts_a_block_weighted_on_one_side_only():
+    # the singlet has weight on one side only: its whole weight 0.25 counts,
+    # against 0.75 / 3 - 0.5 / 3 on the shared block
+    ours = BlockState.from_matrices(2, 2, np.array([0.75, 0.25]), [np.eye(3) / 3, np.eye(1)])
+    theirs = BlockState.from_matrices(2, 2, np.array([1.0, 0.0]), [np.eye(3) / 3, np.eye(1)])
+    assert block_spectrum_mismatch(ours, theirs) == 0.25
+    assert block_spectrum_mismatch(theirs, ours) == 0.25
 
 
 def test_dense_protocol_error_random_keeps():

@@ -152,6 +152,20 @@ def test_qubit_approx_plan_wide_tolerance_strip():
     assert labels[0] // 2 == 32 and labels[-1] // 2 == 48
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: zero_error_plan(0, 2), ParameterError, r"^need N >= 1, got 0$"),
+    (lambda: total_variation_radius(10, 2, 0.0), ParameterError, r"^need 0 < epsilon <= 1, got 0\.0$"),
+    (lambda: qubit_error_upper_bound(10, 0.5, 0.1), NotApplicableError,
+     r"^bound needs p > 1/2, got 0\.5$"),
+    (lambda: keyl_werner_tail_bound(10, 2, 0.0), ParameterError, r"^need x > 0, got 0\.0$"),
+    (lambda: mixed_prep_cost(0, 1), ParameterError, r"^need m_lambda >= 1 and rounds >= 1$"),
+    (lambda: circuit_resource_estimate(1), ParameterError, r"^need N >= 2, got 1$"),
+])
+def test_planner_calls_reject_inputs_outside_their_domain(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_qubit_approx_plan_rejects_half():
     with pytest.raises(NotApplicableError):
         qubit_approx_plan(20, 0.5, 0.01)

@@ -129,6 +129,8 @@ def test_diagram_rows_report_a_row_count_below_one_as_d(d):
     # r defaults to d, and the r check named an r the caller never gave
     with pytest.raises(ParameterError, match=rf"^need d >= 1, got d={d}$"):
         diagram_rows(4, d)
+    with pytest.raises(ParameterError, match="^negative box count -1$"):
+        diagram_rows(-1, 2)
 
 
 def test_enumerate_order_is_lex_decreasing():
@@ -229,6 +231,8 @@ def test_young_diagram_validation():
         YoungDiagram((1, 2))
     with pytest.raises(ParameterError):
         YoungDiagram((2, -1))
+    with pytest.raises(ParameterError, match="^two_j is only defined for two-row diagrams$"):
+        YoungDiagram((3, 2, 1)).two_j
     lam = YoungDiagram((3, 1))
     assert lam.boxes == 4 and lam.two_j == 2
     assert YoungDiagram.from_two_j(4, 2) == lam
@@ -263,6 +267,10 @@ def test_spectrum_validation_and_degeneracy():
         Spectrum((0.4, 0.6))
     with pytest.raises(ParameterError):
         Spectrum((0.7, 0.2))
+    with pytest.raises(ParameterError, match="^empty spectrum$"):
+        Spectrum(())
+    with pytest.raises(ParameterError, match=r"^negative eigenvalue in \(1\.5, -0\.5\)$"):
+        Spectrum((1.5, -0.5))
     assert Spectrum((0.6, 0.4, 0.0)).rank == 2
     assert Spectrum((0.5, 0.3, 0.2)).degeneracy_m == 0
     assert Spectrum((0.5, 0.25, 0.25)).degeneracy_m == 1
